@@ -204,21 +204,22 @@ def shares_lifeline(x: Message, y: Message) -> bool:
     )
 
 
+def children(f: Fragment) -> tuple[Fragment, ...]:
+    """The direct subfragments of ``f``, in evaluation order."""
+    match f:
+        case WeakSeq(children=parts) | Alt(branches=parts) | Par(operands=parts):
+            return parts
+        case Loop(body=b) | Consider(body=b) | Ignore(body=b):
+            return (b,)
+    return ()
+
+
 def message_alphabet(f: Fragment) -> frozenset[Message]:
     """Every message occurring syntactically in a basic fragment of ``f``.
 
     Filter alphabets on consider/ignore nodes do not count: they select
     messages, they do not occur.
     """
-    match f:
-        case Basic(messages=ms):
-            return frozenset(ms)
-        case WeakSeq(children=parts) | Alt(branches=parts) | Par(operands=parts):
-            out: frozenset[Message] = frozenset()
-            for part in parts:
-                out |= message_alphabet(part)
-            return out
-        case Loop(body=b) | Consider(body=b) | Ignore(body=b):
-            return message_alphabet(b)
-        case _:
-            return frozenset()
+    if isinstance(f, Basic):
+        return frozenset(f.messages)
+    return frozenset().union(*map(message_alphabet, children(f)))

@@ -34,12 +34,26 @@ from seqtrace.semantics import (
 )
 
 
-def _load(path: str) -> ParsedDiagram:
+def _read(path: str) -> str:
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return parse(source)
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"cannot read {path}: invalid UTF-8 at byte {exc.start}") from exc
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    return convert
 
 
 def _validate_or_fail(diagram: ParsedDiagram, path: str) -> bool:
@@ -56,13 +70,13 @@ def _note_bound(limits: EvalLimits) -> None:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    diagram = _load(args.file)
+    diagram = parse(_read(args.file))
     sys.stdout.write(dump_diagram(diagram))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    diagram = _load(args.file)
+    diagram = parse(_read(args.file))
     diags = validate(diagram)
     for diag in diags:
         print(diag)
@@ -70,7 +84,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
-    diagram = _load(args.file)
+    diagram = parse(_read(args.file))
     if not _validate_or_fail(diagram, args.file):
         return 2
     limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
@@ -97,8 +111,8 @@ def _print_verdict(verdict: Verdict, ok_word: str, fail_word: str, tag: bool) ->
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    left = _load(args.file_a)
-    right = _load(args.file_b)
+    left = parse(_read(args.file_a))
+    right = parse(_read(args.file_b))
     ok_a = _validate_or_fail(left, args.file_a)
     ok_b = _validate_or_fail(right, args.file_b)
     if not (ok_a and ok_b):
@@ -109,14 +123,10 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_conform(args: argparse.Namespace) -> int:
-    diagram = _load(args.file)
+    diagram = parse(_read(args.file))
     if not _validate_or_fail(diagram, args.file):
         return 2
-    try:
-        log_text = Path(args.log).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DiagramError(f"cannot read {args.log}: {exc.strerror or exc}") from exc
-    log = parse_trace_log(log_text)
+    log = parse_trace_log(_read(args.log))
     limits = EvalLimits(loop_bound=args.max_loop)
     _note_bound(limits)
     verdict = conform(diagram, log, ConformanceMode(args.mode), limits)
@@ -124,7 +134,7 @@ def _cmd_conform(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
-    diagram = _load(args.file)
+    diagram = parse(_read(args.file))
     if not isinstance(diagram.root, Loop):
         print(
             f"error: {args.file}: the diagram's root is not a loop fragment; "
@@ -165,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traces", help="Enumerate the diagram's traces, sorted")
     p.add_argument("file")
-    p.add_argument("--max-loop", type=int, default=DEFAULT_LOOP_BOUND, metavar="K",
+    p.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND, metavar="K",
                    help="loop unrolling bound (default %(default)s)")
-    p.add_argument("--max-traces", type=int, default=DEFAULT_MAX_TRACES, metavar="M",
+    p.add_argument("--max-traces", type=_int_at_least(1), default=DEFAULT_MAX_TRACES, metavar="M",
                    help="hard cap on trace-set size (default %(default)s)")
     p.add_argument("--count", action="store_true", help="print only the number of traces")
     p.set_defaults(func=_cmd_traces)
@@ -175,19 +185,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="Check that A's traces are a subset of B's")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--max-loop", type=int, default=DEFAULT_LOOP_BOUND, metavar="K")
+    p.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND, metavar="K")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("conform", help="Compare diagram traces against a trace log")
     p.add_argument("file")
     p.add_argument("log")
     p.add_argument("--mode", required=True, choices=[m.value for m in ConformanceMode])
-    p.add_argument("--max-loop", type=int, default=DEFAULT_LOOP_BOUND, metavar="K")
+    p.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND, metavar="K")
     p.set_defaults(func=_cmd_conform)
 
     p = sub.add_parser("theorem", help="Check the bounded loop-unrolling identity")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True, metavar="K")
+    p.add_argument("--depth", type=_int_at_least(0), required=True, metavar="K")
     p.set_defaults(func=_cmd_theorem)
 
     return parser

@@ -17,26 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from seqtrace.ast import (
-    Alt,
-    Basic,
-    Consider,
-    Create,
-    Destroy,
-    Fragment,
-    Ignore,
-    Loop,
-    Message,
-    Namespace,
-    Par,
-    Trace,
-    TraceSet,
-    WeakSeq,
-    is_valid_name,
-)
+from seqtrace.ast import Message, Trace, TraceSet, is_valid_name
 from seqtrace.errors import Diagnostic, LogParseError
 from seqtrace.parser import ParsedDiagram
-from seqtrace.semantics import EvalLimits, denote
+from seqtrace.semantics import EvalLimits, denote, scope
 
 MAX_WITNESSES = 10
 EMPTY_TRACE_TOKEN = "ε"  # lowercase epsilon
@@ -124,67 +108,12 @@ def parse_trace_log(text: str) -> TraceLog:
 def validate(d: ParsedDiagram) -> list[Diagnostic]:
     """Namespace-check a diagram without computing any traces.
 
-    Walks the tree threading namespaces exactly as evaluation would and
-    collects every unknown-lifeline, duplicate-create, and destroy-absent
-    finding. The list is empty iff evaluation would raise no namespace
-    error.
+    Reports every scope error that ``semantics.scope`` finds, in
+    evaluation order. The list is empty iff evaluation would raise no
+    namespace error.
     """
-    diags: list[Diagnostic] = []
-
-    def walk(f: Fragment, ns: Namespace) -> Namespace:
-        match f:
-            case Basic(messages=ms):
-                locs = f.message_locs
-                for idx, m in enumerate(ms):
-                    loc = locs[idx] if locs is not None else f.loc
-                    for peer in dict.fromkeys((m.sender, m.receiver)):
-                        if peer not in ns:
-                            diags.append(
-                                Diagnostic(
-                                    "unknown-lifeline",
-                                    f"lifeline {peer!r} is not in scope",
-                                    loc,
-                                )
-                            )
-                return ns
-            case WeakSeq(children=cs):
-                cur = ns
-                for c in cs:
-                    cur = walk(c, cur)
-                return cur
-            case Alt(branches=parts) | Par(operands=parts):
-                for p in parts:
-                    walk(p, ns)
-                return ns
-            case Loop(body=b) | Consider(body=b) | Ignore(body=b):
-                walk(b, ns)
-                return ns
-            case Create(name=n):
-                if n in ns:
-                    diags.append(
-                        Diagnostic(
-                            "duplicate-create",
-                            f"create of lifeline {n!r} which is already in scope",
-                            f.loc,
-                        )
-                    )
-                return ns | {n}
-            case Destroy(name=n):
-                if n not in ns:
-                    diags.append(
-                        Diagnostic(
-                            "destroy-absent",
-                            f"destroy of lifeline {n!r} which is not in scope",
-                            f.loc,
-                        )
-                    )
-                    return ns
-                return ns - {n}
-            case _:
-                return ns
-
-    walk(d.root, d.initial_namespace)
-    return diags
+    _, errors = scope(d.root, d.initial_namespace)
+    return [Diagnostic(e.code, e.message, e.loc) for e in errors]
 
 
 def _sorted_witnesses(side: str, traces: TraceSet) -> tuple[Witness, ...]:

@@ -44,6 +44,8 @@ class EmptyBlockError(ParseError):
 class UnknownLifelineError(DiagramError):
     """A message peer is not in scope where the message occurs."""
 
+    code = "unknown-lifeline"
+
     def __init__(self, name: str, loc: Loc | None = None):
         super().__init__(f"lifeline {name!r} is not in scope", loc)
         self.name = name
@@ -52,6 +54,8 @@ class UnknownLifelineError(DiagramError):
 class DuplicateCreateError(DiagramError):
     """A create names a lifeline that is already in scope."""
 
+    code = "duplicate-create"
+
     def __init__(self, name: str, loc: Loc | None = None):
         super().__init__(f"create of lifeline {name!r} which is already in scope", loc)
         self.name = name
@@ -59,6 +63,8 @@ class DuplicateCreateError(DiagramError):
 
 class DestroyAbsentError(DiagramError):
     """A destroy names a lifeline that is not in scope."""
+
+    code = "destroy-absent"
 
     def __init__(self, name: str, loc: Loc | None = None):
         super().__init__(f"destroy of lifeline {name!r} which is not in scope", loc)

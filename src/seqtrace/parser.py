@@ -39,17 +39,24 @@ from seqtrace.ast import (
     Par,
     Skip,
     WeakSeq,
+    children,
     is_valid_name,
 )
 from seqtrace.errors import (
+    DuplicateCreateError,
     DuplicateLifelineError,
     EmptyBlockError,
     ParseError,
 )
+from seqtrace.semantics import scope
 
 KEYWORDS = frozenset(
     {"lifeline", "create", "destroy", "skip", "loop", "par", "alt", "consider", "ignore"}
 )
+
+# Blocks nest at most this deep, which keeps parsing and every recursive
+# walk over the tree well inside the interpreter's default recursion limit.
+MAX_NESTING = 200
 
 _WORD_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_."
@@ -135,6 +142,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # blocks open around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,10 +210,16 @@ class _Parser:
             self.advance()
             name_tok = self.name("lifeline name")
             return Destroy(name_tok.text, loc=tok.loc)
-        if word in ("loop", "alt", "par"):
-            return self.block(word)
-        if word in ("consider", "ignore"):
-            return self.filter_block(word)
+        if word in ("loop", "alt", "par", "consider", "ignore"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"blocks nest deeper than {MAX_NESTING} levels", tok.loc)
+            if word in ("consider", "ignore"):
+                frag = self.filter_block(word)
+            else:
+                frag = self.block(word)
+            self.depth -= 1
+            return frag
         if word == "lifeline":
             raise ParseError(
                 "lifeline declarations are only allowed at the top level",
@@ -367,6 +381,10 @@ def _render_message(m: Message) -> str:
     return f"{m.sender} -> {m.receiver} : {m.label}"
 
 
+def _sorted_alphabet(al: frozenset[Message]) -> list[Message]:
+    return sorted(al, key=lambda m: (m.sender, m.label, m.receiver))
+
+
 def _render_into(f: Fragment, lines: list[str], depth: int) -> None:
     pad = "  " * depth
     match f:
@@ -395,68 +413,24 @@ def _render_into(f: Fragment, lines: list[str], depth: int) -> None:
             lines.append(pad + "skip")
         case Consider(alphabet=al, body=b) | Ignore(alphabet=al, body=b):
             keyword = "consider" if isinstance(f, Consider) else "ignore"
-            rendered = ", ".join(
-                _render_message(m)
-                for m in sorted(al, key=lambda m: (m.sender, m.label, m.receiver))
-            )
+            rendered = ", ".join(_render_message(m) for m in _sorted_alphabet(al))
             lines.append(pad + f"{keyword} [{rendered}] {{")
             _render_into(b, lines, depth + 1)
             lines.append(pad + "}")
 
 
-def required_lifelines(f: Fragment) -> frozenset[str]:
-    """Names a fragment needs in scope before it runs: message peers and
-    destroy targets that are not created earlier in the same sequence."""
-    needed: set[str] = set()
-
-    def walk(f: Fragment, created: frozenset[str]) -> frozenset[str]:
-        match f:
-            case Basic(messages=ms):
-                for m in ms:
-                    for p in (m.sender, m.receiver):
-                        if p not in created and p not in needed:
-                            needed.add(p)
-                return created
-            case WeakSeq(children=cs):
-                cur = created
-                for c in cs:
-                    cur = walk(c, cur)
-                return cur
-            case Create(name=n):
-                return created | {n}
-            case Destroy(name=n):
-                if n not in created and n not in needed:
-                    needed.add(n)
-                return created - {n}
-            case Alt(branches=parts) | Par(operands=parts):
-                for p in parts:
-                    walk(p, created)
-                return created
-            case Loop(body=b) | Consider(body=b) | Ignore(body=b):
-                walk(b, created)
-                return created
-            case _:
-                return created
-
-    walk(f, frozenset())
-    return frozenset(needed)
-
-
 def render_fragment(f: Fragment) -> str:
     """Canonical DSL text for a fragment, with the lifeline headers it needs.
 
-    Re-parsing the result gives back ``canonicalize(f)``.
+    The headers are the names ``scope`` reports missing under an empty
+    namespace: message peers and destroy targets that are not created
+    earlier in the same sequence. Re-parsing the result gives back
+    ``canonicalize(f)``.
     """
-    lines = [f"lifeline {name}" for name in sorted(required_lifelines(f))]
+    _, errors = scope(f, ())
+    needed = {e.name for e in errors if not isinstance(e, DuplicateCreateError)}
+    lines = [f"lifeline {name}" for name in sorted(needed)]
     _render_into(f, lines, 0)
-    return "\n".join(lines) + "\n"
-
-
-def render_diagram(d: ParsedDiagram) -> str:
-    """DSL text for a parsed diagram, keeping its declared namespace."""
-    lines = [f"lifeline {name}" for name in sorted(d.initial_namespace)]
-    if not isinstance(d.root, Skip) or d.root.loc is not None:
-        _render_into(d.root, lines, 0)
     return "\n".join(lines) + "\n"
 
 
@@ -464,47 +438,20 @@ def dump_diagram(d: ParsedDiagram) -> str:
     """A stable, indented AST dump: one node per line with location/payload."""
     lines = [("lifelines " + " ".join(sorted(d.initial_namespace))).rstrip()]
 
-    def node_line(depth: int, name: str, loc: Loc | None, payload: str = "") -> None:
-        text = "  " * depth + name
-        if loc is not None:
-            text += f" @{loc}"
-        if payload:
-            text += " " + payload
-        lines.append(text)
-
     def walk(f: Fragment, depth: int) -> None:
+        text = "  " * depth + type(f).__name__.lower()
+        if f.loc is not None:
+            text += f" @{f.loc}"
         match f:
             case Basic(messages=ms):
-                node_line(depth, "basic", f.loc, " ".join(str(m) for m in ms))
-            case WeakSeq(children=cs):
-                node_line(depth, "weakseq", f.loc)
-                for c in cs:
-                    walk(c, depth + 1)
-            case Alt(branches=bs):
-                node_line(depth, "alt", f.loc)
-                for b in bs:
-                    walk(b, depth + 1)
-            case Par(operands=ops):
-                node_line(depth, "par", f.loc)
-                for op in ops:
-                    walk(op, depth + 1)
-            case Loop(body=b):
-                node_line(depth, "loop", f.loc)
-                walk(b, depth + 1)
-            case Create(name=n):
-                node_line(depth, "create", f.loc, n)
-            case Destroy(name=n):
-                node_line(depth, "destroy", f.loc, n)
-            case Skip():
-                node_line(depth, "skip", f.loc)
-            case Consider(alphabet=al, body=b) | Ignore(alphabet=al, body=b):
-                name = "consider" if isinstance(f, Consider) else "ignore"
-                payload = "[" + ", ".join(
-                    str(m)
-                    for m in sorted(al, key=lambda m: (m.sender, m.label, m.receiver))
-                ) + "]"
-                node_line(depth, name, f.loc, payload)
-                walk(b, depth + 1)
+                text += " " + " ".join(str(m) for m in ms)
+            case Create(name=n) | Destroy(name=n):
+                text += " " + n
+            case Consider(alphabet=al) | Ignore(alphabet=al):
+                text += " [" + ", ".join(str(m) for m in _sorted_alphabet(al)) + "]"
+        lines.append(text)
+        for part in children(f):
+            walk(part, depth + 1)
 
     walk(d.root, 0)
     return "\n".join(lines) + "\n"

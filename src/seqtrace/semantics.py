@@ -26,7 +26,6 @@ when a trace set would exceed the configured cap.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, Sequence
@@ -47,9 +46,11 @@ from seqtrace.ast import (
     Trace,
     TraceSet,
     WeakSeq,
+    children,
 )
 from seqtrace.errors import (
     DestroyAbsentError,
+    DiagramError,
     DuplicateCreateError,
     TraceSetOverflowError,
     UnknownLifelineError,
@@ -88,15 +89,6 @@ class Denotation:
     namespace_out: Namespace
 
 
-def _ensure_recursion_headroom(depth: int) -> None:
-    # Trace enumeration recurses once per message occurrence; very long
-    # unrolled traces would otherwise trip the interpreter limit before the
-    # trace cap gets a chance to fire.
-    needed = depth + 120
-    if needed > sys.getrecursionlimit():
-        sys.setrecursionlimit(needed)
-
-
 def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
     """All orderings of ``ms`` consistent with its per-lifeline order.
 
@@ -109,7 +101,6 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
     n = len(msgs)
     if n == 0:
         return _EMPTY_ONLY
-    _ensure_recursion_headroom(n)
     # Transitive reduction of the occurrence order: occurrences on one
     # lifeline form a chain, so an occurrence waits only for the previous
     # occurrence on each of its (at most two) lifelines.
@@ -123,43 +114,40 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
             succs[j].append(i)
         last_on[m.sender] = i
         last_on[m.receiver] = i
-    ready = [i for i in range(n) if indeg[i] == 0]
     out: set[Trace] = set()
     prefix: list[Message] = []
-
-    def extend() -> None:
-        if len(prefix) == n:
-            out.add(tuple(prefix))
-            if len(out) > max_traces:
-                raise TraceSetOverflowError(max_traces)
-            return
-        # Emit each currently-minimal occurrence in turn, backtracking the
-        # ready list and indegrees afterwards.
-        for idx in range(len(ready)):
-            i = ready[idx]
-            last = ready.pop()
-            if idx < len(ready):
-                ready[idx] = last
-            opened = 0
+    emitted: list[int] = []
+    # Depth-first over prefixes with an explicit stack of pending moves:
+    # (d, i) emits occurrence i after the first d emissions, and ready_at[d]
+    # is the list of occurrences ready at that point. A move that leaves a
+    # single occurrence ready is followed inline, without a stack entry.
+    ready_at = {0: [i for i in range(n) if indeg[i] == 0]}
+    moves = [(0, i) for i in ready_at[0]]
+    while moves:
+        d, i = moves.pop()
+        while len(emitted) > d:
+            for s in succs[emitted.pop()]:
+                indeg[s] += 1
+            prefix.pop()
+        ready = [r for r in ready_at[d] if r != i]
+        while True:
+            emitted.append(i)
+            prefix.append(msgs[i])
             for s in succs[i]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     ready.append(s)
-                    opened += 1
-            prefix.append(msgs[i])
-            extend()
-            prefix.pop()
-            for _ in range(opened):
-                ready.pop()
-            for s in succs[i]:
-                indeg[s] += 1
-            if idx < len(ready):
-                ready.append(ready[idx])
-                ready[idx] = i
-            else:
-                ready.append(i)
-
-    extend()
+            if len(ready) != 1:
+                break
+            i = ready.pop()
+        if ready:
+            d = len(emitted)
+            ready_at[d] = ready
+            moves.extend((d, r) for r in ready)
+        else:
+            out.add(tuple(prefix))
+            if len(out) > max_traces:
+                raise TraceSetOverflowError(max_traces)
     return frozenset(out)
 
 
@@ -213,34 +201,26 @@ def kleene_bounded(
 def interleave_traces(
     x: Trace, y: Trace, max_traces: int = DEFAULT_MAX_TRACES
 ) -> TraceSet:
-    """Every merge of ``x`` and ``y`` preserving each trace's own order."""
-    _ensure_recursion_headroom(len(x) + len(y))
-    memo: dict[tuple[int, int], TraceSet] = {}
+    """Every merge of ``x`` and ``y`` preserving each trace's own order.
 
-    def go(i: int, j: int) -> TraceSet:
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if i == len(x):
-            res: TraceSet = frozenset({y[j:]})
-        elif j == len(y):
-            res = frozenset({x[i:]})
-        else:
-            acc: set[Trace] = set()
-            head_x = (x[i],)
-            for rest in go(i + 1, j):
-                acc.add(head_x + rest)
+    Built bottom-up over suffix pairs: while row i is filled, ``below[j]``
+    holds the merges of ``x[i + 1:]`` and ``y[j:]``.
+    """
+    m = len(y)
+    below = [frozenset({y[j:]}) for j in range(m + 1)]
+    for i in reversed(range(len(x))):
+        head_x = (x[i],)
+        row = below[:]
+        row[m] = frozenset({x[i:]})
+        for j in reversed(range(m)):
             head_y = (y[j],)
-            for rest in go(i, j + 1):
-                acc.add(head_y + rest)
+            acc = {head_x + rest for rest in below[j]}
+            acc.update(head_y + rest for rest in row[j + 1])
             if len(acc) > max_traces:
                 raise TraceSetOverflowError(max_traces)
-            res = frozenset(acc)
-        memo[key] = res
-        return res
-
-    return go(0, 0)
+            row[j] = frozenset(acc)
+        below = row
+    return below[0]
 
 
 def interleave_sets(
@@ -262,24 +242,48 @@ def filter_trace(ms: frozenset[Message] | set[Message], t: Trace) -> Trace:
     return tuple(m for m in t if m in ms)
 
 
-def namespace_of(f: Fragment, ns: Namespace) -> Namespace:
-    """Thread create/destroy effects; everything else leaves scope alone.
+def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[DiagramError]]:
+    """Thread create/destroy through ``f``: the namespace after it, and
+    every scope error in evaluation order.
 
-    No validity checking happens here; see ``conformance.validate`` and
-    ``denote`` for diagnosed errors.
+    Only weak sequences pass scope on from child to child; every other
+    combined fragment is a scope of its own, so the names its body creates
+    or destroys are restored after it. The errors are unknown-lifeline,
+    duplicate-create and destroy-absent, each with its location.
     """
-    match f:
-        case Create(name=n):
-            return ns | {n}
-        case Destroy(name=n):
-            return ns - {n}
-        case WeakSeq(children=cs):
-            cur = frozenset(ns)
-            for c in cs:
-                cur = namespace_of(c, cur)
-            return cur
-        case _:
-            return frozenset(ns)
+    errors: list[DiagramError] = []
+
+    def walk(f: Fragment, ns: Namespace) -> Namespace:
+        match f:
+            case Basic(messages=msgs):
+                locs = f.message_locs or (f.loc,) * len(msgs)
+                for m, loc in zip(msgs, locs):
+                    if m.sender not in ns:
+                        errors.append(UnknownLifelineError(m.sender, loc))
+                    if m.receiver not in ns and m.receiver != m.sender:
+                        errors.append(UnknownLifelineError(m.receiver, loc))
+            case WeakSeq(children=parts):
+                for part in parts:
+                    ns = walk(part, ns)
+            case Create(name=n):
+                if n in ns:
+                    errors.append(DuplicateCreateError(n, f.loc))
+                return ns | {n}
+            case Destroy(name=n):
+                if n not in ns:
+                    errors.append(DestroyAbsentError(n, f.loc))
+                return ns - {n}
+            case _:
+                for part in children(f):
+                    walk(part, ns)
+        return ns
+
+    return walk(f, frozenset(ns)), errors
+
+
+def namespace_of(f: Fragment, ns: Namespace) -> Namespace:
+    """The namespace in scope after ``f``; see ``scope``."""
+    return scope(f, ns)[0]
 
 
 def denote(
@@ -287,75 +291,51 @@ def denote(
 ) -> Denotation:
     """Evaluate a fragment under an initial namespace.
 
-    Raises UnknownLifelineError when a message peer is out of scope,
-    DuplicateCreateError / DestroyAbsentError on bad lifecycle operations,
+    Raises the first scope error that ``scope`` finds (UnknownLifelineError,
+    DuplicateCreateError or DestroyAbsentError) before computing any trace,
     and TraceSetOverflowError past the trace cap. Evaluation is a pure
     function of its arguments.
     """
     if limits is None:
         limits = EvalLimits()
-    return _eval(f, frozenset(ns), limits)
+    namespace_out, errors = scope(f, ns)
+    if errors:
+        raise errors[0]
+    return Denotation(_eval(f, limits), namespace_out)
 
 
-def _eval(f: Fragment, ns: Namespace, limits: EvalLimits) -> Denotation:
+def _eval(f: Fragment, limits: EvalLimits) -> TraceSet:
     mx = limits.max_traces
     match f:
         case Basic(messages=msgs):
-            locs = f.message_locs
-            for idx, m in enumerate(msgs):
-                loc = locs[idx] if locs is not None else f.loc
-                if m.sender not in ns:
-                    raise UnknownLifelineError(m.sender, loc)
-                if m.receiver not in ns:
-                    raise UnknownLifelineError(m.receiver, loc)
-            return Denotation(weak(msgs, mx), ns)
-        case WeakSeq(children=children):
-            parts: list[TraceSet] = []
-            cur = ns
-            for child in children:
-                d = _eval(child, cur, limits)
-                parts.append(d.traces)
-                cur = d.namespace_out
-            combined = reduce(lambda u, v: concat_sets(u, v, mx), parts)
-            return Denotation(weak_over_set(combined, mx), cur)
+            return weak(msgs, mx)
+        case WeakSeq(children=parts):
+            sets = [_eval(part, limits) for part in parts]
+            combined = reduce(lambda u, v: concat_sets(u, v, mx), sets)
+            return weak_over_set(combined, mx)
         case Alt(branches=branches):
             out: set[Trace] = set()
             for b in branches:
-                out |= _eval(b, ns, limits).traces
+                out |= _eval(b, limits)
                 if len(out) > mx:
                     raise TraceSetOverflowError(mx, f.loc)
-            return Denotation(frozenset(out), ns)
+            return frozenset(out)
         case Par(operands=operands):
-            sets = [_eval(op, ns, limits).traces for op in operands]
-            traces = reduce(lambda u, v: interleave_sets(u, v, mx), sets)
-            return Denotation(traces, ns)
+            sets = [_eval(op, limits) for op in operands]
+            return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
         case Loop(body=body):
-            body_traces = _eval(body, ns, limits).traces
-            closed = kleene_bounded(body_traces, limits.loop_bound, mx)
-            return Denotation(weak_over_set(closed, mx), ns)
-        case Create(name=n):
-            if n in ns:
-                raise DuplicateCreateError(n, f.loc)
-            return Denotation(_EMPTY_ONLY, ns | {n})
-        case Destroy(name=n):
-            if n not in ns:
-                raise DestroyAbsentError(n, f.loc)
-            return Denotation(_EMPTY_ONLY, ns - {n})
-        case Skip():
-            return Denotation(_EMPTY_ONLY, ns)
+            closed = kleene_bounded(_eval(body, limits), limits.loop_bound, mx)
+            return weak_over_set(closed, mx)
+        case Create() | Destroy() | Skip():
+            return _EMPTY_ONLY
         case Consider(alphabet=alphabet, body=body):
-            d = _eval(body, ns, limits)
-            return Denotation(
-                frozenset(filter_trace(alphabet, t) for t in d.traces), ns
-            )
+            return frozenset(filter_trace(alphabet, t) for t in _eval(body, limits))
         case Ignore(alphabet=alphabet, body=body):
             # Equivalent to keeping the complement of `alphabet` within the
             # whole diagram's message alphabet: traces only ever contain
             # messages that occur in the diagram.
-            d = _eval(body, ns, limits)
-            return Denotation(
-                frozenset(tuple(m for m in t if m not in alphabet) for t in d.traces),
-                ns,
+            return frozenset(
+                tuple(m for m in t if m not in alphabet) for t in _eval(body, limits)
             )
     raise TypeError(f"not a fragment: {f!r}")
 

@@ -1,6 +1,13 @@
 """The command-line surface: exit codes, output shape, and determinism."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqtrace.cli import main
 
@@ -262,3 +269,169 @@ class TestRoundTripCorpus:
             )
             assert code == 0, diagram
             assert out.splitlines() == ["HOLDS"]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["traces", "weak_order.sd", "--max-loop", "-1"],
+            ["traces", "weak_order.sd", "--max-traces", "0"],
+            ["theorem", "loop_pair.sd", "--depth", "-1"],
+            ["refine", "weak_order.sd", "weak_order.sd", "--max-loop", "-1"],
+            ["conform", "weak_order.sd", "weak_order.sd", "--mode", "exhaust",
+             "--max-loop", "-1"],
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, diagrams_dir, argv):
+        argv = [str(diagrams_dir / a) if a.endswith(".sd") else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "must be at least" in err
+        assert "Traceback" not in err
+
+
+class TestUnreadableInput:
+    def test_check_non_utf8_diagram_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sd"
+        bad.write_bytes(b"lifeline A\n\xff\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert not out
+        assert "invalid UTF-8" in err
+
+    def test_conform_non_utf8_log_exits_2(self, capsys, tmp_path, diagrams_dir):
+        log = tmp_path / "bad.log"
+        log.write_bytes(b"A.m1.B\n\xff\n")
+        code, out, err = run(
+            capsys,
+            "conform",
+            str(diagrams_dir / "weak_order.sd"),
+            str(log),
+            "--mode",
+            "exhaust",
+        )
+        assert code == 2
+        assert not out
+        assert "invalid UTF-8" in err
+
+
+class TestNesting:
+    @pytest.mark.parametrize("command", ["parse", "check"])
+    def test_too_deep_is_a_located_parse_error(self, capsys, tmp_path, command):
+        deep = tmp_path / "deep.sd"
+        deep.write_text("lifeline A\n" + "loop {\n" * 3000)
+        code, out, err = run(capsys, command, str(deep))
+        assert code == 2
+        assert not out
+        assert err.startswith("error: 202:1: ")
+
+    def test_two_hundred_levels_still_work(self, capsys, tmp_path):
+        nested = tmp_path / "nested.sd"
+        nested.write_text("lifeline A\n" + "alt {\n" * 200 + "A -> A : m\n" + "}\n" * 200)
+        code, out, _ = run(capsys, "parse", str(nested))
+        assert code == 0
+        assert len(out.splitlines()) == 202
+        assert run(capsys, "check", str(nested)) == (0, "", "")
+        assert run(capsys, "traces", str(nested)) == (0, "A.m.A\n", "")
+
+
+def _block(keyword, groups):
+    return keyword + " {\n" + "\n--\n".join("\n".join(g) for g in groups) + "\n}"
+
+
+_STATEMENTS = st.recursive(
+    # Weighted towards statements that keep the diagram in scope.
+    st.sampled_from(
+        ["A -> B : m", "B -> A : n", "A -> A : t"] * 3
+        + ["A -> C : m", "create C", "destroy B", "skip"]
+    ),
+    lambda inner: st.one_of(
+        st.builds(
+            _block,
+            st.sampled_from(["loop", "consider [A -> B : m]", "ignore [B -> A : n]"]),
+            st.lists(inner, min_size=1, max_size=2).map(lambda g: [g]),
+        ),
+        st.builds(
+            _block,
+            st.sampled_from(["alt", "par"]),
+            st.lists(st.lists(inner, min_size=1, max_size=2), min_size=1, max_size=2),
+        ),
+    ),
+    max_leaves=5,
+)
+# Mostly well-formed diagrams, sometimes with a loop root (for theorem) and
+# sometimes with bytes that break parsing or decoding.
+_DIAGRAMS = st.builds(
+    lambda stmts, loop_root, junk: (
+        "lifeline A\nlifeline B\n"
+        + (_block("loop", [stmts]) if loop_root else "\n".join(stmts))
+    ).encode() + junk,
+    st.lists(_STATEMENTS, max_size=3),
+    st.booleans(),
+    st.sampled_from([b""] * 12 + [b"\n}", b"\n-", b"\nlifeline A", b"\xff"]),
+)
+_LOGS = st.lists(
+    st.lists(
+        st.sampled_from(["A.m.B", "B.n.A", "A.m.C", "A.t.A", "\u03b5", "A..B", "#"]),
+        min_size=1,
+        max_size=4,
+    ).map(" ".join),
+    max_size=4,
+).map(lambda lines: "\n".join(lines).encode())
+_LOOP = st.sampled_from(["-1", "0", "1", "2"])
+_OPTIONS = {
+    "parse": st.just([]),
+    "check": st.just([]),
+    "traces": st.tuples(
+        st.sampled_from([[], ["--count"]]),
+        st.sampled_from([[], ["--max-traces", "0"], ["--max-traces", "3"]]),
+        _LOOP.map(lambda k: ["--max-loop", k]),
+    ).map(lambda parts: [w for part in parts for w in part]),
+    "refine": _LOOP.map(lambda k: ["--max-loop", k]),
+    "conform": st.tuples(
+        st.sampled_from(["required", "exhaust", "forbid"]), _LOOP
+    ).map(lambda mk: ["--mode", mk[0], "--max-loop", mk[1]]),
+    "theorem": _LOOP.map(lambda k: ["--depth", k]),
+}
+_POSITIONALS = {
+    "parse": ("a",), "check": ("a",), "traces": ("a",), "theorem": ("a",),
+    "refine": ("a", "b"), "conform": ("a", "log"),
+}
+
+
+class TestExitContract:
+    """Exit 0/1/2 for any input, 1 only for a failed property, no traceback."""
+
+    @given(
+        data=st.data(),
+        command=st.sampled_from(sorted(_POSITIONALS)),
+        a=_DIAGRAMS,
+        b=_DIAGRAMS,
+        log=_LOGS,
+        missing=st.integers(0, 9),  # 0: the last file does not exist
+    )
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_codes(self, data, command, a, b, log, missing):
+        options = data.draw(_OPTIONS[command])
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in (("a", a), ("b", b), ("log", log)):
+                Path(tmp, name).write_bytes(content)
+            files = [str(Path(tmp, n)) for n in _POSITIONALS[command]]
+            if missing == 0:
+                files[-1] += ".missing"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, *files, *options])
+                except SystemExit as exc:
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        assert code in (0, 1, 2)
+        if code == 1:
+            first = out.splitlines()[0] if out else ""
+            assert first in ("FAILS", "UNEQUAL") or (command == "check" and out)

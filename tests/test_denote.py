@@ -1,5 +1,7 @@
 """The evaluator: composition rules, namespace threading, and errors."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,10 +19,12 @@ from seqtrace import (
     Message,
     Par,
     Skip,
+    TraceSetOverflowError,
     UnknownLifelineError,
     WeakSeq,
     denote,
     generate_fragments,
+    interleave_traces,
     namespace_of,
 )
 
@@ -160,6 +164,25 @@ class TestLifecycle:
         f = WeakSeq((Alt((Create("P"), Skip())), Basic((M("A", "go", "P"),))))
         with pytest.raises(UnknownLifelineError):
             denote(f, {"A"})
+
+    def test_scope_error_is_raised_before_overflow(self):
+        # The loop alone overflows a cap of 2; the scope error comes later
+        # in evaluation order but is still the one reported.
+        f = WeakSeq((Loop(Basic((m1, m3))), Basic((M("A", "go", "P"),))))
+        with pytest.raises(UnknownLifelineError):
+            denote(f, {"A", "B", "C", "D"}, EvalLimits(max_traces=2))
+
+
+class TestProcessState:
+    def test_long_inputs_leave_recursion_limit_alone(self):
+        before = sys.getrecursionlimit()
+        chain = tuple(M("A", f"m{i}", "A") for i in range(3000))
+        assert traces(Basic(chain), {"A"}) == {chain}
+        x = tuple(M("A", f"x{i}", "B") for i in range(1500))
+        y = tuple(M("C", f"y{i}", "D") for i in range(1500))
+        with pytest.raises(TraceSetOverflowError):
+            interleave_traces(x, y, max_traces=10)
+        assert sys.getrecursionlimit() == before
 
 
 class TestNamespaceRestoration:
