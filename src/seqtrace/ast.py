@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
@@ -65,8 +66,6 @@ Trace = tuple[Message, ...]
 TraceSet = frozenset[Trace]
 # The set of lifeline names in scope at some point of the diagram.
 Namespace = frozenset[str]
-
-EMPTY_TRACE: Trace = ()
 
 
 def _check_name(name: str) -> None:
@@ -212,6 +211,19 @@ def children(f: Fragment) -> tuple[Fragment, ...]:
         case Loop(body=b) | Consider(body=b) | Ignore(body=b):
             return (b,)
     return ()
+
+
+def rebuild(f: Fragment, parts: Sequence[Fragment]) -> Fragment:
+    """``f`` with ``parts`` in place of its direct subfragments: the inverse
+    of ``children``. Location and filter alphabet are kept."""
+    match f:
+        case WeakSeq() | Alt() | Par():
+            return type(f)(tuple(parts), loc=f.loc)
+        case Loop():
+            return Loop(*parts, loc=f.loc)
+        case Consider() | Ignore():
+            return type(f)(f.alphabet, *parts, loc=f.loc)
+    return f
 
 
 def message_alphabet(f: Fragment) -> frozenset[Message]:

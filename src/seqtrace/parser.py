@@ -22,6 +22,7 @@ statements stand alone; an empty diagram parses to skip.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from seqtrace.ast import (
@@ -41,6 +42,7 @@ from seqtrace.ast import (
     WeakSeq,
     children,
     is_valid_name,
+    rebuild,
 )
 from seqtrace.errors import (
     DuplicateCreateError,
@@ -58,10 +60,15 @@ KEYWORDS = frozenset(
 # walk over the tree well inside the interpreter's default recursion limit.
 MAX_NESTING = 200
 
-_WORD_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_."
+# Blanks, then one token: a comment, a newline, a word, punctuation, any
+# other character (an error) or the end of the input. Every position
+# matches, so the scan never skips text.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(#[^\n]*)|(\n)|([A-Za-z0-9_.]+)|(->|--|[{}\[\],:])|(.)|\Z)"
 )
 _PUNCT = {
+    "->": "ARROW",
+    "--": "DASHDASH",
     "{": "LBRACE",
     "}": "RBRACE",
     "[": "LBRACKET",
@@ -69,6 +76,9 @@ _PUNCT = {
     ",": "COMMA",
     ":": "COLON",
 }
+# Punctuation tokens share the table's strings instead of slicing a fresh
+# copy of "->" or "--" out of the source at every occurrence.
+_PUNCT_TOKEN = {text: (kind, text) for text, kind in _PUNCT.items()}
 
 
 @dataclass(frozen=True)
@@ -88,45 +98,26 @@ class _Token:
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line, line_start = 1, 0  # line_start: offset of the current line
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastindex
+        if group is None:
+            tokens.append(_Token("EOF", "", Loc(line, m.end() - line_start + 1)))
+            break
+        if group == 2:
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, Loc(line, col)))
-            i += 1
-            col += 1
-        elif ch == "-":
-            loc = Loc(line, col)
-            nxt = source[i + 1] if i + 1 < n else ""
-            if nxt == ">":
-                tokens.append(_Token("ARROW", "->", loc))
-            elif nxt == "-":
-                tokens.append(_Token("DASHDASH", "--", loc))
-            else:
+            line_start = m.end()
+        elif group > 2:  # group 1, a comment, yields no token
+            text = m.group(group)
+            loc = Loc(line, m.start(group) - line_start + 1)
+            if group == 3:
+                tokens.append(_Token("WORD", text, loc))
+            elif group == 4:
+                tokens.append(_Token(*_PUNCT_TOKEN[text], loc))
+            elif text == "-":
                 raise ParseError("stray '-'; expected '->' or '--'", loc, ("->", "--"))
-            i += 2
-            col += 2
-        elif ch in _WORD_CHARS:
-            start = i
-            start_col = col
-            while i < n and source[i] in _WORD_CHARS:
-                i += 1
-                col += 1
-            tokens.append(_Token("WORD", source[start:i], Loc(line, start_col)))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", Loc(line, col), ())
-    tokens.append(_Token("EOF", "", Loc(line, col)))
+            else:
+                raise ParseError(f"unexpected character {text!r}", loc, ())
     return tokens
 
 
@@ -202,22 +193,15 @@ class _Parser:
         if word == "skip":
             self.advance()
             return Skip(loc=tok.loc)
-        if word == "create":
+        if word in ("create", "destroy"):
             self.advance()
-            name_tok = self.name("lifeline name")
-            return Create(name_tok.text, loc=tok.loc)
-        if word == "destroy":
-            self.advance()
-            name_tok = self.name("lifeline name")
-            return Destroy(name_tok.text, loc=tok.loc)
+            node = Create if word == "create" else Destroy
+            return node(self.name("lifeline name").text, loc=tok.loc)
         if word in ("loop", "alt", "par", "consider", "ignore"):
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(f"blocks nest deeper than {MAX_NESTING} levels", tok.loc)
-            if word in ("consider", "ignore"):
-                frag = self.filter_block(word)
-            else:
-                frag = self.block(word)
+            frag = self.block(word)
             self.depth -= 1
             return frag
         if word == "lifeline":
@@ -237,75 +221,47 @@ class _Parser:
         return _Msg(Message(sender.text, label.text, receiver.text), sender.loc)
 
     def block(self, keyword: str) -> Fragment:
+        """``keyword [msgset] { stmts (-- stmts)* }``; the message set is read
+        for consider/ignore, and ``--`` is legal only in alt and par."""
         kw_tok = self.advance()
-        self.expect("LBRACE", "'{'")
-        groups: list[Fragment] = []
-        items: list[_Msg | Fragment] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "RBRACE":
-                self.advance()
-                groups.append(self._close_group(keyword, items, tok.loc))
-                break
-            if tok.kind == "DASHDASH":
-                if keyword == "loop":
-                    raise ParseError(
-                        "'--' separators are only legal inside alt and par blocks",
-                        tok.loc,
-                        ("statement", "'}'"),
-                    )
-                self.advance()
-                groups.append(self._close_group(keyword, items, tok.loc))
-                items = []
-                continue
-            if tok.kind == "EOF":
-                raise ParseError(f"unterminated {keyword} block", tok.loc, ("'}'",))
-            items.append(self.statement())
-        if keyword == "loop":
-            return Loop(groups[0], loc=kw_tok.loc)
-        if keyword == "alt":
-            return Alt(tuple(groups), loc=kw_tok.loc)
-        return Par(tuple(groups), loc=kw_tok.loc)
-
-    def _close_group(
-        self, keyword: str, items: list[_Msg | Fragment], loc: Loc
-    ) -> Fragment:
-        frag = _assemble(items)
-        if frag is None:
-            raise EmptyBlockError(keyword, loc)
-        return frag
-
-    def filter_block(self, keyword: str) -> Fragment:
-        kw_tok = self.advance()
-        self.expect("LBRACKET", "'['")
         alphabet: set[Message] = set()
-        while True:
+        if keyword in ("consider", "ignore"):
+            self.expect("LBRACKET", "'['")
             alphabet.add(self.message().message)
-            tok = self.peek()
-            if tok.kind == "COMMA":
+            while self.peek().kind == "COMMA":
                 self.advance()
-                continue
+                alphabet.add(self.message().message)
             self.expect("RBRACKET", "']'")
-            break
         self.expect("LBRACE", "'{'")
+        operands: list[Fragment] = []
         items: list[_Msg | Fragment] = []
         while True:
             tok = self.peek()
-            if tok.kind == "RBRACE":
-                self.advance()
-                body = self._close_group(keyword, items, tok.loc)
-                break
             if tok.kind == "EOF":
                 raise ParseError(f"unterminated {keyword} block", tok.loc, ("'}'",))
-            if tok.kind == "DASHDASH":
+            if tok.kind == "DASHDASH" and keyword not in ("alt", "par"):
                 raise ParseError(
                     "'--' separators are only legal inside alt and par blocks",
                     tok.loc,
                     ("statement", "'}'"),
                 )
-            items.append(self.statement())
+            if tok.kind not in ("RBRACE", "DASHDASH"):
+                items.append(self.statement())
+                continue
+            self.advance()
+            operand = _assemble(items)
+            if operand is None:
+                raise EmptyBlockError(keyword, tok.loc)
+            operands.append(operand)
+            if tok.kind == "RBRACE":
+                break
+            items = []
+        if keyword in ("alt", "par"):
+            return (Alt if keyword == "alt" else Par)(tuple(operands), loc=kw_tok.loc)
+        if keyword == "loop":
+            return Loop(operands[0], loc=kw_tok.loc)
         node = Consider if keyword == "consider" else Ignore
-        return node(frozenset(alphabet), body, loc=kw_tok.loc)
+        return node(frozenset(alphabet), operands[0], loc=kw_tok.loc)
 
 
 def _assemble(items: list) -> Fragment | None:
@@ -346,35 +302,17 @@ def parse(source: str) -> ParsedDiagram:
 def canonicalize(f: Fragment) -> Fragment:
     """The parse-normal form of a fragment: nested weak sequences flattened,
     adjacent basics merged, single-child sequences unwrapped."""
-    match f:
-        case WeakSeq(children=cs):
-            flat: list[Fragment] = []
-            for c in (canonicalize(c) for c in cs):
-                if isinstance(c, WeakSeq):
-                    flat.extend(c.children)
-                else:
-                    flat.append(c)
-            merged: list[Fragment] = []
-            for c in flat:
-                if merged and isinstance(c, Basic) and isinstance(merged[-1], Basic):
-                    merged[-1] = Basic(merged[-1].messages + c.messages)
-                else:
-                    merged.append(c)
-            if len(merged) == 1:
-                return merged[0]
-            return WeakSeq(tuple(merged))
-        case Alt(branches=bs):
-            return Alt(tuple(canonicalize(b) for b in bs))
-        case Par(operands=ops):
-            return Par(tuple(canonicalize(op) for op in ops))
-        case Loop(body=b):
-            return Loop(canonicalize(b))
-        case Consider(alphabet=al, body=b):
-            return Consider(al, canonicalize(b))
-        case Ignore(alphabet=al, body=b):
-            return Ignore(al, canonicalize(b))
-        case _:
-            return f
+    parts = [canonicalize(part) for part in children(f)]
+    if not isinstance(f, WeakSeq):
+        return rebuild(f, parts)
+    merged: list[Fragment] = []
+    for part in parts:
+        for c in part.children if isinstance(part, WeakSeq) else (part,):
+            if merged and isinstance(c, Basic) and isinstance(merged[-1], Basic):
+                merged[-1] = Basic(merged[-1].messages + c.messages)
+            else:
+                merged.append(c)
+    return merged[0] if len(merged) == 1 else WeakSeq(tuple(merged))
 
 
 def _render_message(m: Message) -> str:
@@ -387,35 +325,26 @@ def _sorted_alphabet(al: frozenset[Message]) -> list[Message]:
 
 def _render_into(f: Fragment, lines: list[str], depth: int) -> None:
     pad = "  " * depth
+    keyword = type(f).__name__.lower()
     match f:
         case Basic(messages=ms):
             lines.extend(pad + _render_message(m) for m in ms)
         case WeakSeq(children=cs):
             for c in cs:
                 _render_into(c, lines, depth)
-        case Alt(branches=groups) | Par(operands=groups):
-            keyword = "alt" if isinstance(f, Alt) else "par"
+        case Create(name=n) | Destroy(name=n):
+            lines.append(f"{pad}{keyword} {n}")
+        case Skip():
+            lines.append(pad + keyword)
+        case _:
+            if isinstance(f, (Consider, Ignore)):
+                rendered = ", ".join(_render_message(m) for m in _sorted_alphabet(f.alphabet))
+                keyword += f" [{rendered}]"
             lines.append(pad + keyword + " {")
-            for idx, g in enumerate(groups):
+            for idx, part in enumerate(children(f)):
                 if idx:
                     lines.append(pad + "--")
-                _render_into(g, lines, depth + 1)
-            lines.append(pad + "}")
-        case Loop(body=b):
-            lines.append(pad + "loop {")
-            _render_into(b, lines, depth + 1)
-            lines.append(pad + "}")
-        case Create(name=n):
-            lines.append(pad + f"create {n}")
-        case Destroy(name=n):
-            lines.append(pad + f"destroy {n}")
-        case Skip():
-            lines.append(pad + "skip")
-        case Consider(alphabet=al, body=b) | Ignore(alphabet=al, body=b):
-            keyword = "consider" if isinstance(f, Consider) else "ignore"
-            rendered = ", ".join(_render_message(m) for m in _sorted_alphabet(al))
-            lines.append(pad + f"{keyword} [{rendered}] {{")
-            _render_into(b, lines, depth + 1)
+                _render_into(part, lines, depth + 1)
             lines.append(pad + "}")
 
 

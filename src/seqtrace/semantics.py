@@ -81,6 +81,13 @@ class EvalLimits:
             raise ValueError("max_traces must be positive")
 
 
+def _cap(out: set[Trace], max_traces: int) -> None:
+    """Raise once ``out`` holds more than ``max_traces`` traces; a trace set
+    past the cap is never truncated."""
+    if len(out) > max_traces:
+        raise TraceSetOverflowError(max_traces)
+
+
 @dataclass(frozen=True)
 class Denotation:
     """The meaning of a fragment: its traces and its outgoing namespace."""
@@ -146,8 +153,7 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
             moves.extend((d, r) for r in ready)
         else:
             out.add(tuple(prefix))
-            if len(out) > max_traces:
-                raise TraceSetOverflowError(max_traces)
+            _cap(out, max_traces)
     return frozenset(out)
 
 
@@ -162,8 +168,7 @@ def weak_over_set(ts: Iterable[Trace], max_traces: int = DEFAULT_MAX_TRACES) -> 
         if t in out:
             continue
         out |= weak(t, max_traces)
-        if len(out) > max_traces:
-            raise TraceSetOverflowError(max_traces)
+        _cap(out, max_traces)
     return frozenset(out)
 
 
@@ -176,8 +181,7 @@ def concat_sets(
     for x in u:
         for y in vs:
             out.add(x + y)
-            if len(out) > max_traces:
-                raise TraceSetOverflowError(max_traces)
+            _cap(out, max_traces)
     return frozenset(out)
 
 
@@ -193,8 +197,7 @@ def kleene_bounded(
     for _ in range(k):
         power = concat_sets(power, us, max_traces)
         out |= power
-        if len(out) > max_traces:
-            raise TraceSetOverflowError(max_traces)
+        _cap(out, max_traces)
     return frozenset(out)
 
 
@@ -216,8 +219,7 @@ def interleave_traces(
             head_y = (y[j],)
             acc = {head_x + rest for rest in below[j]}
             acc.update(head_y + rest for rest in row[j + 1])
-            if len(acc) > max_traces:
-                raise TraceSetOverflowError(max_traces)
+            _cap(acc, max_traces)
             row[j] = frozenset(acc)
         below = row
     return below[0]
@@ -232,8 +234,7 @@ def interleave_sets(
     for x in xs:
         for y in ys_t:
             out |= interleave_traces(x, y, max_traces)
-            if len(out) > max_traces:
-                raise TraceSetOverflowError(max_traces)
+            _cap(out, max_traces)
     return frozenset(out)
 
 
@@ -305,38 +306,45 @@ def denote(
 
 
 def _eval(f: Fragment, limits: EvalLimits) -> TraceSet:
+    """The trace set of a scope-checked fragment. An overflow raised without
+    a location takes ``f``'s, so the error names the innermost located
+    fragment whose evaluation passed the cap."""
     mx = limits.max_traces
-    match f:
-        case Basic(messages=msgs):
-            return weak(msgs, mx)
-        case WeakSeq(children=parts):
-            sets = [_eval(part, limits) for part in parts]
-            combined = reduce(lambda u, v: concat_sets(u, v, mx), sets)
-            return weak_over_set(combined, mx)
-        case Alt(branches=branches):
-            out: set[Trace] = set()
-            for b in branches:
-                out |= _eval(b, limits)
-                if len(out) > mx:
-                    raise TraceSetOverflowError(mx, f.loc)
-            return frozenset(out)
-        case Par(operands=operands):
-            sets = [_eval(op, limits) for op in operands]
-            return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
-        case Loop(body=body):
-            closed = kleene_bounded(_eval(body, limits), limits.loop_bound, mx)
-            return weak_over_set(closed, mx)
-        case Create() | Destroy() | Skip():
-            return _EMPTY_ONLY
-        case Consider(alphabet=alphabet, body=body):
-            return frozenset(filter_trace(alphabet, t) for t in _eval(body, limits))
-        case Ignore(alphabet=alphabet, body=body):
-            # Equivalent to keeping the complement of `alphabet` within the
-            # whole diagram's message alphabet: traces only ever contain
-            # messages that occur in the diagram.
-            return frozenset(
-                tuple(m for m in t if m not in alphabet) for t in _eval(body, limits)
-            )
+    try:
+        match f:
+            case Basic(messages=msgs):
+                return weak(msgs, mx)
+            case WeakSeq(children=parts):
+                sets = [_eval(part, limits) for part in parts]
+                combined = reduce(lambda u, v: concat_sets(u, v, mx), sets)
+                return weak_over_set(combined, mx)
+            case Alt(branches=branches):
+                out: set[Trace] = set()
+                for b in branches:
+                    out |= _eval(b, limits)
+                    _cap(out, mx)
+                return frozenset(out)
+            case Par(operands=operands):
+                sets = [_eval(op, limits) for op in operands]
+                return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
+            case Loop(body=body):
+                closed = kleene_bounded(_eval(body, limits), limits.loop_bound, mx)
+                return weak_over_set(closed, mx)
+            case Create() | Destroy() | Skip():
+                return _EMPTY_ONLY
+            case Consider(alphabet=alphabet, body=body):
+                return frozenset(filter_trace(alphabet, t) for t in _eval(body, limits))
+            case Ignore(alphabet=alphabet, body=body):
+                # Equivalent to keeping the complement of `alphabet` within the
+                # whole diagram's message alphabet: traces only ever contain
+                # messages that occur in the diagram.
+                return frozenset(
+                    tuple(m for m in t if m not in alphabet) for t in _eval(body, limits)
+                )
+    except TraceSetOverflowError as exc:
+        if exc.loc is not None or f.loc is None:
+            raise
+        raise TraceSetOverflowError(exc.limit, f.loc) from None
     raise TypeError(f"not a fragment: {f!r}")
 
 

@@ -74,6 +74,20 @@ class TestTraces:
         assert code == 2
         assert "cap" in err
 
+    def test_overflow_names_the_innermost_fragment(self, capsys, diagrams_dir, tmp_path):
+        # The loop body's basic fragment alone weaves to six traces.
+        code, out, err = run(
+            capsys, "traces", str(diagrams_dir / "loop_pair.sd"), "--max-traces", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 9:3: trace set exceeds the cap of 5 traces\n"
+        # A one-trace body: the loop's own closure passes the cap.
+        single = tmp_path / "single.sd"
+        single.write_text("lifeline A\nloop {\n  A -> A : m\n}\n")
+        code, out, err = run(capsys, "traces", str(single), "--max-loop", "9", "--max-traces", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: 2:1: trace set exceeds the cap of 5 traces\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "traces", str(tmp_path / "nope.sd"))
         assert code == 2

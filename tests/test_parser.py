@@ -25,6 +25,7 @@ from seqtrace import (
     parse,
     render_fragment,
 )
+from seqtrace.ast import Loc, children, rebuild
 
 M = Message
 
@@ -99,36 +100,42 @@ class TestParse:
         assert (d.root.loc.line, d.root.loc.column) == (4, 1)
 
 
+# Rejected source text -> the (line, column) its ParseError names.
+REJECTED = {
+    "lifeline": (1, 9),  # missing name
+    "A -> : m": (1, 6),  # missing receiver
+    "A -> B m": (1, 8),  # missing colon
+    "A -> B :": (1, 9),  # missing label
+    "alt { A -> A : m": (1, 17),  # unterminated block
+    "loop { }": (1, 8),  # empty block
+    "alt { -- A -> A : m }": (1, 7),  # empty first branch
+    "alt { A -> A : m -- }": (1, 21),  # empty second branch
+    "loop { A -> A : m -- A -> A : n }": (1, 19),  # separator in loop
+    "consider [] { A -> A : m }": (1, 11),  # empty message set
+    "consider [A -> A : m] { }": (1, 25),  # empty filter body
+    "consider [A -> A : m] { A -> A : m -- skip }": (1, 36),  # separator in filter
+    "lifeline 9name": (1, 10),  # malformed name
+    "skip }": (1, 6),  # stray brace
+    "A -> B ; m": (1, 8),  # stray punctuation
+    "A - B : m": (1, 3),  # stray dash
+    "loop { lifeline A }": (1, 8),  # header inside block
+    "lifeline loop": (1, 10),  # keyword as name
+    "lifeline A\n\tA -> A :": (2, 10),  # a tab is one column
+    "lifeline A\r\nA -> A : m\r\nA -> A ;": (3, 8),  # CRLF line endings
+    "lifeline A\n# comment\n  A -> A : m $": (3, 14),  # bad character after a comment
+    # End of input after a trailing comment is the true end of the text,
+    # not the column where the comment starts.
+    "lifeline A\nloop {\n A -> A : x # note": (3, 19),
+}
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "src",
-        [
-            "lifeline",  # missing name
-            "A -> : m",  # missing receiver
-            "A -> B m",  # missing colon
-            "A -> B :",  # missing label
-            "alt { A -> A : m",  # unterminated block
-            "loop { }",  # empty block
-            "alt { -- A -> A : m }",  # empty first branch
-            "alt { A -> A : m -- }",  # empty second branch
-            "loop { A -> A : m -- A -> A : n }",  # separator in loop
-            "consider [] { A -> A : m }",  # empty message set
-            "consider [A -> A : m] { }",  # empty filter body
-            "consider [A -> A : m] { A -> A : m -- skip }",  # separator in filter
-            "lifeline 9name",  # malformed name
-            "skip }",  # stray brace
-            "A -> B ; m",  # stray punctuation
-            "A - B : m",  # stray dash
-            "loop { lifeline A }",  # header inside block
-            "lifeline loop",  # keyword as name
-        ],
-    )
+    @pytest.mark.parametrize("src", list(REJECTED))
     def test_rejected_with_location(self, src):
         with pytest.raises(ParseError) as err:
             parse(src)
         assert err.value.loc is not None
-        assert err.value.loc.line >= 1
-        assert err.value.loc.column >= 1
+        assert (err.value.loc.line, err.value.loc.column) == REJECTED[src]
 
     def test_duplicate_lifeline(self):
         with pytest.raises(DuplicateLifelineError):
@@ -191,6 +198,35 @@ class TestRoundTrip:
         for frag in generate_fragments(cfg, 50):
             text = render_fragment(frag)
             assert render_fragment(parse(text).root) == text
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inverts_children(self, seed):
+        cfg = GeneratorConfig(
+            max_depth=4, seed=seed, include_filters=True, include_lifecycle=True
+        )
+        for frag in generate_fragments(cfg, 100):
+            assert rebuild(frag, children(frag)) == frag
+
+    def test_replaces_parts_and_keeps_location(self):
+        a = Basic((M("A", "m1", "B"),))
+        b = Basic((M("A", "m2", "B"),))
+        al = frozenset(a.messages)
+        loc = Loc(3, 1)
+        cases = [
+            (WeakSeq((a, a), loc=loc), WeakSeq((b, b))),
+            (Alt((a,), loc=loc), Alt((b,))),
+            (Par((a,), loc=loc), Par((b,))),
+            (Loop(a, loc=loc), Loop(b)),
+            (Consider(al, a, loc=loc), Consider(al, b)),
+            (Ignore(al, a, loc=loc), Ignore(al, b)),
+            (Skip(loc=loc), Skip()),
+        ]
+        for frag, expected in cases:
+            got = rebuild(frag, (b,) * len(children(frag)))
+            assert got == expected
+            assert got.loc == loc
 
 
 class TestCanonicalize:
