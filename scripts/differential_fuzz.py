@@ -1,10 +1,11 @@
 """Differential fuzzing: the compositional semantics against brute force.
 
-Cross-checks three pairs of independent routes on seeded random inputs:
+Cross-checks four pairs of independent routes on seeded random inputs:
 
 * weak sequencing vs. permutation filtering
 * trace interleaving vs. position-subset merging
 * parse(render(fragment)) vs. the fragment itself
+* counting by weak-equivalence class vs. listing every trace
 
     python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
@@ -15,9 +16,13 @@ import sys
 import time
 
 from seqtrace import (
+    EvalLimits,
     GeneratorConfig,
     Message,
+    TraceSetOverflowError,
     canonicalize,
+    count_traces,
+    denote,
     generate_fragments,
     interleave_traces,
     oracle_interleave,
@@ -32,6 +37,14 @@ POOL = ("A", "B", "C", "D")
 
 def random_message(rng: random.Random) -> Message:
     return Message(rng.choice(POOL), f"m{rng.randint(1, 3)}", rng.choice(POOL))
+
+
+def outcome(evaluate):
+    """What evaluating gives: its result, or the overflow message."""
+    try:
+        return evaluate()
+    except TraceSetOverflowError as exc:
+        return str(exc)
 
 
 def main() -> int:
@@ -69,7 +82,17 @@ def main() -> int:
             trip_bad += 1
     print(f"parse/render round trip:      {len(frags)} cases, {trip_bad} mismatches")
 
-    total_bad = weak_bad + shuffle_bad + trip_bad
+    count_bad = 0
+    limits = EvalLimits(loop_bound=2, max_traces=1000)
+    for frag in frags:
+        ns = cfg.lifeline_pool
+        counted = outcome(lambda: count_traces(frag, ns, limits))
+        listed = outcome(lambda: len(denote(frag, ns, limits).traces))
+        if counted != listed:
+            count_bad += 1
+    print(f"count vs enumeration:         {len(frags)} cases, {count_bad} mismatches")
+
+    total_bad = weak_bad + shuffle_bad + trip_bad + count_bad
     print(f"total: {total_bad} mismatches in {time.perf_counter() - start:.1f}s")
     return 1 if total_bad else 0
 

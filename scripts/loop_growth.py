@@ -2,7 +2,8 @@
 
 For a body of two independent request chains the trace count at bound k is
 sum_{n<=k} C(4n, 2n): every unrolled iteration adds four occurrences split
-across two lifeline pairs. Run with a diagram file to chart any loop.
+across two lifeline pairs. The traces are counted by weak-equivalence
+class, not listed. Run with a diagram file to chart any loop.
 
     python3 scripts/loop_growth.py [--file diagrams/loop_pair.sd] [--max-bound 5]
 """
@@ -12,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from seqtrace import EvalLimits, Loop, TraceSetOverflowError, denote, parse, validate
+from seqtrace import EvalLimits, Loop, TraceSetOverflowError, count_traces, parse, validate
 
 
 def main() -> int:
@@ -38,7 +39,7 @@ def main() -> int:
         limits = EvalLimits(loop_bound=k, max_traces=args.max_traces)
         start = time.perf_counter()
         try:
-            count = len(denote(diagram.root, diagram.initial_namespace, limits).traces)
+            count = count_traces(diagram.root, diagram.initial_namespace, limits)
         except TraceSetOverflowError:
             print(f"{k:>5}  {'> cap':>10}")
             break

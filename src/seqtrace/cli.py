@@ -29,6 +29,7 @@ from seqtrace.semantics import (
     DEFAULT_LOOP_BOUND,
     DEFAULT_MAX_TRACES,
     EvalLimits,
+    count_traces,
     denote,
     theorem1_sides,
 )
@@ -88,12 +89,12 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     if not _validate_or_fail(diagram, args.file):
         return 2
     limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
-    traces = denote(diagram.root, diagram.initial_namespace, limits).traces
     if args.count:
-        print(len(traces))
-    else:
-        for line in sorted(render_trace(t) for t in traces):
-            print(line)
+        print(count_traces(diagram.root, diagram.initial_namespace, limits))
+        return 0
+    traces = denote(diagram.root, diagram.initial_namespace, limits).traces
+    for line in sorted(render_trace(t) for t in traces):
+        print(line)
     return 0
 
 
@@ -117,7 +118,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     ok_b = _validate_or_fail(right, args.file_b)
     if not (ok_a and ok_b):
         return 2
-    limits = EvalLimits(loop_bound=args.max_loop)
+    limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
     _note_bound(limits)
     return _print_verdict(refines(left, right, limits), "REFINES", "FAILS", tag=False)
 
@@ -127,7 +128,7 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     if not _validate_or_fail(diagram, args.file):
         return 2
     log = parse_trace_log(_read(args.log))
-    limits = EvalLimits(loop_bound=args.max_loop)
+    limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
     _note_bound(limits)
     verdict = conform(diagram, log, ConformanceMode(args.mode), limits)
     return _print_verdict(verdict, "HOLDS", "FAILS", tag=True)
@@ -145,7 +146,7 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
     if not _validate_or_fail(diagram, args.file):
         return 2
     left, right = theorem1_sides(
-        diagram.root.body, diagram.initial_namespace, args.depth
+        diagram.root.body, diagram.initial_namespace, args.depth, loc=diagram.root.loc
     )
     if left == right:
         print("EQUAL")
@@ -164,6 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parse asynchronous sequence diagrams and reason about their traces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND,
+                        metavar="K", help="loop unrolling bound (default %(default)s)")
+    limits.add_argument("--max-traces", type=_int_at_least(1), default=DEFAULT_MAX_TRACES,
+                        metavar="M", help="hard cap on trace-set size (default %(default)s)")
 
     p = sub.add_parser("parse", help="Print a stable AST dump of a diagram file")
     p.add_argument("file")
@@ -173,26 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("traces", help="Enumerate the diagram's traces, sorted")
+    p = sub.add_parser("traces", parents=[limits], help="Enumerate the diagram's traces, sorted")
     p.add_argument("file")
-    p.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND, metavar="K",
-                   help="loop unrolling bound (default %(default)s)")
-    p.add_argument("--max-traces", type=_int_at_least(1), default=DEFAULT_MAX_TRACES, metavar="M",
-                   help="hard cap on trace-set size (default %(default)s)")
     p.add_argument("--count", action="store_true", help="print only the number of traces")
     p.set_defaults(func=_cmd_traces)
 
-    p = sub.add_parser("refine", help="Check that A's traces are a subset of B's")
+    p = sub.add_parser("refine", parents=[limits], help="Check that A's traces are a subset of B's")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND, metavar="K")
     p.set_defaults(func=_cmd_refine)
 
-    p = sub.add_parser("conform", help="Compare diagram traces against a trace log")
+    p = sub.add_parser("conform", parents=[limits], help="Compare diagram traces against a trace log")
     p.add_argument("file")
     p.add_argument("log")
     p.add_argument("--mode", required=True, choices=[m.value for m in ConformanceMode])
-    p.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND, metavar="K")
     p.set_defaults(func=_cmd_conform)
 
     p = sub.add_parser("theorem", help="Check the bounded loop-unrolling identity")

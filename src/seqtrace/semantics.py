@@ -17,6 +17,9 @@ Weak sequencing orders exactly the message pairs that share a lifeline; a
 trace set is therefore the set of linear extensions of that partial order
 over message occurrences. Occurrences are tracked by position (so repeated
 equal messages from loop unrolling stay chained) and erased in the result.
+That is Mazurkiewicz trace equivalence: weak sequences and loops are
+evaluated over classes of traces with equal per-lifeline projections, each
+held as one representative and its size, which ``count_traces`` adds up.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -38,6 +41,7 @@ from seqtrace.ast import (
     Destroy,
     Fragment,
     Ignore,
+    Loc,
     Loop,
     Message,
     Namespace,
@@ -47,6 +51,7 @@ from seqtrace.ast import (
     TraceSet,
     WeakSeq,
     children,
+    shares_lifeline,
 )
 from seqtrace.errors import (
     DestroyAbsentError,
@@ -81,10 +86,10 @@ class EvalLimits:
             raise ValueError("max_traces must be positive")
 
 
-def _cap(out: set[Trace], max_traces: int) -> None:
-    """Raise once ``out`` holds more than ``max_traces`` traces; a trace set
-    past the cap is never truncated."""
-    if len(out) > max_traces:
+def _cap(size: int, max_traces: int) -> None:
+    """Raise once a trace set holds more than ``max_traces`` traces; a trace
+    set past the cap is never truncated."""
+    if size > max_traces:
         raise TraceSetOverflowError(max_traces)
 
 
@@ -153,7 +158,7 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
             moves.extend((d, r) for r in ready)
         else:
             out.add(tuple(prefix))
-            _cap(out, max_traces)
+            _cap(len(out), max_traces)
     return frozenset(out)
 
 
@@ -168,7 +173,7 @@ def weak_over_set(ts: Iterable[Trace], max_traces: int = DEFAULT_MAX_TRACES) -> 
         if t in out:
             continue
         out |= weak(t, max_traces)
-        _cap(out, max_traces)
+        _cap(len(out), max_traces)
     return frozenset(out)
 
 
@@ -181,7 +186,7 @@ def concat_sets(
     for x in u:
         for y in vs:
             out.add(x + y)
-            _cap(out, max_traces)
+            _cap(len(out), max_traces)
     return frozenset(out)
 
 
@@ -197,7 +202,7 @@ def kleene_bounded(
     for _ in range(k):
         power = concat_sets(power, us, max_traces)
         out |= power
-        _cap(out, max_traces)
+        _cap(len(out), max_traces)
     return frozenset(out)
 
 
@@ -219,7 +224,7 @@ def interleave_traces(
             head_y = (y[j],)
             acc = {head_x + rest for rest in below[j]}
             acc.update(head_y + rest for rest in row[j + 1])
-            _cap(acc, max_traces)
+            _cap(len(acc), max_traces)
             row[j] = frozenset(acc)
         below = row
     return below[0]
@@ -234,7 +239,7 @@ def interleave_sets(
     for x in xs:
         for y in ys_t:
             out |= interleave_traces(x, y, max_traces)
-            _cap(out, max_traces)
+            _cap(len(out), max_traces)
     return frozenset(out)
 
 
@@ -287,6 +292,65 @@ def namespace_of(f: Fragment, ns: Namespace) -> Namespace:
     return scope(f, ns)[0]
 
 
+def _class_key(t: Trace) -> tuple:
+    """``t``'s projection onto each lifeline, messages spelled as fields."""
+    lanes: dict[str, list[tuple[str, str, str]]] = {}
+    for m in t:
+        for name in {m.sender, m.receiver}:
+            lanes.setdefault(name, []).append((m.sender, m.label, m.receiver))
+    return tuple(sorted((name, tuple(ms)) for name, ms in lanes.items()))
+
+
+def _class_size(key: tuple) -> int:
+    """The number of traces in a class: the linear extensions of its occurrence
+    order, counted layer by layer over downsets (messages emitted per lifeline)."""
+    index = {name: i for i, (name, _) in enumerate(key)}
+    layer = {(0,) * len(key): 1}
+    while True:
+        after: dict[tuple[int, ...], int] = {}
+        for state, ways in layer.items():
+            for i, (name, lane) in enumerate(key):
+                if state[i] == len(lane) or lane[state[i]][0] != name:
+                    continue
+                j = index[lane[state[i]][2]]
+                if key[j][1][state[j]] == lane[state[i]]:  # next on both lifelines
+                    nxt = list(state)
+                    nxt[i], nxt[j] = state[i] + 1, state[j] + 1
+                    after[tuple(nxt)] = after.get(tuple(nxt), 0) + ways
+        if not after:
+            return sum(layer.values())
+        layer = after
+
+
+class _Classes:
+    """A weakly closed trace set: ``reps`` maps each class key to a
+    representative and the class size; ``total``, checked against the cap as
+    classes are added, is the number of traces, which ``words`` lists."""
+
+    def __init__(self, max_traces: int, traces: Iterable[Trace] = ()):
+        self.reps: dict[tuple, tuple[Trace, int]] = {}
+        self.total, self.max_traces = 0, max_traces
+        for t in traces:
+            self.add(t)
+
+    def add(self, rep: Trace, key: tuple = (), size: int = 0) -> None:
+        key = key or _class_key(rep)
+        if key not in self.reps:
+            # A trace whose neighbours all share a lifeline is its class's only one.
+            chain = all(map(shares_lifeline, rep, rep[1:]))
+            self.reps[key] = (rep, size or (1 if chain else _class_size(key)))
+            self.total += self.reps[key][1]
+            _cap(self.total, self.max_traces)
+
+    def words(self) -> TraceSet:
+        return frozenset().union(*(weak(rep, self.max_traces) if size > 1 else {rep}
+                                   for rep, size in self.reps.values()))
+
+
+def _words(s: TraceSet | _Classes) -> TraceSet:
+    return s.words() if isinstance(s, _Classes) else s
+
+
 def denote(
     f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None
 ) -> Denotation:
@@ -297,18 +361,26 @@ def denote(
     and TraceSetOverflowError past the trace cap. Evaluation is a pure
     function of its arguments.
     """
-    if limits is None:
-        limits = EvalLimits()
     namespace_out, errors = scope(f, ns)
     if errors:
         raise errors[0]
-    return Denotation(_eval(f, limits), namespace_out)
+    return Denotation(_words(_eval(f, limits or EvalLimits())), namespace_out)
 
 
-def _eval(f: Fragment, limits: EvalLimits) -> TraceSet:
-    """The trace set of a scope-checked fragment. An overflow raised without
-    a location takes ``f``'s, so the error names the innermost located
-    fragment whose evaluation passed the cap."""
+def count_traces(f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None) -> int:
+    """``len(denote(f, ns, limits).traces)``, with the same errors, but with
+    the traces of weakly closed sets counted by class, never listed."""
+    if errors := scope(f, ns)[1]:
+        raise errors[0]
+    s = _eval(f, limits or EvalLimits())
+    return s.total if isinstance(s, _Classes) else len(s)
+
+
+def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
+    """The trace set of a scope-checked fragment; held by its classes for a
+    weak sequence, a loop or an alt of those. The cap is checked on exact
+    sizes where a union of words would be, so the same fragment overflows:
+    an overflow raised without a location takes ``f``'s."""
     mx = limits.max_traces
     try:
         match f:
@@ -316,30 +388,45 @@ def _eval(f: Fragment, limits: EvalLimits) -> TraceSet:
                 return weak(msgs, mx)
             case WeakSeq(children=parts):
                 sets = [_eval(part, limits) for part in parts]
-                combined = reduce(lambda u, v: concat_sets(u, v, mx), sets)
-                return weak_over_set(combined, mx)
+                return reduce(lambda u, v: _Classes(mx, (
+                    x + y for x, _ in u.reps.values() for y, _ in v.reps.values()
+                )), [s if isinstance(s, _Classes) else _Classes(mx, s) for s in sets])
             case Alt(branches=branches):
-                out: set[Trace] = set()
+                # Branch by branch: a union of words overflows before later branches.
+                out: _Classes | set[Trace] = _Classes(mx)
                 for b in branches:
-                    out |= _eval(b, limits)
-                    _cap(out, mx)
-                return frozenset(out)
+                    part = _eval(b, limits)
+                    if isinstance(out, _Classes) and isinstance(part, _Classes):
+                        for key, (rep, size) in part.reps.items():
+                            out.add(rep, key, size)
+                        continue
+                    out = set(out.words()) if isinstance(out, _Classes) else out
+                    out |= _words(part)
+                    _cap(len(out), mx)
+                return out if isinstance(out, _Classes) else frozenset(out)
             case Par(operands=operands):
-                sets = [_eval(op, limits) for op in operands]
+                sets = [_words(_eval(op, limits)) for op in operands]
                 return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
             case Loop(body=body):
-                closed = kleene_bounded(_eval(body, limits), limits.loop_bound, mx)
-                return weak_over_set(closed, mx)
+                # C(0) = {<>} and C(n+1) = C(n) | C(n).body: body^0 | .. | body^n.
+                part = _eval(body, limits)
+                closure = _Classes(mx, [()])
+                for _ in range(limits.loop_bound):
+                    part = part if isinstance(part, _Classes) else _Classes(mx, part)
+                    for x, _ in list(closure.reps.values()):
+                        for y, _ in part.reps.values():
+                            closure.add(x + y)
+                return closure
             case Create() | Destroy() | Skip():
                 return _EMPTY_ONLY
             case Consider(alphabet=alphabet, body=body):
-                return frozenset(filter_trace(alphabet, t) for t in _eval(body, limits))
+                return frozenset(filter_trace(alphabet, t) for t in _words(_eval(body, limits)))
             case Ignore(alphabet=alphabet, body=body):
                 # Equivalent to keeping the complement of `alphabet` within the
                 # whole diagram's message alphabet: traces only ever contain
                 # messages that occur in the diagram.
                 return frozenset(
-                    tuple(m for m in t if m not in alphabet) for t in _eval(body, limits)
+                    tuple(m for m in t if m not in alphabet) for t in _words(_eval(body, limits))
                 )
     except TraceSetOverflowError as exc:
         if exc.loc is not None or f.loc is None:
@@ -353,8 +440,9 @@ def theorem1_sides(
     ns: Iterable[str],
     k: int,
     limits: EvalLimits | None = None,
+    loc: Loc | None = None,
 ) -> tuple[TraceSet, TraceSet]:
-    """Both sides of the bounded loop-unrolling identity, as real ASTs.
+    """Both sides of the bounded loop-unrolling identity, as real ASTs at ``loc``.
 
     Left: loop(body) evaluated with loop bound ``k``. Right: the alternative
     over skip and the 1..k-fold weak self-compositions of the body. Both
@@ -364,11 +452,11 @@ def theorem1_sides(
     if limits is None:
         limits = EvalLimits()
     bounded = replace(limits, loop_bound=k)
-    left = denote(Loop(body), ns, bounded).traces
+    left = denote(Loop(body, loc), ns, bounded).traces
     branches: list[Fragment] = [Skip()]
     for n in range(1, k + 1):
-        branches.append(body if n == 1 else WeakSeq((body,) * n))
-    right = denote(Alt(tuple(branches)), ns, bounded).traces
+        branches.append(body if n == 1 else WeakSeq((body,) * n, loc))
+    right = denote(Alt(tuple(branches), loc), ns, bounded).traces
     return left, right
 
 

@@ -1,0 +1,182 @@
+"""The class-level evaluator against word-level routes.
+
+Weak sequences and loops are evaluated over weak-equivalence classes: a
+class is keyed by its per-lifeline projections and sized by counting the
+linear extensions of its occurrence order. Each result here is checked by a
+route that lists words instead: ``weak``, the permutation oracle, and a
+word-level evaluator written below from the public set operators.
+"""
+
+import itertools
+from functools import cache, reduce
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqtrace import (
+    Alt,
+    Basic,
+    Consider,
+    Create,
+    Destroy,
+    DiagramError,
+    EvalLimits,
+    GeneratorConfig,
+    Ignore,
+    Loop,
+    Message,
+    Par,
+    Skip,
+    TraceSetOverflowError,
+    WeakSeq,
+    concat_sets,
+    count_traces,
+    denote,
+    filter_trace,
+    generate_fragments,
+    interleave_sets,
+    kleene_bounded,
+    oracle_weak,
+    parse,
+    render_fragment,
+    weak,
+    weak_over_set,
+)
+from seqtrace.semantics import _class_key, _class_size
+
+names = st.sampled_from(("A", "B", "C", "D"))
+labels = st.sampled_from(("m1", "m2", "m3"))
+messages = st.builds(Message, names, labels, names)
+
+
+class TestClassOfATrace:
+    @given(st.lists(messages, max_size=7).map(tuple))
+    @settings(max_examples=200, deadline=None)
+    def test_size_is_the_number_of_equivalent_traces(self, t):
+        assert _class_size(_class_key(t)) == len(weak(t)) == len(oracle_weak(t))
+
+    @given(st.lists(messages, max_size=6).map(tuple))
+    @settings(max_examples=150, deadline=None)
+    def test_key_is_shared_by_exactly_the_equivalent_orders(self, t):
+        key = _class_key(t)
+        same_key = {u for u in itertools.permutations(t) if _class_key(u) == key}
+        assert same_key == weak(t)
+
+
+def reference(f, limits):
+    """Word-level evaluation: every weak sequence and loop lists its words
+    and weaves each of them. An overflow takes the innermost located
+    fragment's location, as ``denote``'s does."""
+    mx = limits.max_traces
+    try:
+        match f:
+            case Basic(messages=msgs):
+                return weak(msgs, mx)
+            case WeakSeq(children=parts):
+                sets = [reference(p, limits) for p in parts]
+                return weak_over_set(reduce(lambda u, v: concat_sets(u, v, mx), sets), mx)
+            case Alt(branches=branches):
+                out = set()
+                for b in branches:
+                    out |= reference(b, limits)
+                    if len(out) > mx:
+                        raise TraceSetOverflowError(mx)
+                return frozenset(out)
+            case Par(operands=operands):
+                sets = [reference(op, limits) for op in operands]
+                return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
+            case Loop(body=body):
+                closed = kleene_bounded(reference(body, limits), limits.loop_bound, mx)
+                return weak_over_set(closed, mx)
+            case Create() | Destroy() | Skip():
+                return frozenset({()})
+            case Consider(alphabet=alphabet, body=body):
+                return frozenset(filter_trace(alphabet, t) for t in reference(body, limits))
+            case Ignore(alphabet=alphabet, body=body):
+                return frozenset(
+                    tuple(m for m in t if m not in alphabet) for t in reference(body, limits)
+                )
+    except TraceSetOverflowError as exc:
+        if exc.loc is not None or f.loc is None:
+            raise
+        raise TraceSetOverflowError(exc.limit, f.loc) from None
+    raise TypeError(f)
+
+
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except DiagramError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@cache
+def generated(seed: int, count: int):
+    """Generated fragments with filters and lifecycle statements, rendered
+    and parsed back so that every fragment has a location."""
+    cfg = GeneratorConfig(max_depth=4, seed=seed, include_filters=True, include_lifecycle=True)
+    return [parse(render_fragment(f)) for f in generate_fragments(cfg, count)]
+
+
+CASES = [
+    (seed, k, cap)
+    for seed, k, cap in itertools.product(range(3), (1, 2, 3), (7, 60, 800))
+]
+
+
+@pytest.mark.parametrize("seed,k,cap", CASES)
+def test_count_equals_listing_and_words_equal_the_reference(seed, k, cap):
+    limits = EvalLimits(loop_bound=k, max_traces=cap)
+    for d in generated(seed, 60):
+        root, ns = d.root, d.initial_namespace
+        listed = outcome(lambda: denote(root, ns, limits).traces)
+        counted = outcome(lambda: count_traces(root, ns, limits))
+        assert outcome(lambda: reference(root, limits)) == listed
+        assert counted == (listed if isinstance(listed, str) else len(listed))
+
+
+# Generated at depth 4 from seed 23. At k=2 and a cap of 7 the loop branch
+# alone fits (7 traces), and the alt passes the cap at its second branch,
+# before its third branch, whose par overflows on its own at 13:3, is
+# evaluated.
+ALT_ORDER = """\
+lifeline A
+lifeline B
+lifeline C
+alt {
+  loop {
+    C -> B : b
+    A -> A : a
+    A -> C : a
+  }
+--
+  C -> C : c
+--
+  par {
+    alt {
+      C -> A : c
+      C -> B : d
+    --
+      A -> B : a
+      C -> A : b
+    }
+  --
+    C -> C : b
+    A -> A : b
+    A -> B : c
+    B -> C : c
+  --
+    loop {
+      B -> A : c
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("evaluate", [denote, count_traces])
+def test_alt_overflows_before_its_later_branches_are_evaluated(evaluate):
+    d = parse(ALT_ORDER)
+    with pytest.raises(TraceSetOverflowError) as info:
+        evaluate(d.root, d.initial_namespace, EvalLimits(loop_bound=2, max_traces=7))
+    assert str(info.value) == "4:1: trace set exceeds the cap of 7 traces"

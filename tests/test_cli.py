@@ -192,6 +192,15 @@ class TestRefine:
         assert code == 2
         assert "destroy-absent" in err
 
+    def test_max_traces_caps_evaluation(self, capsys, diagrams_dir):
+        f = str(diagrams_dir / "loop_pair.sd")
+        code, out, err = run(capsys, "refine", f, f, "--max-traces", "5")
+        assert (code, out) == (2, "")
+        assert err == (
+            "note: loop bound 2\n"
+            "error: 9:3: trace set exceeds the cap of 5 traces\n"
+        )
+
 
 class TestConform:
     def test_own_traces_exhaustive(self, capsys, tmp_path, diagrams_dir):
@@ -247,6 +256,19 @@ class TestConform:
         assert code == 2
         assert "line 2" in err
 
+    def test_max_traces_caps_evaluation(self, capsys, tmp_path, diagrams_dir):
+        log = tmp_path / "run.log"
+        log.write_text("A.m1.B\n")
+        code, out, err = run(
+            capsys, "conform", str(diagrams_dir / "loop_pair.sd"), str(log),
+            "--mode", "required", "--max-traces", "5",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "note: loop bound 2\n"
+            "error: 9:3: trace set exceeds the cap of 5 traces\n"
+        )
+
 
 class TestTheorem:
     def test_loop_file_equal(self, capsys, diagrams_dir):
@@ -269,6 +291,14 @@ class TestTheorem:
         )
         assert code == 2
         assert "not a loop" in err
+
+    def test_overflow_names_the_loop(self, capsys, diagrams_dir):
+        # The loop side at depth 6 has 2,902,783 traces, past the default cap.
+        code, out, err = run(
+            capsys, "theorem", str(diagrams_dir / "loop_pair.sd"), "--depth", "6"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 8:1: trace set exceeds the cap of 1000000 traces\n"
 
 
 class TestRoundTripCorpus:
@@ -293,8 +323,11 @@ class TestNumericFlags:
             ["traces", "weak_order.sd", "--max-traces", "0"],
             ["theorem", "loop_pair.sd", "--depth", "-1"],
             ["refine", "weak_order.sd", "weak_order.sd", "--max-loop", "-1"],
+            ["refine", "weak_order.sd", "weak_order.sd", "--max-traces", "0"],
             ["conform", "weak_order.sd", "weak_order.sd", "--mode", "exhaust",
              "--max-loop", "-1"],
+            ["conform", "weak_order.sd", "weak_order.sd", "--mode", "exhaust",
+             "--max-traces", "0"],
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, diagrams_dir, argv):

@@ -34,3 +34,11 @@ def test_loop_growth_matches_closed_form():
     assert [(int(r[0]), int(r[1])) for r in rows] == [
         (0, 1), (1, 7), (2, 77), (3, 1001), (4, 13871)
     ]
+
+
+def test_loop_growth_counts_past_what_listing_reaches():
+    # 644,099,773 traces at k=8 are counted by class; listing them would not finish.
+    proc = run_script("loop_growth.py", "--max-bound", "8", "--max-traces", "1000000000")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert rows[-1][:2] == ["8", "644099773"]
