@@ -333,14 +333,17 @@ class _Classes:
         for t in traces:
             self.add(t)
 
-    def add(self, rep: Trace, key: tuple = (), size: int = 0) -> None:
-        key = key or _class_key(rep)
-        if key not in self.reps:
-            # A trace whose neighbours all share a lifeline is its class's only one.
-            chain = all(map(shares_lifeline, rep, rep[1:]))
-            self.reps[key] = (rep, size or (1 if chain else _class_size(key)))
-            self.total += self.reps[key][1]
-            _cap(self.total, self.max_traces)
+    def add(self, rep: Trace) -> bool:
+        """Add ``rep``'s class; whether it was new."""
+        key = _class_key(rep)
+        if key in self.reps:
+            return False
+        # A trace whose neighbours all share a lifeline is its class's only one.
+        chain = all(map(shares_lifeline, rep, rep[1:]))
+        self.reps[key] = (rep, 1 if chain else _class_size(key))
+        self.total += self.reps[key][1]
+        _cap(self.total, self.max_traces)
+        return True
 
     def words(self) -> TraceSet:
         return frozenset().union(*(weak(rep, self.max_traces) if size > 1 else {rep}
@@ -378,9 +381,9 @@ def count_traces(f: Fragment, ns: Iterable[str], limits: EvalLimits | None = Non
 
 def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
     """The trace set of a scope-checked fragment; held by its classes for a
-    weak sequence, a loop or an alt of those. The cap is checked on exact
-    sizes where a union of words would be, so the same fragment overflows:
-    an overflow raised without a location takes ``f``'s."""
+    weak sequence or a loop. The cap is checked on exact sizes where a union
+    of words would be, so the same fragment overflows: an overflow raised
+    without a location takes ``f``'s."""
     mx = limits.max_traces
     try:
         match f:
@@ -392,30 +395,22 @@ def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
                     x + y for x, _ in u.reps.values() for y, _ in v.reps.values()
                 )), [s if isinstance(s, _Classes) else _Classes(mx, s) for s in sets])
             case Alt(branches=branches):
-                # Branch by branch: a union of words overflows before later branches.
-                out: _Classes | set[Trace] = _Classes(mx)
+                out: set[Trace] = set()
                 for b in branches:
-                    part = _eval(b, limits)
-                    if isinstance(out, _Classes) and isinstance(part, _Classes):
-                        for key, (rep, size) in part.reps.items():
-                            out.add(rep, key, size)
-                        continue
-                    out = set(out.words()) if isinstance(out, _Classes) else out
-                    out |= _words(part)
+                    out |= _words(_eval(b, limits))
                     _cap(len(out), mx)
-                return out if isinstance(out, _Classes) else frozenset(out)
+                return frozenset(out)
             case Par(operands=operands):
                 sets = [_words(_eval(op, limits)) for op in operands]
                 return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
             case Loop(body=body):
                 # C(0) = {<>} and C(n+1) = C(n) | C(n).body: body^0 | .. | body^n.
-                part = _eval(body, limits)
-                closure = _Classes(mx, [()])
+                # Only the classes new in C(n) can add classes to C(n+1).
+                part, closure, fresh = _eval(body, limits), _Classes(mx, [()]), [()]
                 for _ in range(limits.loop_bound):
                     part = part if isinstance(part, _Classes) else _Classes(mx, part)
-                    for x, _ in list(closure.reps.values()):
-                        for y, _ in part.reps.values():
-                            closure.add(x + y)
+                    fresh = [x + y for x in fresh for y, _ in part.reps.values()
+                             if closure.add(x + y)]
                 return closure
             case Create() | Destroy() | Skip():
                 return _EMPTY_ONLY
