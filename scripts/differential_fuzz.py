@@ -1,11 +1,12 @@
 """Differential fuzzing: the compositional semantics against brute force.
 
-Cross-checks four pairs of independent routes on seeded random inputs:
+Cross-checks five pairs of independent routes on seeded random inputs:
 
 * weak sequencing vs. permutation filtering
 * trace interleaving vs. position-subset merging
 * parse(render(fragment)) vs. the fragment itself
 * counting by weak-equivalence class vs. listing every trace
+* the unrolling identity's sides compared by class key vs. as listed words
 
     python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
@@ -16,10 +17,10 @@ import sys
 import time
 
 from seqtrace import (
+    DiagramError,
     EvalLimits,
     GeneratorConfig,
     Message,
-    TraceSetOverflowError,
     canonicalize,
     count_traces,
     denote,
@@ -29,6 +30,8 @@ from seqtrace import (
     oracle_weak,
     parse,
     render_fragment,
+    theorem1_diff,
+    theorem1_sides,
     weak,
 )
 
@@ -40,11 +43,11 @@ def random_message(rng: random.Random) -> Message:
 
 
 def outcome(evaluate):
-    """What evaluating gives: its result, or the overflow message."""
+    """What evaluating gives: its result, or the error's type and message."""
     try:
         return evaluate()
-    except TraceSetOverflowError as exc:
-        return str(exc)
+    except DiagramError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def main() -> int:
@@ -92,7 +95,19 @@ def main() -> int:
             count_bad += 1
     print(f"count vs enumeration:         {len(frags)} cases, {count_bad} mismatches")
 
-    total_bad = weak_bad + shuffle_bad + trip_bad + count_bad
+    theorem_bad = 0
+    for frag in frags:
+        ns = cfg.lifeline_pool
+        by_class = outcome(lambda: theorem1_diff(frag, ns, 2, limits))
+        left_right = outcome(lambda: theorem1_sides(frag, ns, 2, limits))
+        if not isinstance(left_right, str):
+            left, right = left_right
+            left_right = (left - right, right - left)
+        if by_class != left_right:
+            theorem_bad += 1
+    print(f"theorem classes vs words:     {len(frags)} cases, {theorem_bad} mismatches")
+
+    total_bad = weak_bad + shuffle_bad + trip_bad + count_bad + theorem_bad
     print(f"total: {total_bad} mismatches in {time.perf_counter() - start:.1f}s")
     return 1 if total_bad else 0
 

@@ -31,7 +31,7 @@ from seqtrace.semantics import (
     EvalLimits,
     count_traces,
     denote,
-    theorem1_sides,
+    theorem1_diff,
 )
 
 
@@ -145,16 +145,17 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
         return 2
     if not _validate_or_fail(diagram, args.file):
         return 2
-    left, right = theorem1_sides(
-        diagram.root.body, diagram.initial_namespace, args.depth, loc=diagram.root.loc
+    loop_only, unrolled_only = theorem1_diff(
+        diagram.root.body, diagram.initial_namespace, args.depth,
+        EvalLimits(max_traces=args.max_traces), diagram.root.loc,
     )
-    if left == right:
+    if not (loop_only or unrolled_only):
         print("EQUAL")
         return 0
     print("UNEQUAL")
-    for line in sorted(f"loop-only: {render_trace(t)}" for t in left - right):
+    for line in sorted(f"loop-only: {render_trace(t)}" for t in loop_only):
         print(line)
-    for line in sorted(f"unrolled-only: {render_trace(t)}" for t in right - left):
+    for line in sorted(f"unrolled-only: {render_trace(t)}" for t in unrolled_only):
         print(line)
     return 1
 
@@ -165,11 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parse asynchronous sequence diagrams and reason about their traces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND,
-                        metavar="K", help="loop unrolling bound (default %(default)s)")
-    limits.add_argument("--max-traces", type=_int_at_least(1), default=DEFAULT_MAX_TRACES,
-                        metavar="M", help="hard cap on trace-set size (default %(default)s)")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND,
+                       metavar="K", help="loop unrolling bound (default %(default)s)")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-traces", type=_int_at_least(1), default=DEFAULT_MAX_TRACES,
+                     metavar="M", help="hard cap on trace-set size (default %(default)s)")
+    limits = [bound, cap]
 
     p = sub.add_parser("parse", help="Print a stable AST dump of a diagram file")
     p.add_argument("file")
@@ -179,23 +182,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("traces", parents=[limits], help="Enumerate the diagram's traces, sorted")
+    p = sub.add_parser("traces", parents=limits, help="Enumerate the diagram's traces, sorted")
     p.add_argument("file")
     p.add_argument("--count", action="store_true", help="print only the number of traces")
     p.set_defaults(func=_cmd_traces)
 
-    p = sub.add_parser("refine", parents=[limits], help="Check that A's traces are a subset of B's")
+    p = sub.add_parser("refine", parents=limits, help="Check that A's traces are a subset of B's")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.set_defaults(func=_cmd_refine)
 
-    p = sub.add_parser("conform", parents=[limits], help="Compare diagram traces against a trace log")
+    p = sub.add_parser("conform", parents=limits, help="Compare diagram traces against a trace log")
     p.add_argument("file")
     p.add_argument("log")
     p.add_argument("--mode", required=True, choices=[m.value for m in ConformanceMode])
     p.set_defaults(func=_cmd_conform)
 
-    p = sub.add_parser("theorem", help="Check the bounded loop-unrolling identity")
+    p = sub.add_parser("theorem", parents=[cap], help="Check the bounded loop-unrolling identity")
     p.add_argument("file")
     p.add_argument("--depth", type=_int_at_least(0), required=True, metavar="K")
     p.set_defaults(func=_cmd_theorem)

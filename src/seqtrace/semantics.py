@@ -17,9 +17,10 @@ Weak sequencing orders exactly the message pairs that share a lifeline; a
 trace set is therefore the set of linear extensions of that partial order
 over message occurrences. Occurrences are tracked by position (so repeated
 equal messages from loop unrolling stay chained) and erased in the result.
-That is Mazurkiewicz trace equivalence: weak sequences and loops are
-evaluated over classes of traces with equal per-lifeline projections, each
-held as one representative and its size, which ``count_traces`` adds up.
+That is Mazurkiewicz trace equivalence: every fragment but ``par`` and the
+filters is evaluated over classes of traces with equal per-lifeline
+projections, each held as one representative and its size, which
+``count_traces`` adds up and ``theorem1_diff`` compares by key.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -63,8 +64,6 @@ from seqtrace.errors import (
 
 DEFAULT_LOOP_BOUND = 2
 DEFAULT_MAX_TRACES = 1_000_000
-
-_EMPTY_ONLY: TraceSet = frozenset({()})
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
     msgs = tuple(ms)
     n = len(msgs)
     if n == 0:
-        return _EMPTY_ONLY
+        return frozenset({()})
     # Transitive reduction of the occurrence order: occurrences on one
     # lifeline form a chain, so an occurrence waits only for the previous
     # occurrence on each of its (at most two) lifelines.
@@ -198,7 +197,7 @@ def kleene_bounded(
         raise ValueError("loop bound must be nonnegative")
     us = frozenset(u)
     out: set[Trace] = {()}
-    power: TraceSet = _EMPTY_ONLY
+    power: TraceSet = frozenset({()})
     for _ in range(k):
         power = concat_sets(power, us, max_traces)
         out |= power
@@ -301,9 +300,11 @@ def _class_key(t: Trace) -> tuple:
     return tuple(sorted((name, tuple(ms)) for name, ms in lanes.items()))
 
 
-def _class_size(key: tuple) -> int:
+def _class_size(key: tuple, max_traces: int) -> int:
     """The number of traces in a class: the linear extensions of its occurrence
-    order, counted layer by layer over downsets (messages emitted per lifeline)."""
+    order, counted layer by layer over downsets (messages emitted per lifeline).
+    A layer's ways are distinct prefixes, each the start of a trace of its
+    own, so a layer past ``max_traces`` is a class past it."""
     index = {name: i for i, (name, _) in enumerate(key)}
     layer = {(0,) * len(key): 1}
     while True:
@@ -319,13 +320,15 @@ def _class_size(key: tuple) -> int:
                     after[tuple(nxt)] = after.get(tuple(nxt), 0) + ways
         if not after:
             return sum(layer.values())
+        _cap(sum(after.values()), max_traces)
         layer = after
 
 
 class _Classes:
-    """A weakly closed trace set: ``reps`` maps each class key to a
-    representative and the class size; ``total``, checked against the cap as
-    classes are added, is the number of traces, which ``words`` lists."""
+    """A weakly closed trace set: ``reps`` maps each class key (a chain's own
+    word, else its ``_class_key``) to a representative and the class size;
+    ``total``, checked against the cap as classes are added, is the number of
+    traces, which ``words`` lists."""
 
     def __init__(self, max_traces: int, traces: Iterable[Trace] = ()):
         self.reps: dict[tuple, tuple[Trace, int]] = {}
@@ -335,23 +338,44 @@ class _Classes:
 
     def add(self, rep: Trace) -> bool:
         """Add ``rep``'s class; whether it was new."""
-        key = _class_key(rep)
+        # A trace whose neighbours all share a lifeline is its class's only
+        # one, so its own word keys it.
+        chain = all(map(shares_lifeline, rep, rep[1:]))
+        key = rep if chain else _class_key(rep)
         if key in self.reps:
             return False
-        # A trace whose neighbours all share a lifeline is its class's only one.
-        chain = all(map(shares_lifeline, rep, rep[1:]))
-        self.reps[key] = (rep, 1 if chain else _class_size(key))
-        self.total += self.reps[key][1]
-        _cap(self.total, self.max_traces)
+        self._put(key, rep, 1 if chain else _class_size(key, self.max_traces))
         return True
 
-    def words(self) -> TraceSet:
+    def merge(self, other: _Classes) -> None:
+        """Add ``other``'s classes."""
+        for key, (rep, size) in other.reps.items():
+            if key not in self.reps:
+                self._put(key, rep, size)
+
+    def _put(self, key: tuple, rep: Trace, size: int) -> None:
+        self.reps[key] = (rep, size)
+        self.total += size
+        _cap(self.total, self.max_traces)
+
+    def words(self, keys: Iterable[tuple] | None = None) -> TraceSet:
+        """The traces of the classes ``keys``, by default of every class."""
+        reps = self.reps.values() if keys is None else map(self.reps.__getitem__, keys)
         return frozenset().union(*(weak(rep, self.max_traces) if size > 1 else {rep}
-                                   for rep, size in self.reps.values()))
+                                   for rep, size in reps))
 
 
 def _words(s: TraceSet | _Classes) -> TraceSet:
     return s.words() if isinstance(s, _Classes) else s
+
+
+def _checked_eval(f: Fragment, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
+    """``f``'s trace set or classes and its outgoing namespace; the first
+    scope error is raised before any trace is computed."""
+    namespace_out, errors = scope(f, ns)
+    if errors:
+        raise errors[0]
+    return _eval(f, limits or EvalLimits()), namespace_out
 
 
 def denote(
@@ -364,42 +388,44 @@ def denote(
     and TraceSetOverflowError past the trace cap. Evaluation is a pure
     function of its arguments.
     """
-    namespace_out, errors = scope(f, ns)
-    if errors:
-        raise errors[0]
-    return Denotation(_words(_eval(f, limits or EvalLimits())), namespace_out)
+    s, namespace_out = _checked_eval(f, ns, limits)
+    return Denotation(_words(s), namespace_out)
 
 
 def count_traces(f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None) -> int:
     """``len(denote(f, ns, limits).traces)``, with the same errors, but with
     the traces of weakly closed sets counted by class, never listed."""
-    if errors := scope(f, ns)[1]:
-        raise errors[0]
-    s = _eval(f, limits or EvalLimits())
+    s = _checked_eval(f, ns, limits)[0]
     return s.total if isinstance(s, _Classes) else len(s)
 
 
 def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
-    """The trace set of a scope-checked fragment; held by its classes for a
-    weak sequence or a loop. The cap is checked on exact sizes where a union
-    of words would be, so the same fragment overflows: an overflow raised
-    without a location takes ``f``'s."""
+    """The trace set of a scope-checked fragment; held by its classes unless
+    a ``par`` or a filter makes it words. The cap is checked on exact sizes
+    where a union of words would be, so the same fragment overflows: an
+    overflow raised without a location takes ``f``'s."""
     mx = limits.max_traces
     try:
         match f:
             case Basic(messages=msgs):
-                return weak(msgs, mx)
+                return _Classes(mx, [msgs])
             case WeakSeq(children=parts):
                 sets = [_eval(part, limits) for part in parts]
                 return reduce(lambda u, v: _Classes(mx, (
                     x + y for x, _ in u.reps.values() for y, _ in v.reps.values()
                 )), [s if isinstance(s, _Classes) else _Classes(mx, s) for s in sets])
             case Alt(branches=branches):
-                out: set[Trace] = set()
+                # Classes while every branch so far is classes, else words.
+                out: _Classes | set[Trace] = _Classes(mx)
                 for b in branches:
-                    out |= _words(_eval(b, limits))
+                    s = _eval(b, limits)
+                    if isinstance(out, _Classes) and isinstance(s, _Classes):
+                        out.merge(s)
+                        continue
+                    out = set(out.words()) if isinstance(out, _Classes) else out
+                    out |= _words(s)
                     _cap(len(out), mx)
-                return frozenset(out)
+                return out if isinstance(out, _Classes) else frozenset(out)
             case Par(operands=operands):
                 sets = [_words(_eval(op, limits)) for op in operands]
                 return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
@@ -413,7 +439,7 @@ def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
                              if closure.add(x + y)]
                 return closure
             case Create() | Destroy() | Skip():
-                return _EMPTY_ONLY
+                return _Classes(mx, [()])
             case Consider(alphabet=alphabet, body=body):
                 return frozenset(filter_trace(alphabet, t) for t in _words(_eval(body, limits)))
             case Ignore(alphabet=alphabet, body=body):
@@ -430,6 +456,16 @@ def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
     raise TypeError(f"not a fragment: {f!r}")
 
 
+def _theorem1(body: Fragment, ns: Iterable[str], k: int, limits: EvalLimits | None,
+              loc: Loc | None) -> tuple:
+    """Both sides of the unrolling identity, each scope-checked and then
+    evaluated, the loop side first."""
+    bounded = replace(limits or EvalLimits(), loop_bound=k)
+    branches = [Skip(), *(body if n == 1 else WeakSeq((body,) * n, loc) for n in range(1, k + 1))]
+    sides = (Loop(body, loc), Alt(tuple(branches), loc))
+    return tuple(_checked_eval(side, ns, bounded)[0] for side in sides)
+
+
 def theorem1_sides(
     body: Fragment,
     ns: Iterable[str],
@@ -444,15 +480,26 @@ def theorem1_sides(
     sides are evaluated independently under the same limits (with the loop
     bound pinned to ``k`` so nested loops are treated identically).
     """
-    if limits is None:
-        limits = EvalLimits()
-    bounded = replace(limits, loop_bound=k)
-    left = denote(Loop(body, loc), ns, bounded).traces
-    branches: list[Fragment] = [Skip()]
-    for n in range(1, k + 1):
-        branches.append(body if n == 1 else WeakSeq((body,) * n, loc))
-    right = denote(Alt(tuple(branches), loc), ns, bounded).traces
-    return left, right
+    left, right = _theorem1(body, ns, k, limits, loc)
+    return _words(left), _words(right)
+
+
+def theorem1_diff(
+    body: Fragment, ns: Iterable[str], k: int,
+    limits: EvalLimits | None = None, loc: Loc | None = None,
+) -> tuple[TraceSet, TraceSet]:
+    """The traces only the loop side has, and those only the unrolled side
+    has, of the identity that ``theorem1_sides`` builds, with its errors.
+
+    When both sides are class maps they are compared by class key, and only
+    the classes that one side lacks are listed.
+    """
+    left, right = _theorem1(body, ns, k, limits, loc)
+    if isinstance(left, _Classes) and isinstance(right, _Classes):
+        lkeys, rkeys = left.reps.keys(), right.reps.keys()
+        return left.words(lkeys - rkeys), right.words(rkeys - lkeys)
+    left, right = _words(left), _words(right)
+    return left - right, right - left
 
 
 def theorem1_check(
@@ -462,5 +509,4 @@ def theorem1_check(
     limits: EvalLimits | None = None,
 ) -> bool:
     """True iff the bounded loop equals its unrolled alternative form."""
-    left, right = theorem1_sides(body, ns, k, limits)
-    return left == right
+    return not any(theorem1_diff(body, ns, k, limits))

@@ -1,10 +1,11 @@
 """The class-level evaluator against word-level routes.
 
-Weak sequences and loops are evaluated over weak-equivalence classes: a
-class is keyed by its per-lifeline projections and sized by counting the
-linear extensions of its occurrence order. Each result here is checked by a
-route that lists words instead: ``weak``, the permutation oracle, and a
-word-level evaluator written below from the public set operators.
+Every fragment but ``par`` and the filters is evaluated over
+weak-equivalence classes: a class is keyed by its per-lifeline projections
+and sized by counting the linear extensions of its occurrence order. Each
+result here is checked by a route that lists words instead: ``weak``, the
+permutation oracle, a word-level evaluator written below from the public
+set operators, and the listed sides of the unrolling identity.
 """
 
 import itertools
@@ -39,6 +40,8 @@ from seqtrace import (
     oracle_weak,
     parse,
     render_fragment,
+    theorem1_diff,
+    theorem1_sides,
     weak,
     weak_over_set,
 )
@@ -53,7 +56,7 @@ class TestClassOfATrace:
     @given(st.lists(messages, max_size=7).map(tuple))
     @settings(max_examples=200, deadline=None)
     def test_size_is_the_number_of_equivalent_traces(self, t):
-        assert _class_size(_class_key(t)) == len(weak(t)) == len(oracle_weak(t))
+        assert _class_size(_class_key(t), 5040) == len(weak(t)) == len(oracle_weak(t))
 
     @given(st.lists(messages, max_size=6).map(tuple))
     @settings(max_examples=150, deadline=None)
@@ -133,6 +136,21 @@ def test_count_equals_listing_and_words_equal_the_reference(seed, k, cap):
         counted = outcome(lambda: count_traces(root, ns, limits))
         assert outcome(lambda: reference(root, limits)) == listed
         assert counted == (listed if isinstance(listed, str) else len(listed))
+
+
+@pytest.mark.parametrize(
+    "seed,k,cap", list(itertools.product(range(3), (0, 1, 2, 3), (7, 300)))
+)
+def test_theorem_diff_by_class_equals_the_listed_sides(seed, k, cap):
+    limits = EvalLimits(max_traces=cap)
+    for d in generated(seed, 60):
+        args = (d.root, d.initial_namespace, k, limits, d.root.loc)
+
+        def listed():
+            left, right = theorem1_sides(*args)
+            return left - right, right - left
+
+        assert outcome(lambda: theorem1_diff(*args)) == outcome(listed)
 
 
 # Generated at depth 4 from seed 23. At k=2 and a cap of 7 the loop branch

@@ -300,6 +300,29 @@ class TestTheorem:
         assert (code, out) == (2, "")
         assert err == "error: 8:1: trace set exceeds the cap of 1000000 traces\n"
 
+    def test_max_traces_lifts_the_cap(self, capsys, diagrams_dir):
+        # Each side at depth 8 has 644,099,773 traces; equal sides list none.
+        code, out, err = run(
+            capsys, "theorem", str(diagrams_dir / "loop_pair.sd"), "--depth", "8",
+            "--max-traces", "1000000000",
+        )
+        assert (code, out, err) == (0, "EQUAL\n", "")
+
+    def test_unequal_lists_the_witnesses(self, capsys, tmp_path):
+        # The filtered body's word A.a.B C.c.D is not weakly closed: the loop
+        # weaves it, the unrolled alt keeps the single-body branch as words.
+        diagram = tmp_path / "filtered_loop.sd"
+        diagram.write_text(
+            "lifeline A\nlifeline B\nlifeline C\nlifeline D\n"
+            "loop {\n"
+            "  consider [A -> B : a, C -> D : c] {\n"
+            "    A -> B : a\n    B -> C : b\n    C -> D : c\n"
+            "  }\n"
+            "}\n"
+        )
+        code, out, err = run(capsys, "theorem", str(diagram), "--depth", "2")
+        assert (code, out, err) == (1, "UNEQUAL\nloop-only: C.c.D A.a.B\n", "")
+
 
 class TestRoundTripCorpus:
     def test_traces_feed_back_as_exhaustive_log(self, capsys, tmp_path, corpus_files):
@@ -322,6 +345,7 @@ class TestNumericFlags:
             ["traces", "weak_order.sd", "--max-loop", "-1"],
             ["traces", "weak_order.sd", "--max-traces", "0"],
             ["theorem", "loop_pair.sd", "--depth", "-1"],
+            ["theorem", "loop_pair.sd", "--depth", "2", "--max-traces", "0"],
             ["refine", "weak_order.sd", "weak_order.sd", "--max-loop", "-1"],
             ["refine", "weak_order.sd", "weak_order.sd", "--max-traces", "0"],
             ["conform", "weak_order.sd", "weak_order.sd", "--mode", "exhaust",
