@@ -1,0 +1,102 @@
+"""Run the CLI over the diagram corpus, one line per run, to diff two checkouts.
+
+Each line holds the exit code, digests of stdout and stderr, and the argv:
+
+    PYTHONPATH=src python3 scripts/cli_corpus.py > change.txt
+    PYTHONPATH=../other/src python3 scripts/cli_corpus.py > other.txt
+    diff other.txt change.txt
+
+The matrix covers every file in diagrams/ and diagrams/invalid/: parse,
+check, traces --max-loop 3 (with and without --count), traces --max-traces
+5|50 and theorem --depth 0|2|3|6 on each; refine on every ordered pair; and
+conform in all three modes on every pair, with the second diagram's
+`traces` output as the log. The commands run in process through
+`seqtrace.cli.main`; an exception that escapes it is reported the way the
+interpreter would, as a traceback on stderr and exit code 1.
+
+The last line counts the runs that broke the exit contract (an exit code
+other than 0, 1 or 2, or a traceback on stderr); the script exits 1 if any
+did.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+from seqtrace import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PER_FILE = (
+    ("parse",),
+    ("check",),
+    ("traces", "--max-loop", "3"),
+    ("traces", "--max-loop", "3", "--count"),
+    ("traces", "--max-traces", "5"),
+    ("traces", "--max-traces", "50"),
+    *(("theorem", "--depth", k) for k in ("0", "2", "3", "6")),
+)
+MODES = ("required", "exhaust", "forbid")
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``seqtrace argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception:  # reported as the interpreter would report it
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.parse_args()
+    files = sorted((ROOT / "diagrams").glob("*.sd")) + sorted(
+        (ROOT / "diagrams" / "invalid").glob("*.sd")
+    )
+    names = [str(f.relative_to(ROOT)) for f in files]
+    runs = breaches = 0
+
+    def report(argv: list[str], shown: list[str]) -> str:
+        nonlocal runs, breaches
+        code, out, err = run(argv)
+        runs += 1
+        if code not in (0, 1, 2) or "Traceback" in err:
+            breaches += 1
+        print(f"{code} {digest(out)} {digest(err)} {' '.join(shown)}")
+        return out
+
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = {}
+        for path, name in zip(files, names):
+            for cmd in PER_FILE:
+                argv = [cmd[0], str(path), *cmd[1:]]
+                report(argv, [cmd[0], name, *cmd[1:]])
+            log = Path(tmp) / f"{len(logs)}.log"
+            log.write_text(report(["traces", str(path)], ["traces", name]), encoding="utf-8")
+            logs[name] = log
+        for a, a_name in zip(files, names):
+            for b, b_name in zip(files, names):
+                report(["refine", str(a), str(b)], ["refine", a_name, b_name])
+                for mode in MODES:
+                    report(["conform", str(a), str(logs[b_name]), "--mode", mode],
+                           ["conform", a_name, f"log({b_name})", "--mode", mode])
+    print(f"runs: {runs}, contract breaches: {breaches}")
+    return 1 if breaches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

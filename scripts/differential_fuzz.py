@@ -1,12 +1,16 @@
 """Differential fuzzing: the compositional semantics against brute force.
 
-Cross-checks five pairs of independent routes on seeded random inputs:
+Cross-checks seven pairs of independent routes on seeded random inputs:
 
 * weak sequencing vs. permutation filtering
 * trace interleaving vs. position-subset merging
 * parse(render(fragment)) vs. the fragment itself
 * counting by weak-equivalence class vs. listing every trace
 * the unrolling identity's sides compared by class key vs. as listed words
+* ``par`` over classes (operands on disjoint lifelines) vs. interleaving the
+  operands' listed words
+* refinement and conformance verdicts compared by class key vs. set
+  operations on listed words
 
     python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
@@ -17,19 +21,27 @@ import sys
 import time
 
 from seqtrace import (
+    ConformanceMode,
     DiagramError,
     EvalLimits,
     GeneratorConfig,
     Message,
+    Par,
+    ParsedDiagram,
+    TraceLog,
     canonicalize,
+    conform,
     count_traces,
     denote,
     generate_fragments,
+    interleave_sets,
     interleave_traces,
     oracle_interleave,
     oracle_weak,
     parse,
+    refines,
     render_fragment,
+    render_trace,
     theorem1_diff,
     theorem1_sides,
     weak,
@@ -48,6 +60,12 @@ def outcome(evaluate):
         return evaluate()
     except DiagramError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def agrees(verdict, found) -> bool:
+    """Whether a verdict is the one that the listed counterexamples give."""
+    listed = (not found, sorted(found, key=render_trace)[:10], len(found))
+    return (verdict.holds, [w.trace for w in verdict.witnesses], verdict.total) == listed
 
 
 def main() -> int:
@@ -107,7 +125,44 @@ def main() -> int:
             theorem_bad += 1
     print(f"theorem classes vs words:     {len(frags)} cases, {theorem_bad} mismatches")
 
-    total_bad = weak_bad + shuffle_bad + trip_bad + count_bad + theorem_bad
+    par_bad = 0
+    # The second operand is drawn over other lifelines, but the names that
+    # both operands create can meet, which makes the par words.
+    apart_cfg = GeneratorConfig(max_depth=3, seed=args.seed + 1, lifeline_pool=("E", "F"),
+                                include_filters=True, include_lifecycle=True)
+    pairs = list(zip(frags, generate_fragments(apart_cfg, len(frags))))
+    ns = cfg.lifeline_pool + apart_cfg.lifeline_pool
+    for x, y in pairs:
+        by_class = outcome(lambda: denote(Par((x, y)), ns, limits).traces)
+        words = outcome(lambda: interleave_sets(
+            denote(x, ns, limits).traces, denote(y, ns, limits).traces, limits.max_traces))
+        if by_class != words:
+            par_bad += 1
+    print(f"par classes vs words:         {len(pairs)} cases, {par_bad} mismatches")
+
+    verdict_bad = 0
+    ns = cfg.lifeline_pool
+    for x, y in zip(frags, frags[1:]):
+        a, b = ParsedDiagram(ns, x), ParsedDiagram(ns, y)
+        left = outcome(lambda: denote(x, ns, limits).traces)
+        right = outcome(lambda: denote(y, ns, limits).traces)
+        if isinstance(left, str) or isinstance(right, str):
+            want = left if isinstance(left, str) else right
+            verdict_bad += outcome(lambda: refines(a, b, limits)) != want
+            continue
+        # A log of half the traces of both sides covers some classes in part.
+        log = frozenset(rng.sample(sorted(left | right, key=render_trace), len(left | right) // 2))
+        checks = [(refines(a, b, limits), left - right)] + [
+            (conform(a, TraceLog(log), mode, limits), found)
+            for mode, found in ((ConformanceMode.REQUIRED, left - log),
+                                (ConformanceMode.EXHAUSTIVE, log - left),
+                                (ConformanceMode.FORBIDDEN, left & log))
+        ]
+        verdict_bad += not all(agrees(v, found) for v, found in checks)
+    print(f"verdicts classes vs words:    {len(frags) - 1} cases, {verdict_bad} mismatches")
+
+    total_bad = (weak_bad + shuffle_bad + trip_bad + count_bad + theorem_bad + par_bad
+                 + verdict_bad)
     print(f"total: {total_bad} mismatches in {time.perf_counter() - start:.1f}s")
     return 1 if total_bad else 0
 

@@ -66,6 +66,17 @@ Trace = tuple[Message, ...]
 TraceSet = frozenset[Trace]
 # The set of lifeline names in scope at some point of the diagram.
 Namespace = frozenset[str]
+EMPTY_TRACE_TOKEN = "ε"  # lowercase epsilon
+
+
+def render_trace(t: Trace) -> str:
+    """One-line log form of a trace; the empty trace is a lone epsilon.
+
+    Sorting rendered lines sorts traces message by message, by each
+    message's rendered token, except that the empty trace sorts last: a
+    space sorts below every character of a name or label.
+    """
+    return " ".join(map(str, t)) or EMPTY_TRACE_TOKEN
 
 
 def _check_name(name: str) -> None:

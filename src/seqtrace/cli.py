@@ -3,24 +3,26 @@
 Commands: parse, check, traces, refine, conform, theorem. Exit codes are
 uniform: 0 when the command succeeds / the checked property holds, 1 when
 a checked property fails (with witnesses on stdout), 2 on usage, parse,
-validation, or evaluation errors (diagnostics on stderr). Machine-readable
-output goes to stdout only and is deterministic: traces print sorted.
+validation, or evaluation errors (diagnostics on stderr), and 2 when the
+reader of stdout goes away before the output ends. Machine-readable output
+goes to stdout only and is deterministic: traces print sorted, streamed
+as they are enumerated.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from seqtrace.ast import Loop
+from seqtrace.ast import Loop, render_trace
 from seqtrace.conformance import (
     ConformanceMode,
     Verdict,
     conform,
     parse_trace_log,
     refines,
-    render_trace,
     validate,
 )
 from seqtrace.errors import DiagramError
@@ -30,7 +32,7 @@ from seqtrace.semantics import (
     DEFAULT_MAX_TRACES,
     EvalLimits,
     count_traces,
-    denote,
+    rendered_traces,
     theorem1_diff,
 )
 
@@ -92,8 +94,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     if args.count:
         print(count_traces(diagram.root, diagram.initial_namespace, limits))
         return 0
-    traces = denote(diagram.root, diagram.initial_namespace, limits).traces
-    for line in sorted(render_trace(t) for t in traces):
+    for line in rendered_traces(diagram.root, diagram.initial_namespace, limits):
         print(line)
     return 0
 
@@ -209,7 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not at exit
+        return code
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone. Point stdout at the null device so
+        # that the interpreter's final flush of what is still buffered
+        # cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2

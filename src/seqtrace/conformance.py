@@ -10,20 +10,37 @@ three ways, each useful for a different reading of the diagram:
 Both sides are finite here: S comes from a log file and D from bounded
 loop unrolling, so every verdict is relative to the loop bound it was
 computed under. The bound is carried on the verdict for that reason.
+
+Refinement and the three relations are decided on weak-equivalence classes
+without listing either side. A diagram is evaluated to its classes, each
+keyed by its per-lifeline projections and sized, or to words where a filter
+or a ``par`` over a shared lifeline makes it so. A class is covered by a
+class map that has its key, or by a word set that holds as many words of
+that key as the class has traces; a word is looked up by its class key.
+Each verdict carries the exact number of counterexamples, and its first
+``MAX_WITNESSES`` in rendered order, drawn from the classes as they are
+enumerated.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
-from seqtrace.ast import Message, Trace, TraceSet, is_valid_name
+from seqtrace.ast import (
+    EMPTY_TRACE_TOKEN,
+    Message,
+    Trace,
+    TraceSet,
+    is_valid_name,
+)
 from seqtrace.errors import Diagnostic, LogParseError
 from seqtrace.parser import ParsedDiagram
-from seqtrace.semantics import EvalLimits, denote, scope
+from seqtrace.semantics import EvalLimits, _checked_eval, _contrast, scope
 
 MAX_WITNESSES = 10
-EMPTY_TRACE_TOKEN = "ε"  # lowercase epsilon
 
 
 class ConformanceMode(Enum):
@@ -49,18 +66,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a set-relation check, with sorted counterexamples."""
+    """Outcome of a set-relation check: the first ``MAX_WITNESSES``
+    counterexamples in rendered order, and ``total``, the exact number of
+    counterexamples."""
 
     holds: bool
     witnesses: tuple[Witness, ...]
     loop_bound: int
-
-
-def render_trace(t: Trace) -> str:
-    """One-line log form of a trace; the empty trace is a lone epsilon."""
-    if not t:
-        return EMPTY_TRACE_TOKEN
-    return " ".join(str(m) for m in t)
+    total: int
 
 
 def _parse_log_message(token: str, line_no: int) -> Message:
@@ -116,9 +129,9 @@ def validate(d: ParsedDiagram) -> list[Diagnostic]:
     return [Diagnostic(e.code, e.message, e.loc) for e in errors]
 
 
-def _sorted_witnesses(side: str, traces: TraceSet) -> tuple[Witness, ...]:
-    ordered = sorted(traces, key=render_trace)[:MAX_WITNESSES]
-    return tuple(Witness(side, t) for t in ordered)
+def _verdict(side: str, total: int, ordered: Iterator[Trace], limits: EvalLimits) -> Verdict:
+    witnesses = tuple(Witness(side, t) for t in itertools.islice(ordered, MAX_WITNESSES))
+    return Verdict(not total, witnesses, limits.loop_bound, total)
 
 
 def refines(
@@ -131,10 +144,9 @@ def refines(
     """
     if limits is None:
         limits = EvalLimits()
-    traces_a = denote(a.root, a.initial_namespace, limits).traces
-    traces_b = denote(b.root, b.initial_namespace, limits).traces
-    missing = traces_a - traces_b
-    return Verdict(not missing, _sorted_witnesses("left", missing), limits.loop_bound)
+    left = _checked_eval(a.root, a.initial_namespace, limits)[0]
+    right = _checked_eval(b.root, b.initial_namespace, limits)[0]
+    return _verdict("left", *_contrast(left, right), limits)
 
 
 def conform(
@@ -146,15 +158,10 @@ def conform(
     """Check the selected relation between diagram traces and logged traces."""
     if limits is None:
         limits = EvalLimits()
-    diagram_traces = denote(d.root, d.initial_namespace, limits).traces
+    diagram = _checked_eval(d.root, d.initial_namespace, limits)[0]
     system = log.traces
     if mode is ConformanceMode.REQUIRED:
-        missing = diagram_traces - system
-        witnesses = _sorted_witnesses("diagram", missing)
-    elif mode is ConformanceMode.EXHAUSTIVE:
-        missing = system - diagram_traces
-        witnesses = _sorted_witnesses("log", missing)
-    else:
-        overlap = diagram_traces & system
-        witnesses = _sorted_witnesses("both", overlap)
-    return Verdict(not witnesses, witnesses, limits.loop_bound)
+        return _verdict("diagram", *_contrast(diagram, system), limits)
+    if mode is ConformanceMode.EXHAUSTIVE:
+        return _verdict("log", *_contrast(system, diagram), limits)
+    return _verdict("both", *_contrast(diagram, system, common=True), limits)

@@ -6,7 +6,8 @@ the namespace of lifelines in scope after it. Composition rules:
 * basic(m1..mn)      -> weak <m1..mn>
 * weakseq(f1..fn)    -> weak applied to every concatenation of child traces
 * alt(f1..fn)        -> union of branch traces
-* par(f1..fn)        -> interleavings of operand traces
+* par(f1..fn)        -> interleavings of operand traces; weak sequencing
+                        when no two operands share a lifeline
 * loop(b)            -> weak applied to the bounded Kleene closure of D(b)
 * create/destroy     -> {<>}, adding/removing the name from the namespace
 * skip               -> {<>}
@@ -17,10 +18,19 @@ Weak sequencing orders exactly the message pairs that share a lifeline; a
 trace set is therefore the set of linear extensions of that partial order
 over message occurrences. Occurrences are tracked by position (so repeated
 equal messages from loop unrolling stay chained) and erased in the result.
-That is Mazurkiewicz trace equivalence: every fragment but ``par`` and the
-filters is evaluated over classes of traces with equal per-lifeline
-projections, each held as one representative and its size, which
-``count_traces`` adds up and ``theorem1_diff`` compares by key.
+That is Mazurkiewicz trace equivalence: a fragment is evaluated over
+classes of traces with equal per-lifeline projections, each held as one
+representative and its size, which ``count_traces`` adds up and
+``theorem1_diff`` and the conformance checks compare by key. Only the
+filters, and a ``par`` whose operands share a lifeline, are held as words.
+A ``par`` of operands on pairwise disjoint lifelines is their weak
+sequence, since every message of one operand commutes with every message
+of the others.
+
+One enumerator lists a class: ``_extensions`` yields its traces in
+rendered-line order. ``weak`` collects them into a set, and
+``rendered_traces`` and the conformance witnesses merge the classes'
+streams, so a listing is sorted without being held.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -30,9 +40,11 @@ when a trace set would exceed the configured cap.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from seqtrace.ast import (
     Alt,
@@ -52,6 +64,7 @@ from seqtrace.ast import (
     TraceSet,
     WeakSeq,
     children,
+    render_trace,
     shares_lifeline,
 )
 from seqtrace.errors import (
@@ -100,18 +113,24 @@ class Denotation:
     namespace_out: Namespace
 
 
-def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
-    """All orderings of ``ms`` consistent with its per-lifeline order.
+def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
+    """Every ordering of ``ms`` consistent with its per-lifeline order, in
+    rendered-line order, each spelled as the tuple of its occurrences'
+    entries in ``spell`` (``ms`` itself gives the traces).
 
     Occurrence i must precede occurrence j whenever i < j and the two
-    messages share a lifeline; all other pairs may commute. The result is
-    enumerated directly as the linear extensions of that partial order:
-    repeatedly emit any occurrence whose constrainers have all been emitted.
+    messages share a lifeline; all other pairs may commute. The orderings
+    are the linear extensions of that partial order, enumerated directly:
+    repeatedly emit any occurrence whose constrainers have all been emitted,
+    trying the ready occurrences in order of their rendered token, which
+    gives the order of ``render_trace`` lines.
     """
     msgs = tuple(ms)
     n = len(msgs)
     if n == 0:
-        return frozenset({()})
+        yield ()
+        return
+    by_token = [str(m) for m in msgs].__getitem__
     # Transitive reduction of the occurrence order: occurrences on one
     # lifeline form a chain, so an occurrence waits only for the previous
     # occurrence on each of its (at most two) lifelines.
@@ -125,15 +144,17 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
             succs[j].append(i)
         last_on[m.sender] = i
         last_on[m.receiver] = i
-    out: set[Trace] = set()
-    prefix: list[Message] = []
+    prefix: list = []
     emitted: list[int] = []
     # Depth-first over prefixes with an explicit stack of pending moves:
     # (d, i) emits occurrence i after the first d emissions, and ready_at[d]
-    # is the list of occurrences ready at that point. A move that leaves a
-    # single occurrence ready is followed inline, without a stack entry.
+    # is the list of occurrences ready at that point. Moves are pushed
+    # highest token first, so the lowest is tried first. A move that leaves
+    # a single occurrence ready is followed inline, without a stack entry.
+    # Two equal messages share a lifeline, so they are never ready together
+    # and the ready occurrences have distinct tokens.
     ready_at = {0: [i for i in range(n) if indeg[i] == 0]}
-    moves = [(0, i) for i in ready_at[0]]
+    moves = [(0, i) for i in sorted(ready_at[0], key=by_token, reverse=True)]
     while moves:
         d, i = moves.pop()
         while len(emitted) > d:
@@ -143,7 +164,7 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
         ready = [r for r in ready_at[d] if r != i]
         while True:
             emitted.append(i)
-            prefix.append(msgs[i])
+            prefix.append(spell[i])
             for s in succs[i]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
@@ -154,11 +175,18 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
         if ready:
             d = len(emitted)
             ready_at[d] = ready
-            moves.extend((d, r) for r in ready)
+            moves.extend((d, r) for r in sorted(ready, key=by_token, reverse=True))
         else:
-            out.add(tuple(prefix))
-            _cap(len(out), max_traces)
-    return frozenset(out)
+            yield tuple(prefix)
+
+
+def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
+    """All orderings of ``ms`` consistent with its per-lifeline order: the
+    weak-equivalence class of ``ms`` as a trace set."""
+    msgs = tuple(ms)
+    out = frozenset(itertools.islice(_extensions(msgs, msgs), max_traces + 1))
+    _cap(len(out), max_traces)
+    return out
 
 
 def weak_over_set(ts: Iterable[Trace], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
@@ -324,11 +352,18 @@ def _class_size(key: tuple, max_traces: int) -> int:
         layer = after
 
 
+def _key(t: Trace) -> tuple:
+    """The key of ``t``'s class. A trace whose neighbours all share a
+    lifeline is its class's only one, so its own word keys it; any other
+    trace is keyed by its ``_class_key``."""
+    return t if all(map(shares_lifeline, t, t[1:])) else _class_key(t)
+
+
 class _Classes:
-    """A weakly closed trace set: ``reps`` maps each class key (a chain's own
-    word, else its ``_class_key``) to a representative and the class size;
-    ``total``, checked against the cap as classes are added, is the number of
-    traces, which ``words`` lists."""
+    """A weakly closed trace set: ``reps`` maps each class key (see ``_key``)
+    to a representative and the class size; ``total``, checked against the
+    cap as classes are added, is the number of traces, which ``words``
+    lists."""
 
     def __init__(self, max_traces: int, traces: Iterable[Trace] = ()):
         self.reps: dict[tuple, tuple[Trace, int]] = {}
@@ -338,13 +373,11 @@ class _Classes:
 
     def add(self, rep: Trace) -> bool:
         """Add ``rep``'s class; whether it was new."""
-        # A trace whose neighbours all share a lifeline is its class's only
-        # one, so its own word keys it.
-        chain = all(map(shares_lifeline, rep, rep[1:]))
-        key = rep if chain else _class_key(rep)
+        key = _key(rep)
         if key in self.reps:
             return False
-        self._put(key, rep, 1 if chain else _class_size(key, self.max_traces))
+        # A chain is keyed by itself, and it is a class of one.
+        self._put(key, rep, 1 if key is rep else _class_size(key, self.max_traces))
         return True
 
     def merge(self, other: _Classes) -> None:
@@ -358,15 +391,35 @@ class _Classes:
         self.total += size
         _cap(self.total, self.max_traces)
 
-    def words(self, keys: Iterable[tuple] | None = None) -> TraceSet:
-        """The traces of the classes ``keys``, by default of every class."""
-        reps = self.reps.values() if keys is None else map(self.reps.__getitem__, keys)
+    def words(self) -> TraceSet:
+        """Every trace of every class."""
         return frozenset().union(*(weak(rep, self.max_traces) if size > 1 else {rep}
-                                   for rep, size in reps))
+                                   for rep, size in self.reps.values()))
 
 
 def _words(s: TraceSet | _Classes) -> TraceSet:
     return s.words() if isinstance(s, _Classes) else s
+
+
+def _seq(sets: list[TraceSet | _Classes], mx: int) -> _Classes:
+    """The weak sequence of ``sets``: every concatenation of representatives,
+    each added as its class."""
+    return reduce(lambda u, v: _Classes(mx, (
+        x + y for x, _ in u.reps.values() for y, _ in v.reps.values()
+    )), [s if isinstance(s, _Classes) else _Classes(mx, s) for s in sets])
+
+
+def _apart(sets: list[TraceSet | _Classes]) -> bool:
+    """Whether every set is a class map and no two of them share a lifeline."""
+    seen: set[str] = set()
+    for s in sets:
+        if not isinstance(s, _Classes):
+            return False
+        names = {n for rep, _ in s.reps.values() for m in rep for n in (m.sender, m.receiver)}
+        if not seen.isdisjoint(names):
+            return False
+        seen |= names
+    return True
 
 
 def _checked_eval(f: Fragment, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
@@ -399,21 +452,92 @@ def count_traces(f: Fragment, ns: Iterable[str], limits: EvalLimits | None = Non
     return s.total if isinstance(s, _Classes) else len(s)
 
 
+def rendered_traces(
+    f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None
+) -> Iterator[str]:
+    """``sorted(render_trace(t) for t in denote(f, ns, limits).traces)`` as an
+    iterator, with the same errors, raised before the first line.
+
+    The lines of a weakly closed set are enumerated class by class in
+    rendered order and merged as they are consumed; the set is never held.
+    """
+    s = _checked_eval(f, ns, limits)[0]
+    if not isinstance(s, _Classes):
+        return iter(sorted(map(render_trace, s)))
+    reps = s.reps.values()
+    # A class of one is its representative, so those are sorted as one list;
+    # the empty trace is such a class.
+    singles = sorted(render_trace(rep) for rep, size in reps if size == 1)
+    return heapq.merge(singles, *(
+        map(" ".join, _extensions(rep, [str(m) for m in rep]))
+        for rep, size in reps if size > 1
+    ))
+
+
+def _contrast(
+    left: TraceSet | _Classes, right: TraceSet | _Classes, common: bool = False
+) -> tuple[int, Iterator[Trace]]:
+    """The traces of ``left`` that ``right`` lacks, or with ``common`` those
+    that both hold: how many there are, and an iterator over them in
+    rendered order.
+
+    Each word of ``left`` takes one lookup: of its class key when ``right``
+    is a class map. Each class of ``left`` is held by a class map ``right``
+    when its key is there; a word set ``right`` holds the words of it that
+    have its key, which are the whole class when they are as many as its
+    size. Sizes give the number, and the traces of a class are enumerated
+    only as the iterator is consumed.
+    """
+    if not isinstance(left, _Classes):
+        if isinstance(right, _Classes):
+            # A word that is a key is a chain, its own class.
+            hits = [t for t in left if (t in right.reps or _key(t) in right.reps) is common]
+        else:
+            hits = left & right if common else left - right
+        return len(hits), iter(sorted(hits, key=render_trace))
+    groups: dict[tuple, list[Trace]] | None = None
+    total, wholes, loose = 0, [], []
+    for key, (rep, size) in left.reps.items():
+        if isinstance(right, _Classes):
+            held = size if key in right.reps else 0
+        elif size == 1:  # a class of one is its representative
+            held = int(rep in right)
+        else:
+            if groups is None:
+                groups = {}
+                for t in right:
+                    groups.setdefault(_key(t), []).append(t)
+            held = len(groups.get(key, ()))
+        n = held if common else size - held
+        if not n:
+            continue
+        total += n
+        if n < size and common:
+            loose.extend(groups[key])
+        elif n < size:
+            wholes.append(itertools.filterfalse(
+                frozenset(groups[key]).__contains__, _extensions(rep, rep)))
+        elif size == 1:  # a class of one is its representative
+            loose.append(rep)
+        else:
+            wholes.append(_extensions(rep, rep))
+    loose.sort(key=render_trace)
+    return total, heapq.merge(*wholes, loose, key=render_trace)
+
+
 def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
     """The trace set of a scope-checked fragment; held by its classes unless
-    a ``par`` or a filter makes it words. The cap is checked on exact sizes
-    where a union of words would be, so the same fragment overflows: an
-    overflow raised without a location takes ``f``'s."""
+    a ``par`` of operands that share a lifeline, or a filter, makes it words.
+    The cap is checked on exact sizes where a union of words would be, so
+    the same fragment overflows: an overflow raised without a location takes
+    ``f``'s."""
     mx = limits.max_traces
     try:
         match f:
             case Basic(messages=msgs):
                 return _Classes(mx, [msgs])
             case WeakSeq(children=parts):
-                sets = [_eval(part, limits) for part in parts]
-                return reduce(lambda u, v: _Classes(mx, (
-                    x + y for x, _ in u.reps.values() for y, _ in v.reps.values()
-                )), [s if isinstance(s, _Classes) else _Classes(mx, s) for s in sets])
+                return _seq([_eval(part, limits) for part in parts], mx)
             case Alt(branches=branches):
                 # Classes while every branch so far is classes, else words.
                 out: _Classes | set[Trace] = _Classes(mx)
@@ -427,8 +551,11 @@ def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
                     _cap(len(out), mx)
                 return out if isinstance(out, _Classes) else frozenset(out)
             case Par(operands=operands):
-                sets = [_words(_eval(op, limits)) for op in operands]
-                return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
+                sets = [_eval(op, limits) for op in operands]
+                if _apart(sets):
+                    # Every cross pair of messages commutes: a weak sequence.
+                    return _seq(sets, mx)
+                return reduce(lambda u, v: interleave_sets(u, v, mx), map(_words, sets))
             case Loop(body=body):
                 # C(0) = {<>} and C(n+1) = C(n) | C(n).body: body^0 | .. | body^n.
                 # Only the classes new in C(n) can add classes to C(n+1).
@@ -491,15 +618,11 @@ def theorem1_diff(
     """The traces only the loop side has, and those only the unrolled side
     has, of the identity that ``theorem1_sides`` builds, with its errors.
 
-    When both sides are class maps they are compared by class key, and only
-    the classes that one side lacks are listed.
+    The sides are compared by class key, and only the traces that one side
+    lacks are listed.
     """
     left, right = _theorem1(body, ns, k, limits, loc)
-    if isinstance(left, _Classes) and isinstance(right, _Classes):
-        lkeys, rkeys = left.reps.keys(), right.reps.keys()
-        return left.words(lkeys - rkeys), right.words(rkeys - lkeys)
-    left, right = _words(left), _words(right)
-    return left - right, right - left
+    return frozenset(_contrast(left, right)[1]), frozenset(_contrast(right, left)[1])
 
 
 def theorem1_check(

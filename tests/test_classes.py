@@ -1,14 +1,17 @@
 """The class-level evaluator against word-level routes.
 
-Every fragment but ``par`` and the filters is evaluated over
-weak-equivalence classes: a class is keyed by its per-lifeline projections
-and sized by counting the linear extensions of its occurrence order. Each
-result here is checked by a route that lists words instead: ``weak``, the
-permutation oracle, a word-level evaluator written below from the public
-set operators, and the listed sides of the unrolling identity.
+Every fragment but the filters, and a ``par`` whose operands share a
+lifeline, is evaluated over weak-equivalence classes: a class is keyed by
+its per-lifeline projections and sized by counting the linear extensions of
+its occurrence order. Each result here is checked by a route that lists
+words instead: ``weak``, the permutation oracle, a word-level evaluator
+written below from the public set operators, the listed sides of the
+unrolling identity, and set operations on listed trace sets for the
+refinement and conformance verdicts.
 """
 
 import itertools
+import random
 from functools import cache, reduce
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from seqtrace import (
     Alt,
     Basic,
+    ConformanceMode,
     Consider,
     Create,
     Destroy,
@@ -27,25 +31,34 @@ from seqtrace import (
     Loop,
     Message,
     Par,
+    ParsedDiagram,
     Skip,
+    TraceLog,
     TraceSetOverflowError,
+    Verdict,
     WeakSeq,
+    Witness,
     concat_sets,
+    conform,
     count_traces,
     denote,
     filter_trace,
     generate_fragments,
     interleave_sets,
     kleene_bounded,
+    message_alphabet,
     oracle_weak,
     parse,
+    refines,
     render_fragment,
+    render_trace,
+    rendered_traces,
     theorem1_diff,
     theorem1_sides,
     weak,
     weak_over_set,
 )
-from seqtrace.semantics import _class_key, _class_size
+from seqtrace.semantics import _class_key, _class_size, _Classes, _eval
 
 names = st.sampled_from(("A", "B", "C", "D"))
 labels = st.sampled_from(("m1", "m2", "m3"))
@@ -198,3 +211,88 @@ def test_alt_overflows_before_its_later_branches_are_evaluated(evaluate):
     with pytest.raises(TraceSetOverflowError) as info:
         evaluate(d.root, d.initial_namespace, EvalLimits(loop_bound=2, max_traces=7))
     assert str(info.value) == "4:1: trace set exceeds the cap of 7 traces"
+
+
+@cache
+def pars(seed: int, count: int):
+    """Pars of two generated fragments, with filters and lifecycle
+    statements, rendered and parsed back. The operands of every other par
+    are drawn over disjoint lifelines; the others share a pool."""
+    out = []
+    for i in range(count):
+        pools = (("A", "B"), ("C", "D")) if i % 2 else (("A", "B", "C"),) * 2
+        operands = tuple(
+            generate_fragments(GeneratorConfig(
+                max_depth=3, lifeline_pool=pool, seed=seed * 1000 + 2 * i + j,
+                include_filters=True, include_lifecycle=True), 1)[0]
+            for j, pool in enumerate(pools)
+        )
+        out.append(parse(render_fragment(Par(operands))))
+    return out
+
+
+@pytest.mark.parametrize("seed,k,cap", list(itertools.product(range(3), (0, 1, 2), (7, 300))))
+def test_par_and_streamed_listing_equal_the_words(seed, k, cap):
+    limits = EvalLimits(loop_bound=k, max_traces=cap)
+    for d in pars(seed, 30) + generated(seed, 60):
+        root, ns = d.root, d.initial_namespace
+        listed = outcome(lambda: denote(root, ns, limits).traces)
+        assert outcome(lambda: reference(root, limits)) == listed
+        streamed = outcome(lambda: list(rendered_traces(root, ns, limits)))
+        assert streamed == (listed if isinstance(listed, str)
+                            else sorted(render_trace(t) for t in listed))
+
+
+def word_verdict(side, found, k):
+    """The verdict that listed trace sets give."""
+    witnesses = tuple(Witness(side, t) for t in sorted(found, key=render_trace)[:10])
+    return Verdict(not found, witnesses, k, len(found))
+
+
+def verdict_cases(seed: int):
+    """Pairs of diagrams: the second is the next generated fragment, an alt
+    that contains the first, or the first behind a ``consider`` of its own
+    alphabet (words, each class held whole)."""
+    ds = generated(seed, 40) + pars(seed, 10)
+    for a, other in zip(ds, ds[1:]):
+        ns = a.initial_namespace | other.initial_namespace
+        rights = [other.root, Alt((a.root, other.root))]
+        if message_alphabet(a.root):
+            rights.append(Consider(message_alphabet(a.root), a.root))
+        for b in rights:
+            yield ParsedDiagram(ns, a.root), ParsedDiagram(ns, b)
+
+
+@pytest.mark.parametrize("seed,k,cap", list(itertools.product(range(3), (0, 1, 2), (7, 300))))
+def test_verdicts_by_class_equal_the_word_set_operations(seed, k, cap):
+    limits = EvalLimits(loop_bound=k, max_traces=cap)
+    rng = random.Random(seed)
+    for a, b in verdict_cases(seed):
+        left = outcome(lambda: denote(a.root, a.initial_namespace, limits).traces)
+        right = outcome(lambda: denote(b.root, b.initial_namespace, limits).traces)
+        want = left if isinstance(left, str) else right if isinstance(right, str) else (
+            word_verdict("left", left - right, k))
+        assert outcome(lambda: refines(a, b, limits)) == want
+        if isinstance(left, str) or isinstance(right, str):
+            continue
+        # Part of each side's traces, so that classes are covered in part.
+        pool = sorted(left | right, key=render_trace)
+        log = frozenset(rng.sample(pool, len(pool) // 2))
+        for mode, side, found in (
+            (ConformanceMode.REQUIRED, "diagram", left - log),
+            (ConformanceMode.EXHAUSTIVE, "log", log - left),
+            (ConformanceMode.FORBIDDEN, "both", left & log),
+        ):
+            got = conform(a, TraceLog(log), mode, limits)
+            assert got == word_verdict(side, found, k)
+
+
+def test_par_over_disjoint_lifelines_is_classes_and_a_shared_lifeline_words(diagrams_dir):
+    limits = EvalLimits()
+    shared = parse((diagrams_dir / "par_invite.sd").read_text())
+    assert isinstance(_eval(shared.root, limits), frozenset)
+    apart = parse("lifeline A\nlifeline B\nlifeline C\nlifeline D\n"
+                  "par { A -> B : x\n B -> A : y -- C -> D : z\n D -> C : w }")
+    classes = _eval(apart.root, limits)
+    assert isinstance(classes, _Classes)
+    assert (len(classes.reps), classes.total) == (1, 6)

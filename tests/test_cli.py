@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +55,30 @@ class TestTraces:
         code, out, _ = run(capsys, "traces", str(diagrams_dir / "lifecycle_only.sd"))
         assert code == 0
         assert out.strip() == "ε"
+
+    def test_epsilon_sorts_last(self, capsys, tmp_path):
+        # Streamed class by class, the empty trace still prints after every
+        # message, as in a sorted listing.
+        path = tmp_path / "maybe.sd"
+        path.write_text("lifeline A\nlifeline B\nalt {\n  skip\n--\n  A -> B : x\n  B -> B : y\n}\n")
+        code, out, _ = run(capsys, "traces", str(path))
+        assert (code, out) == (0, "A.x.B B.y.B\nε\n")
+
+    def test_closed_pipe_exits_2_without_traceback(self, diagrams_dir):
+        # 13,871 lines: far more than a pipe buffers, so the writer meets the
+        # closed read end while it is still printing.
+        env = dict(os.environ, PYTHONPATH=str(diagrams_dir.parent / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqtrace", "traces", str(diagrams_dir / "loop_pair.sd"),
+             "--max-loop", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err
 
     def test_invalid_diagram_exits_2(self, capsys, diagrams_dir):
         code, out, err = run(

@@ -153,6 +153,22 @@ class TestRefines:
         verdict = refines(wide, narrow, EvalLimits(loop_bound=2))
         assert not verdict.holds
         assert len(verdict.witnesses) == 10  # 76 non-empty traces, capped
+        assert verdict.total == 76
+
+    @pytest.mark.parametrize("between,holds,witnesses", [
+        # B's consider keeps only x then y, one of the class's two traces.
+        ("A -> B : x\nB -> C : z\nC -> D : y", False, ["C.y.D A.x.B"]),
+        # Here it keeps both, so the whole class.
+        ("alt { A -> B : x\nC -> D : y -- C -> D : y\nA -> B : x }", True, []),
+    ])
+    def test_right_side_words_cover_a_class_only_in_full(self, between, holds, witnesses):
+        ns = "lifeline A\nlifeline B\nlifeline C\nlifeline D\n"
+        a = parse(ns + "A -> B : x\nC -> D : y")
+        b = parse(ns + "consider [A -> B : x, C -> D : y] {\n" + between + "\n}")
+        verdict = refines(a, b)
+        assert verdict.holds is holds
+        assert [render_trace(w.trace) for w in verdict.witnesses] == witnesses
+        assert verdict.total == len(witnesses)
 
 
 class TestTraceLog:
@@ -201,7 +217,7 @@ class TestConform:
         verdict = conform(
             self.diagram, self.log_of(self.traces), ConformanceMode.EXHAUSTIVE
         )
-        assert verdict.holds and not verdict.witnesses
+        assert verdict.holds and not verdict.witnesses and verdict.total == 0
 
     def test_exhaustive_rejects_reordered_trace(self):
         m1, m2 = M("A", "m1", "B"), M("A", "m2", "B")
@@ -213,6 +229,7 @@ class TestConform:
         assert not verdict.holds
         assert [w.trace for w in verdict.witnesses] == [bad]
         assert verdict.witnesses[0].side == "log"
+        assert verdict.total == 1
 
     def test_required_needs_every_diagram_trace(self):
         some = next(iter(self.traces))
@@ -221,6 +238,8 @@ class TestConform:
         )
         assert not verdict.holds
         assert all(w.side == "diagram" for w in verdict.witnesses)
+        # The log holds one of the class's three traces.
+        assert verdict.total == 2 and some not in {w.trace for w in verdict.witnesses}
         full = conform(
             self.diagram, self.log_of(self.traces), ConformanceMode.REQUIRED
         )
@@ -237,6 +256,7 @@ class TestConform:
         )
         assert not verdict.holds
         assert verdict.witnesses[0].side == "both"
+        assert [w.trace for w in verdict.witnesses] == [some] and verdict.total == 1
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
@@ -252,3 +272,4 @@ class TestConform:
         rendered = [render_trace(w.trace) for w in verdict.witnesses]
         assert rendered == sorted(rendered)
         assert len(rendered) == 3  # all diagram traces, under the cap of 10
+        assert verdict.total == 3

@@ -42,3 +42,11 @@ def test_loop_growth_counts_past_what_listing_reaches():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert rows[-1][:2] == ["8", "644099773"]
+
+
+def test_cli_corpus_keeps_the_exit_contract():
+    proc = run_script("cli_corpus.py")
+    assert proc.returncode == 0, proc.stderr
+    *runs, summary = proc.stdout.splitlines()
+    assert {line.split()[0] for line in runs} <= {"0", "1", "2"}
+    assert summary == f"runs: {len(runs)}, contract breaches: 0"
