@@ -18,16 +18,16 @@ Weak sequencing orders exactly the message pairs that share a lifeline; a
 trace set is therefore the set of linear extensions of that partial order
 over message occurrences. Occurrences are tracked by position (so repeated
 equal messages from loop unrolling stay chained) and erased in the result.
-That is Mazurkiewicz trace equivalence: a fragment is evaluated over
-classes of traces with equal per-lifeline projections, each held as one
-representative and its size, which ``count_traces`` adds up and
-``theorem1_diff`` and the conformance checks compare by key. Only the
-filters, and a ``par`` whose operands share a lifeline, are held as words.
-A ``par`` of operands on pairwise disjoint lifelines is their weak
-sequence, since every message of one operand commutes with every message
-of the others.
+That is Mazurkiewicz trace equivalence: every fragment is evaluated to a
+map over classes of traces with equal per-lifeline projections. A class
+held whole is one representative and its size, which ``count_traces`` adds
+up and ``theorem1_diff`` and the conformance checks compare by key. The
+filters, and a ``par`` whose operands share a lifeline, hold the classes of
+their words in part, as the words of each class they hold. A ``par`` of
+operands on pairwise disjoint lifelines is their weak sequence, since every
+message of one operand commutes with every message of the others.
 
-One enumerator lists a class: ``_extensions`` yields its traces in
+One enumerator lists a whole class: ``_extensions`` yields its traces in
 rendered-line order. ``weak`` collects them into a set, and
 ``rendered_traces`` and the conformance witnesses merge the classes'
 streams, so a listing is sorted without being held.
@@ -323,8 +323,10 @@ def _class_key(t: Trace) -> tuple:
     """``t``'s projection onto each lifeline, messages spelled as fields."""
     lanes: dict[str, list[tuple[str, str, str]]] = {}
     for m in t:
-        for name in {m.sender, m.receiver}:
-            lanes.setdefault(name, []).append((m.sender, m.label, m.receiver))
+        fields = (m.sender, m.label, m.receiver)
+        lanes.setdefault(m.sender, []).append(fields)
+        if m.receiver != m.sender:
+            lanes.setdefault(m.receiver, []).append(fields)
     return tuple(sorted((name, tuple(ms)) for name, ms in lanes.items()))
 
 
@@ -360,19 +362,26 @@ def _key(t: Trace) -> tuple:
 
 
 class _Classes:
-    """A weakly closed trace set: ``reps`` maps each class key (see ``_key``)
-    to a representative and the class size; ``total``, checked against the
-    cap as classes are added, is the number of traces, which ``words``
-    lists."""
+    """A trace set by weak-equivalence class. ``reps`` maps the key (see
+    ``_key``) of each class held whole to a representative and the class
+    size, and ``loose`` maps the key of each class held in part to the traces
+    of it that are held; no key is in both. ``total``, checked against the
+    cap as traces are added, is the number of traces, which ``words`` lists."""
 
-    def __init__(self, max_traces: int, traces: Iterable[Trace] = ()):
+    def __init__(self, max_traces: int, traces: Iterable[Trace] = (),
+                 loose: Iterable[Trace] = ()):
         self.reps: dict[tuple, tuple[Trace, int]] = {}
+        self.loose: dict[tuple, set[Trace]] = {}
         self.total, self.max_traces = 0, max_traces
         for t in traces:
             self.add(t)
+        for t in loose:
+            self.loose.setdefault(_key(t), set()).add(t)
+        self.total += sum(map(len, self.loose.values()))
+        _cap(self.total, max_traces)
 
     def add(self, rep: Trace) -> bool:
-        """Add ``rep``'s class; whether it was new."""
+        """Add ``rep``'s class whole; whether it was new."""
         key = _key(rep)
         if key in self.reps:
             return False
@@ -381,50 +390,55 @@ class _Classes:
         return True
 
     def merge(self, other: _Classes) -> None:
-        """Add ``other``'s classes."""
+        """Add ``other``'s traces; a class held whole absorbs its loose traces."""
         for key, (rep, size) in other.reps.items():
             if key not in self.reps:
                 self._put(key, rep, size)
+        for key, ts in other.loose.items():
+            if key not in self.reps:
+                held = self.loose.setdefault(key, set())
+                self.total += len(ts - held)
+                held |= ts
+                _cap(self.total, self.max_traces)
 
     def _put(self, key: tuple, rep: Trace, size: int) -> None:
         self.reps[key] = (rep, size)
-        self.total += size
+        self.total += size - len(self.loose.pop(key, ()))
         _cap(self.total, self.max_traces)
 
+    def each(self) -> list[Trace]:
+        """One trace of every class, whole or in part."""
+        return [rep for rep, _ in self.reps.values()] + [
+            next(iter(ts)) for ts in self.loose.values()]
+
     def words(self) -> TraceSet:
-        """Every trace of every class."""
+        """Every trace held."""
         return frozenset().union(*(weak(rep, self.max_traces) if size > 1 else {rep}
-                                   for rep, size in self.reps.values()))
+                                   for rep, size in self.reps.values()), *self.loose.values())
 
 
-def _words(s: TraceSet | _Classes) -> TraceSet:
-    return s.words() if isinstance(s, _Classes) else s
-
-
-def _seq(sets: list[TraceSet | _Classes], mx: int) -> _Classes:
-    """The weak sequence of ``sets``: every concatenation of representatives,
-    each added as its class."""
+def _seq(sets: list[_Classes], mx: int) -> _Classes:
+    """The weak sequence of ``sets``: the concatenations of one trace of each
+    class, each added as its whole class."""
     return reduce(lambda u, v: _Classes(mx, (
-        x + y for x, _ in u.reps.values() for y, _ in v.reps.values()
-    )), [s if isinstance(s, _Classes) else _Classes(mx, s) for s in sets])
+        x + y for x, y in itertools.product(u.each(), v.each()))), sets)
 
 
-def _apart(sets: list[TraceSet | _Classes]) -> bool:
-    """Whether every set is a class map and no two of them share a lifeline."""
+def _apart(sets: list[_Classes]) -> bool:
+    """Whether every set holds its classes whole and no two of them share a
+    lifeline."""
     seen: set[str] = set()
     for s in sets:
-        if not isinstance(s, _Classes):
-            return False
         names = {n for rep, _ in s.reps.values() for m in rep for n in (m.sender, m.receiver)}
-        if not seen.isdisjoint(names):
+        if s.loose or not seen.isdisjoint(names):
             return False
         seen |= names
     return True
 
 
 def _checked_eval(f: Fragment, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
-    """``f``'s trace set or classes and its outgoing namespace; the first
-    scope error is raised before any trace is computed."""
+    """``f``'s classes and its outgoing namespace; the first scope error is
+    raised before any trace is computed."""
     namespace_out, errors = scope(f, ns)
     if errors:
         raise errors[0]
@@ -442,14 +456,13 @@ def denote(
     function of its arguments.
     """
     s, namespace_out = _checked_eval(f, ns, limits)
-    return Denotation(_words(s), namespace_out)
+    return Denotation(s.words(), namespace_out)
 
 
 def count_traces(f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None) -> int:
     """``len(denote(f, ns, limits).traces)``, with the same errors, but with
-    the traces of weakly closed sets counted by class, never listed."""
-    s = _checked_eval(f, ns, limits)[0]
-    return s.total if isinstance(s, _Classes) else len(s)
+    the traces of whole classes counted by class, never listed."""
+    return _checked_eval(f, ns, limits)[0].total
 
 
 def rendered_traces(
@@ -458,16 +471,15 @@ def rendered_traces(
     """``sorted(render_trace(t) for t in denote(f, ns, limits).traces)`` as an
     iterator, with the same errors, raised before the first line.
 
-    The lines of a weakly closed set are enumerated class by class in
-    rendered order and merged as they are consumed; the set is never held.
+    The lines of each whole class are enumerated in rendered order and merged
+    as they are consumed; a whole class is never held.
     """
     s = _checked_eval(f, ns, limits)[0]
-    if not isinstance(s, _Classes):
-        return iter(sorted(map(render_trace, s)))
     reps = s.reps.values()
-    # A class of one is its representative, so those are sorted as one list;
-    # the empty trace is such a class.
-    singles = sorted(render_trace(rep) for rep, size in reps if size == 1)
+    # A class of one is its representative, so those are sorted as one list
+    # with the loose traces; the empty trace is such a class.
+    singles = sorted(map(render_trace, itertools.chain(
+        (rep for rep, size in reps if size == 1), *s.loose.values())))
     return heapq.merge(singles, *(
         map(" ".join, _extensions(rep, [str(m) for m in rep]))
         for rep, size in reps if size > 1
@@ -475,62 +487,48 @@ def rendered_traces(
 
 
 def _contrast(
-    left: TraceSet | _Classes, right: TraceSet | _Classes, common: bool = False
+    left: _Classes, right: _Classes, common: bool = False
 ) -> tuple[int, Iterator[Trace]]:
     """The traces of ``left`` that ``right`` lacks, or with ``common`` those
     that both hold: how many there are, and an iterator over them in
     rendered order.
 
-    Each word of ``left`` takes one lookup: of its class key when ``right``
-    is a class map. Each class of ``left`` is held by a class map ``right``
-    when its key is there; a word set ``right`` holds the words of it that
-    have its key, which are the whole class when they are as many as its
-    size. Sizes give the number, and the traces of a class are enumerated
-    only as the iterator is consumed.
+    ``right`` holds every trace of a class it holds whole, and of a class it
+    holds in part, its loose traces. Sizes give the number; a whole class of
+    ``left`` with traces to list is enumerated only as the iterator is
+    consumed, and one with none builds no stream.
     """
-    if not isinstance(left, _Classes):
-        if isinstance(right, _Classes):
-            # A word that is a key is a chain, its own class.
-            hits = [t for t in left if (t in right.reps or _key(t) in right.reps) is common]
-        else:
-            hits = left & right if common else left - right
-        return len(hits), iter(sorted(hits, key=render_trace))
-    groups: dict[tuple, list[Trace]] | None = None
     total, wholes, loose = 0, [], []
     for key, (rep, size) in left.reps.items():
-        if isinstance(right, _Classes):
-            held = size if key in right.reps else 0
-        elif size == 1:  # a class of one is its representative
-            held = int(rep in right)
-        else:
-            if groups is None:
-                groups = {}
-                for t in right:
-                    groups.setdefault(_key(t), []).append(t)
-            held = len(groups.get(key, ()))
+        part = right.loose.get(key, frozenset())
+        held = size if key in right.reps else len(part)
         n = held if common else size - held
         if not n:
             continue
         total += n
         if n < size and common:
-            loose.extend(groups[key])
+            loose.extend(part)
         elif n < size:
-            wholes.append(itertools.filterfalse(
-                frozenset(groups[key]).__contains__, _extensions(rep, rep)))
+            wholes.append(itertools.filterfalse(part.__contains__, _extensions(rep, rep)))
         elif size == 1:  # a class of one is its representative
             loose.append(rep)
         else:
             wholes.append(_extensions(rep, rep))
+    for key, ts in left.loose.items():
+        held = ts if key in right.reps else ts & right.loose.get(key, frozenset())
+        hits = held if common else ts - held
+        total += len(hits)
+        loose.extend(hits)
     loose.sort(key=render_trace)
     return total, heapq.merge(*wholes, loose, key=render_trace)
 
 
-def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
-    """The trace set of a scope-checked fragment; held by its classes unless
-    a ``par`` of operands that share a lifeline, or a filter, makes it words.
-    The cap is checked on exact sizes where a union of words would be, so
-    the same fragment overflows: an overflow raised without a location takes
-    ``f``'s."""
+def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
+    """The trace set of a scope-checked fragment, by class: held whole but
+    for the filters and a ``par`` whose operands share a lifeline, which
+    hold the classes of their words in part. The cap is checked on exact
+    sizes where a union of words would be, so the same fragment overflows:
+    an overflow raised without a location takes ``f``'s."""
     mx = limits.max_traces
     try:
         match f:
@@ -539,43 +537,36 @@ def _eval(f: Fragment, limits: EvalLimits) -> TraceSet | _Classes:
             case WeakSeq(children=parts):
                 return _seq([_eval(part, limits) for part in parts], mx)
             case Alt(branches=branches):
-                # Classes while every branch so far is classes, else words.
-                out: _Classes | set[Trace] = _Classes(mx)
+                out = _Classes(mx)
                 for b in branches:
-                    s = _eval(b, limits)
-                    if isinstance(out, _Classes) and isinstance(s, _Classes):
-                        out.merge(s)
-                        continue
-                    out = set(out.words()) if isinstance(out, _Classes) else out
-                    out |= _words(s)
-                    _cap(len(out), mx)
-                return out if isinstance(out, _Classes) else frozenset(out)
+                    out.merge(_eval(b, limits))
+                return out
             case Par(operands=operands):
                 sets = [_eval(op, limits) for op in operands]
                 if _apart(sets):
                     # Every cross pair of messages commutes: a weak sequence.
                     return _seq(sets, mx)
-                return reduce(lambda u, v: interleave_sets(u, v, mx), map(_words, sets))
+                words = (s.words() for s in sets)
+                return _Classes(mx, loose=reduce(lambda u, v: interleave_sets(u, v, mx), words))
             case Loop(body=body):
                 # C(0) = {<>} and C(n+1) = C(n) | C(n).body: body^0 | .. | body^n.
                 # Only the classes new in C(n) can add classes to C(n+1).
-                part, closure, fresh = _eval(body, limits), _Classes(mx, [()]), [()]
+                part, closure, fresh = _eval(body, limits).each(), _Classes(mx, [()]), [()]
                 for _ in range(limits.loop_bound):
-                    part = part if isinstance(part, _Classes) else _Classes(mx, part)
-                    fresh = [x + y for x in fresh for y, _ in part.reps.values()
-                             if closure.add(x + y)]
+                    fresh = [x + y for x in fresh for y in part if closure.add(x + y)]
                 return closure
             case Create() | Destroy() | Skip():
                 return _Classes(mx, [()])
             case Consider(alphabet=alphabet, body=body):
-                return frozenset(filter_trace(alphabet, t) for t in _words(_eval(body, limits)))
+                words = _eval(body, limits).words()
+                return _Classes(mx, loose={filter_trace(alphabet, t) for t in words})
             case Ignore(alphabet=alphabet, body=body):
                 # Equivalent to keeping the complement of `alphabet` within the
                 # whole diagram's message alphabet: traces only ever contain
                 # messages that occur in the diagram.
-                return frozenset(
-                    tuple(m for m in t if m not in alphabet) for t in _words(_eval(body, limits))
-                )
+                words = _eval(body, limits).words()
+                kept = {tuple(m for m in t if m not in alphabet) for t in words}
+                return _Classes(mx, loose=kept)
     except TraceSetOverflowError as exc:
         if exc.loc is not None or f.loc is None:
             raise
@@ -608,7 +599,7 @@ def theorem1_sides(
     bound pinned to ``k`` so nested loops are treated identically).
     """
     left, right = _theorem1(body, ns, k, limits, loc)
-    return _words(left), _words(right)
+    return left.words(), right.words()
 
 
 def theorem1_diff(

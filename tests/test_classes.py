@@ -1,13 +1,13 @@
 """The class-level evaluator against word-level routes.
 
-Every fragment but the filters, and a ``par`` whose operands share a
-lifeline, is evaluated over weak-equivalence classes: a class is keyed by
-its per-lifeline projections and sized by counting the linear extensions of
-its occurrence order. Each result here is checked by a route that lists
-words instead: ``weak``, the permutation oracle, a word-level evaluator
-written below from the public set operators, the listed sides of the
-unrolling identity, and set operations on listed trace sets for the
-refinement and conformance verdicts.
+Every fragment is evaluated over weak-equivalence classes: a class is
+keyed by its per-lifeline projections and, held whole, sized by counting
+the linear extensions of its occurrence order; the filters, and a ``par``
+whose operands share a lifeline, hold the classes of their words in part.
+Each result here is checked by a route that lists words instead: ``weak``,
+the permutation oracle, a word-level evaluator written below from the
+public set operators, the listed sides of the unrolling identity, and set
+operations on listed trace sets for the refinement and conformance verdicts.
 """
 
 import itertools
@@ -58,7 +58,7 @@ from seqtrace import (
     weak,
     weak_over_set,
 )
-from seqtrace.semantics import _class_key, _class_size, _Classes, _eval
+from seqtrace.semantics import _class_key, _class_size, _eval
 
 names = st.sampled_from(("A", "B", "C", "D"))
 labels = st.sampled_from(("m1", "m2", "m3"))
@@ -289,10 +289,20 @@ def test_verdicts_by_class_equal_the_word_set_operations(seed, k, cap):
 
 def test_par_over_disjoint_lifelines_is_classes_and_a_shared_lifeline_words(diagrams_dir):
     limits = EvalLimits()
-    shared = parse((diagrams_dir / "par_invite.sd").read_text())
-    assert isinstance(_eval(shared.root, limits), frozenset)
+    shared = _eval(parse((diagrams_dir / "par_invite.sd").read_text()).root, limits)
+    assert (shared.reps, shared.total) == ({}, 6)
+    assert sum(map(len, shared.loose.values())) == 6
     apart = parse("lifeline A\nlifeline B\nlifeline C\nlifeline D\n"
                   "par { A -> B : x\n B -> A : y -- C -> D : z\n D -> C : w }")
     classes = _eval(apart.root, limits)
-    assert isinstance(classes, _Classes)
-    assert (len(classes.reps), classes.total) == (1, 6)
+    assert (len(classes.reps), classes.loose, classes.total) == (1, {}, 6)
+
+
+def test_alt_of_a_loop_and_a_filter_keeps_the_loop_by_class(diagrams_dir):
+    loop = parse((diagrams_dir / "loop_pair.sd").read_text())
+    kept = Message("A", "m1", "B")
+    mixed = Alt((loop.root, Consider(frozenset({kept}), loop.root.body)))
+    s = _eval(mixed, EvalLimits(loop_bound=5))
+    assert s.reps == _eval(loop.root, EvalLimits(loop_bound=5)).reps
+    assert s.loose == {(kept,): {(kept,)}}
+    assert count_traces(mixed, loop.initial_namespace, EvalLimits(loop_bound=5)) == 198_628

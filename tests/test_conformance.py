@@ -273,3 +273,12 @@ class TestConform:
         assert rendered == sorted(rendered)
         assert len(rendered) == 3  # all diagram traces, under the cap of 10
         assert verdict.total == 3
+
+    def test_log_is_not_held_to_the_trace_cap(self):
+        # The cap bounds the diagram's traces; a log past it is still read whole.
+        foreign = {(M("Z", f"x{i}", "Z"),) for i in range(10)}
+        log = self.log_of(self.traces | foreign)
+        limits = EvalLimits(max_traces=len(self.traces))
+        totals = {mode: conform(self.diagram, log, mode, limits).total for mode in ConformanceMode}
+        assert totals == {ConformanceMode.REQUIRED: 0, ConformanceMode.EXHAUSTIVE: 10,
+                          ConformanceMode.FORBIDDEN: 3}
