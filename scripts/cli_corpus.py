@@ -6,13 +6,15 @@ Each line holds the exit code, digests of stdout and stderr, and the argv:
     PYTHONPATH=../other/src python3 scripts/cli_corpus.py > other.txt
     diff other.txt change.txt
 
-The matrix covers every file in diagrams/ and diagrams/invalid/: parse,
+The matrix covers every diagram in diagrams/ and diagrams/invalid/: parse,
 check, traces --max-loop 3 (with and without --count), traces --max-traces
-5|50 and theorem --depth 0|2|3|6 on each; refine on every ordered pair; and
+5|50 and theorem --depth 0|2|3|6 on each; refine on every ordered pair;
 conform in all three modes on every pair, with the second diagram's
-`traces` output as the log. The commands run in process through
-`seqtrace.cli.main`; an exception that escapes it is reported the way the
-interpreter would, as a traceback on stderr and exit code 1.
+`traces` output as the log; and conform in all three modes of every
+diagram against each hand-written log in diagrams/ (`*.log`, with repeated
+lines, comments, blank lines, tabs and ε). The commands run in process
+through `seqtrace.cli.main`; an exception that escapes it is reported the
+way the interpreter would, as a traceback on stderr and exit code 1.
 
 The last line counts the runs that broke the exit contract (an exit code
 other than 0, 1 or 2, or a traceback on stderr); the script exits 1 if any
@@ -68,6 +70,7 @@ def main() -> int:
         (ROOT / "diagrams" / "invalid").glob("*.sd")
     )
     names = [str(f.relative_to(ROOT)) for f in files]
+    hand_logs = sorted((ROOT / "diagrams").glob("*.log"))
     runs = breaches = 0
 
     def report(argv: list[str], shown: list[str]) -> str:
@@ -94,6 +97,10 @@ def main() -> int:
                 for mode in MODES:
                     report(["conform", str(a), str(logs[b_name]), "--mode", mode],
                            ["conform", a_name, f"log({b_name})", "--mode", mode])
+            for log in hand_logs:
+                for mode in MODES:
+                    report(["conform", str(a), str(log), "--mode", mode],
+                           ["conform", a_name, str(log.relative_to(ROOT)), "--mode", mode])
     print(f"runs: {runs}, contract breaches: {breaches}")
     return 1 if breaches else 0
 

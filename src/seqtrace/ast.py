@@ -91,7 +91,7 @@ class Basic:
     messages: tuple[Message, ...]
     loc: Loc | None = field(default=None, compare=False)
     # Per-message locations, parallel to `messages`; used for diagnostics.
-    message_locs: tuple[Loc, ...] | None = field(default=None, compare=False)
+    message_locs: tuple[Loc | None, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.messages:

@@ -3,10 +3,10 @@
 Commands: parse, check, traces, refine, conform, theorem. Exit codes are
 uniform: 0 when the command succeeds / the checked property holds, 1 when
 a checked property fails (with witnesses on stdout), 2 on usage, parse,
-validation, or evaluation errors (diagnostics on stderr), and 2 when the
-reader of stdout goes away before the output ends. Machine-readable output
-goes to stdout only and is deterministic: traces print sorted, streamed
-as they are enumerated.
+validation, or evaluation errors (diagnostics on stderr), 2 when memory
+runs out, and 2 when the reader of stdout goes away before the output
+ends. Machine-readable output goes to stdout only and is deterministic:
+traces print sorted, streamed as they are enumerated.
 """
 
 from __future__ import annotations
@@ -215,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader of stdout has gone. Point stdout at the null device so

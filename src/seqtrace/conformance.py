@@ -27,13 +27,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable
 
 from seqtrace.ast import (
     EMPTY_TRACE_TOKEN,
     Message,
     Trace,
     TraceSet,
+    render_trace,
 )
 from seqtrace.errors import Diagnostic, LogParseError
 from seqtrace.parser import ParsedDiagram
@@ -90,20 +91,20 @@ def _parse_log_message(token: str, line_no: int) -> Message:
 
 def parse_trace_log(text: str) -> TraceLog:
     """Parse a trace log: one trace per line, messages as sender.label.receiver
-    separated by blanks, epsilon for the empty trace, ``#`` comments."""
-    traces: set[Trace] = set()
+    separated by blanks, epsilon for the empty trace, ``#`` comments.
+
+    Each distinct line is read once, at its first occurrence, so an error
+    names the first bad line."""
+    first: dict[tuple[str, ...], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens == [EMPTY_TRACE_TOKEN]:
-            traces.add(())
-            continue
-        if EMPTY_TRACE_TOKEN in tokens:
-            raise LogParseError(
-                "the empty-trace marker cannot mix with messages", line_no
-            )
+        first.setdefault(tuple(raw.split("#", 1)[0].split()), line_no)
+    first.pop((), None)
+    traces: set[Trace] = set()
+    for tokens, line_no in first.items():
+        if tokens == (EMPTY_TRACE_TOKEN,):
+            tokens = ()
+        elif EMPTY_TRACE_TOKEN in tokens:
+            raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
         traces.add(tuple(_parse_log_message(tok, line_no) for tok in tokens))
     return TraceLog(frozenset(traces))
 
@@ -119,7 +120,7 @@ def validate(d: ParsedDiagram) -> list[Diagnostic]:
     return [Diagnostic(e.code, e.message, e.loc) for e in errors]
 
 
-def _verdict(side: str, total: int, ordered: Iterator[Trace], limits: EvalLimits) -> Verdict:
+def _verdict(side: str, total: int, ordered: Iterable[Trace], limits: EvalLimits) -> Verdict:
     witnesses = tuple(Witness(side, t) for t in itertools.islice(ordered, MAX_WITNESSES))
     return Verdict(not total, witnesses, limits.loop_bound, total)
 
@@ -132,8 +133,7 @@ def refines(
     Plain trace-set inclusion under identical evaluation limits; witnesses
     are traces of ``a`` that ``b`` cannot exhibit.
     """
-    if limits is None:
-        limits = EvalLimits()
+    limits = limits or EvalLimits()
     left = _checked_eval(a.root, a.initial_namespace, limits)[0]
     right = _checked_eval(b.root, b.initial_namespace, limits)[0]
     return _verdict("left", *_contrast(left, right), limits)
@@ -146,13 +146,15 @@ def conform(
     limits: EvalLimits | None = None,
 ) -> Verdict:
     """Check the selected relation between diagram traces and logged traces."""
-    if limits is None:
-        limits = EvalLimits()
+    limits = limits or EvalLimits()
     diagram = _checked_eval(d.root, d.initial_namespace, limits)[0]
     # The log's own size is a cap it cannot pass: no verdict overflows on it.
     system = _Classes(len(log.traces), loose=log.traces)
     if mode is ConformanceMode.REQUIRED:
         return _verdict("diagram", *_contrast(diagram, system), limits)
+    total, unexplained = _contrast(system, diagram)
     if mode is ConformanceMode.EXHAUSTIVE:
-        return _verdict("log", *_contrast(system, diagram), limits)
-    return _verdict("both", *_contrast(diagram, system, common=True), limits)
+        return _verdict("log", total, unexplained, limits)
+    # The logged traces that the diagram has: the rest of the log.
+    both = sorted(log.traces.difference(unexplained), key=render_trace)
+    return _verdict("both", len(both), both, limits)

@@ -22,6 +22,7 @@ statements stand alone; an empty diagram parses to skip.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -121,14 +122,6 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-@dataclass
-class _Msg:
-    """A message statement, kept separate until coalescing."""
-
-    message: Message
-    loc: Loc
-
-
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -165,7 +158,7 @@ class _Parser:
 
     def diagram(self) -> ParsedDiagram:
         declared: dict[str, Loc] = {}
-        items: list[_Msg | Fragment] = []
+        items: list[Fragment] = []
         while True:
             tok = self.peek()
             if tok.kind == "EOF":
@@ -178,10 +171,10 @@ class _Parser:
                 declared[name_tok.text] = name_tok.loc
             else:
                 items.append(self.statement())
-        root = _assemble(items) or Skip()
+        root = _sequence(items) or Skip()
         return ParsedDiagram(frozenset(declared), root)
 
-    def statement(self) -> _Msg | Fragment:
+    def statement(self) -> Fragment:
         tok = self.peek()
         if tok.kind != "WORD":
             raise ParseError(
@@ -210,15 +203,15 @@ class _Parser:
                 tok.loc,
                 ("statement",),
             )
-        return self.message()
+        return Basic((self.message(),), loc=tok.loc, message_locs=(tok.loc,))
 
-    def message(self) -> _Msg:
+    def message(self) -> Message:
         sender = self.name("lifeline name")
         self.expect("ARROW", "'->'")
         receiver = self.name("lifeline name")
         self.expect("COLON", "':'")
         label = self.expect("WORD", "message label")
-        return _Msg(Message(sender.text, label.text, receiver.text), sender.loc)
+        return Message(sender.text, label.text, receiver.text)
 
     def block(self, keyword: str) -> Fragment:
         """``keyword [msgset] { stmts (-- stmts)* }``; the message set is read
@@ -227,14 +220,14 @@ class _Parser:
         alphabet: set[Message] = set()
         if keyword in ("consider", "ignore"):
             self.expect("LBRACKET", "'['")
-            alphabet.add(self.message().message)
+            alphabet.add(self.message())
             while self.peek().kind == "COMMA":
                 self.advance()
-                alphabet.add(self.message().message)
+                alphabet.add(self.message())
             self.expect("RBRACKET", "']'")
         self.expect("LBRACE", "'{'")
         operands: list[Fragment] = []
-        items: list[_Msg | Fragment] = []
+        items: list[Fragment] = []
         while True:
             tok = self.peek()
             if tok.kind == "EOF":
@@ -249,7 +242,7 @@ class _Parser:
                 items.append(self.statement())
                 continue
             self.advance()
-            operand = _assemble(items)
+            operand = _sequence(items)
             if operand is None:
                 raise EmptyBlockError(keyword, tok.loc)
             operands.append(operand)
@@ -264,34 +257,22 @@ class _Parser:
         return node(frozenset(alphabet), operands[0], loc=kw_tok.loc)
 
 
-def _assemble(items: list) -> Fragment | None:
-    """Coalesce message runs into basics and sequence multiple statements."""
-    fragments: list[Fragment] = []
-    run: list[_Msg] = []
-
-    def flush() -> None:
-        if run:
-            fragments.append(
-                Basic(
-                    tuple(m.message for m in run),
-                    loc=run[0].loc,
-                    message_locs=tuple(m.loc for m in run),
-                )
-            )
-            run.clear()
-
-    for item in items:
-        if isinstance(item, _Msg):
-            run.append(item)
-        else:
-            flush()
-            fragments.append(item)
-    flush()
-    if not fragments:
-        return None
-    if len(fragments) == 1:
-        return fragments[0]
-    return WeakSeq(tuple(fragments), loc=fragments[0].loc)
+def _sequence(parts: list[Fragment]) -> Fragment | None:
+    """Merge each run of adjacent basics into one, at the first one's location
+    and with every message's own, then sequence what is left: None for no
+    parts, and a single part stands alone."""
+    seq: list[Fragment] = []
+    for is_basic, run in itertools.groupby(parts, lambda part: isinstance(part, Basic)):
+        if not is_basic:
+            seq.extend(run)
+            continue
+        run = list(run)
+        locs = tuple(loc for b in run for loc in b.message_locs or (b.loc,) * len(b.messages))
+        seq.append(Basic(tuple(m for b in run for m in b.messages), loc=run[0].loc,
+                         message_locs=locs if any(locs) else None))
+    if len(seq) < 2:
+        return seq[0] if seq else None
+    return WeakSeq(tuple(seq), loc=seq[0].loc)
 
 
 def parse(source: str) -> ParsedDiagram:
@@ -301,18 +282,13 @@ def parse(source: str) -> ParsedDiagram:
 
 def canonicalize(f: Fragment) -> Fragment:
     """The parse-normal form of a fragment: nested weak sequences flattened,
-    adjacent basics merged, single-child sequences unwrapped."""
+    adjacent basics merged (keeping their locations), single-child sequences
+    unwrapped."""
     parts = [canonicalize(part) for part in children(f)]
     if not isinstance(f, WeakSeq):
         return rebuild(f, parts)
-    merged: list[Fragment] = []
-    for part in parts:
-        for c in part.children if isinstance(part, WeakSeq) else (part,):
-            if merged and isinstance(c, Basic) and isinstance(merged[-1], Basic):
-                merged[-1] = Basic(merged[-1].messages + c.messages)
-            else:
-                merged.append(c)
-    return merged[0] if len(merged) == 1 else WeakSeq(tuple(merged))
+    return _sequence([c for part in parts
+                      for c in (part.children if isinstance(part, WeakSeq) else (part,))])
 
 
 def _render_message(m: Message) -> str:

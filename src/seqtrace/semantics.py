@@ -64,6 +64,7 @@ from seqtrace.ast import (
     TraceSet,
     WeakSeq,
     children,
+    message_alphabet,
     render_trace,
     shares_lifeline,
 )
@@ -486,12 +487,9 @@ def rendered_traces(
     ))
 
 
-def _contrast(
-    left: _Classes, right: _Classes, common: bool = False
-) -> tuple[int, Iterator[Trace]]:
-    """The traces of ``left`` that ``right`` lacks, or with ``common`` those
-    that both hold: how many there are, and an iterator over them in
-    rendered order.
+def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[Trace]]:
+    """The traces of ``left`` that ``right`` lacks: how many there are, and an
+    iterator over them in rendered order.
 
     ``right`` holds every trace of a class it holds whole, and of a class it
     holds in part, its loose traces. Sizes give the number; a whole class of
@@ -501,24 +499,21 @@ def _contrast(
     total, wholes, loose = 0, [], []
     for key, (rep, size) in left.reps.items():
         part = right.loose.get(key, frozenset())
-        held = size if key in right.reps else len(part)
-        n = held if common else size - held
+        n = 0 if key in right.reps else size - len(part)
         if not n:
             continue
         total += n
-        if n < size and common:
-            loose.extend(part)
-        elif n < size:
+        if part:
             wholes.append(itertools.filterfalse(part.__contains__, _extensions(rep, rep)))
         elif size == 1:  # a class of one is its representative
             loose.append(rep)
         else:
             wholes.append(_extensions(rep, rep))
     for key, ts in left.loose.items():
-        held = ts if key in right.reps else ts & right.loose.get(key, frozenset())
-        hits = held if common else ts - held
-        total += len(hits)
-        loose.extend(hits)
+        if key not in right.reps:
+            missing = ts - right.loose.get(key, frozenset())
+            total += len(missing)
+            loose.extend(missing)
     loose.sort(key=render_trace)
     return total, heapq.merge(*wholes, loose, key=render_trace)
 
@@ -554,19 +549,17 @@ def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
                 part, closure, fresh = _eval(body, limits).each(), _Classes(mx, [()]), [()]
                 for _ in range(limits.loop_bound):
                     fresh = [x + y for x in fresh for y in part if closure.add(x + y)]
+                    if not fresh:  # a fixpoint: no later round adds a class
+                        break
                 return closure
             case Create() | Destroy() | Skip():
                 return _Classes(mx, [()])
-            case Consider(alphabet=alphabet, body=body):
+            case Consider(alphabet=alphabet, body=body) | Ignore(alphabet=alphabet, body=body):
+                # ignore keeps the rest of the body's own messages, the only
+                # ones its traces hold.
+                kept = alphabet if isinstance(f, Consider) else message_alphabet(body) - alphabet
                 words = _eval(body, limits).words()
-                return _Classes(mx, loose={filter_trace(alphabet, t) for t in words})
-            case Ignore(alphabet=alphabet, body=body):
-                # Equivalent to keeping the complement of `alphabet` within the
-                # whole diagram's message alphabet: traces only ever contain
-                # messages that occur in the diagram.
-                words = _eval(body, limits).words()
-                kept = {tuple(m for m in t if m not in alphabet) for t in words}
-                return _Classes(mx, loose=kept)
+                return _Classes(mx, loose={filter_trace(kept, t) for t in words})
     except TraceSetOverflowError as exc:
         if exc.loc is not None or f.loc is None:
             raise

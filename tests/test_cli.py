@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from seqtrace import cli
 from seqtrace.cli import main
 
 M1_LINES = [
@@ -334,6 +335,16 @@ class TestTheorem:
             "--max-traces", "1000000000",
         )
         assert (code, out, err) == (0, "EQUAL\n", "")
+
+    def test_out_of_memory_exits_2_without_traceback(self, capsys, diagrams_dir, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "theorem1_diff", exhausted)
+        code, out, err = run(
+            capsys, "theorem", str(diagrams_dir / "loop_pair.sd"), "--depth", "30000"
+        )
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_unequal_lists_the_witnesses(self, capsys, tmp_path):
         # The filtered body's word A.a.B C.c.D is not weakly closed: the loop

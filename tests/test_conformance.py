@@ -202,6 +202,21 @@ class TestTraceLog:
             parse_trace_log("A.m.B\n" + line + "\n")
         assert err.value.line_no == 2
 
+    def test_repeated_bad_line_reports_its_first_line(self):
+        with pytest.raises(LogParseError) as err:
+            parse_trace_log("A.m.B\nA..B\nA.m.B\nA..B\n")
+        assert err.value.line_no == 2
+
+    def test_earlier_bad_line_wins(self):
+        with pytest.raises(LogParseError) as err:
+            parse_trace_log("A.m.B\nA.m.B\nA-m-B\nA..B\nA-m-B\n")
+        assert err.value.line_no == 3
+        assert "A-m-B" in str(err.value)
+
+    def test_lines_equal_up_to_blanks_and_comments_are_one_trace(self):
+        log = parse_trace_log("A.m.B C.n.D\n  A.m.B\tC.n.D\nA.m.B  C.n.D  # again\n")
+        assert log.traces == {(M("A", "m", "B"), M("C", "n", "D"))}
+
 
 class TestConform:
     def setup_method(self):

@@ -1,5 +1,7 @@
 """Trace-set concatenation, the bounded closure, and the unrolling identity."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from seqtrace import (
     TraceSetOverflowError,
     WeakSeq,
     concat_sets,
+    count_traces,
     denote,
     generate_fragments,
     kleene_bounded,
@@ -83,6 +86,14 @@ class TestLoopSemantics:
 
     def test_bound_zero_only_empty(self):
         assert denote(Loop(loop_body), NS, EvalLimits(loop_bound=0)).traces == {()}
+
+    def test_closure_stops_at_its_fixpoint(self):
+        # The body's only trace is the empty one, so no round after the first
+        # adds a class; the bound must not cost a round each.
+        body = WeakSeq((Create("B"), Destroy("B")))
+        start = time.perf_counter()
+        assert count_traces(Loop(body), {"A"}, EvalLimits(loop_bound=10**7)) == 1
+        assert time.perf_counter() - start < 0.5
 
     def test_iterations_interleave_across_lifeline_groups(self):
         # Both chains of the second iteration may run before the first

@@ -17,6 +17,7 @@ from seqtrace import (
     Message,
     Par,
     ParseError,
+    ParsedDiagram,
     Skip,
     WeakSeq,
     canonicalize,
@@ -24,6 +25,7 @@ from seqtrace import (
     generate_fragments,
     parse,
     render_fragment,
+    validate,
 )
 from seqtrace.ast import Loc, children, rebuild
 
@@ -98,6 +100,14 @@ class TestParse:
         d = parse("lifeline A\nlifeline B\n\nA -> B : m1")
         assert d.root.loc is not None
         assert (d.root.loc.line, d.root.loc.column) == (4, 1)
+
+    def test_message_runs_keep_every_location(self):
+        d = parse("lifeline A\nlifeline B\nA -> B : m1\n  A -> B : m2\n"
+                  "loop { B -> A : m3 }\nB -> A : m4\nA -> B : m5\n")
+        before, loop, after = d.root.children
+        assert (before.loc, before.message_locs) == (Loc(3, 1), (Loc(3, 1), Loc(4, 3)))
+        assert loop.body.message_locs == (Loc(5, 8),)
+        assert (after.loc, after.message_locs) == (Loc(6, 1), (Loc(6, 1), Loc(7, 1)))
 
 
 # Rejected source text -> the (line, column) its ParseError names.
@@ -247,6 +257,14 @@ class TestCanonicalize:
         a = Basic((M("A", "m1", "B"),))
         b = Basic((M("A", "m2", "B"),))
         assert canonicalize(WeakSeq((a, b))) == Basic(a.messages + b.messages)
+
+    def test_merged_basics_keep_their_locations(self):
+        a = Basic((M("A", "m1", "B"),), loc=Loc(2, 1), message_locs=(Loc(2, 1),))
+        b = Basic((M("A", "m2", "C"),), loc=Loc(3, 1), message_locs=(Loc(3, 1),))
+        merged = canonicalize(WeakSeq((a, b)))
+        assert (merged.loc, merged.message_locs) == (Loc(2, 1), (Loc(2, 1), Loc(3, 1)))
+        (diag,) = validate(ParsedDiagram(frozenset({"A", "B"}), merged))
+        assert str(diag).startswith("3:1: unknown-lifeline: ")
 
     def test_recurses_into_blocks(self):
         a = Basic((M("A", "m1", "B"),))
