@@ -67,19 +67,6 @@ MAX_NESTING = 200
 _TOKEN_RE = re.compile(
     r"[ \t\r]*(?:(#[^\n]*)|(\n)|([A-Za-z0-9_.]+)|(->|--|[{}\[\],:])|(.)|\Z)"
 )
-_PUNCT = {
-    "->": "ARROW",
-    "--": "DASHDASH",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    ":": "COLON",
-}
-# Punctuation tokens share the table's strings instead of slicing a fresh
-# copy of "->" or "--" out of the source at every occurrence.
-_PUNCT_TOKEN = {text: (kind, text) for text, kind in _PUNCT.items()}
 
 
 @dataclass(frozen=True)
@@ -90,171 +77,166 @@ class ParsedDiagram:
     root: Fragment
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # WORD | ARROW | DASHDASH | COLON | LBRACE | ... | EOF
-    text: str
-    loc: Loc
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0  # line_start: offset of the current line
+def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of ``source`` as ``(kind, text, line, column)`` tuples, the
+    last of kind EOF. A word's kind is WORD, punctuation's is its own text."""
+    tokens = []
+    append = tokens.append
+    line, line_start = 1, -1  # line_start: the offset just before the line
     for m in _TOKEN_RE.finditer(source):
         group = m.lastindex
-        if group is None:
-            tokens.append(_Token("EOF", "", Loc(line, m.end() - line_start + 1)))
-            break
-        if group == 2:
+        if group == 3:
+            append(("WORD", m[3], line, m.start(3) - line_start))
+        elif group == 4:
+            text = m[4]
+            append((text, text, line, m.start(4) - line_start))
+        elif group == 2:
             line += 1
-            line_start = m.end()
-        elif group > 2:  # group 1, a comment, yields no token
-            text = m.group(group)
-            loc = Loc(line, m.start(group) - line_start + 1)
-            if group == 3:
-                tokens.append(_Token("WORD", text, loc))
-            elif group == 4:
-                tokens.append(_Token(*_PUNCT_TOKEN[text], loc))
-            elif text == "-":
+            line_start = m.start(2)
+        elif group is None:
+            append(("EOF", "", line, m.end() - line_start))
+            break
+        elif group == 5:  # any other character; a comment yields no token
+            loc = Loc(line, m.start(5) - line_start)
+            if m[5] == "-":
                 raise ParseError("stray '-'; expected '->' or '--'", loc, ("->", "--"))
-            else:
-                raise ParseError(f"unexpected character {text!r}", loc, ())
+            raise ParseError(f"unexpected character {m[5]!r}", loc, ())
     return tokens
 
 
+def _loc(tok: tuple) -> Loc:
+    return Loc(tok[2], tok[3])
+
+
+def _unexpected(tok: tuple, what: str, expected: str | None = None) -> ParseError:
+    found = repr(tok[1]) if tok[1] else "end of input"
+    return ParseError(f"expected {what}, found {found}", _loc(tok), (expected or what,))
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # blocks open around the current token
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise _unexpected(tok, what)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input",
-                tok.loc,
-                (what,),
-            )
-        return self.advance()
-
-    def name(self, what: str) -> _Token:
+    def name(self, what: str) -> tuple:
         tok = self.expect("WORD", what)
-        if tok.text in KEYWORDS:
-            raise ParseError(
-                f"keyword {tok.text!r} cannot be used as a {what}", tok.loc, (what,)
-            )
-        if not is_valid_name(tok.text):
-            raise ParseError(f"invalid {what}: {tok.text!r}", tok.loc, (what,))
+        if tok[1] in KEYWORDS:
+            raise ParseError(f"keyword {tok[1]!r} cannot be used as a {what}", _loc(tok), (what,))
+        if not is_valid_name(tok[1]):
+            raise ParseError(f"invalid {what}: {tok[1]!r}", _loc(tok), (what,))
         return tok
 
     def diagram(self) -> ParsedDiagram:
-        declared: dict[str, Loc] = {}
+        declared: set[str] = set()
         items: list[Fragment] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind == "WORD" and tok.text == "lifeline":
-                self.advance()
-                name_tok = self.name("lifeline name")
-                if name_tok.text in declared:
-                    raise DuplicateLifelineError(name_tok.text, name_tok.loc)
-                declared[name_tok.text] = name_tok.loc
-            else:
+        while (tok := self.peek())[0] != "EOF":
+            if tok[1] != "lifeline":
                 items.append(self.statement())
-        root = _sequence(items) or Skip()
-        return ParsedDiagram(frozenset(declared), root)
+                continue
+            self.pos += 1
+            tok = self.name("lifeline name")
+            if tok[1] in declared:
+                raise DuplicateLifelineError(tok[1], _loc(tok))
+            declared.add(tok[1])
+        return ParsedDiagram(frozenset(declared), _sequence(items) or Skip())
 
     def statement(self) -> Fragment:
         tok = self.peek()
-        if tok.kind != "WORD":
-            raise ParseError(
-                f"expected a statement, found {tok.text!r}" if tok.text else "expected a statement, found end of input",
-                tok.loc,
-                ("statement",),
-            )
-        word = tok.text
-        if word == "skip":
-            self.advance()
-            return Skip(loc=tok.loc)
-        if word in ("create", "destroy"):
-            self.advance()
-            node = Create if word == "create" else Destroy
-            return node(self.name("lifeline name").text, loc=tok.loc)
-        if word in ("loop", "alt", "par", "consider", "ignore"):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"blocks nest deeper than {MAX_NESTING} levels", tok.loc)
-            frag = self.block(word)
-            self.depth -= 1
-            return frag
+        if tok[0] != "WORD":
+            raise _unexpected(tok, "a statement", "statement")
+        word, loc = tok[1], _loc(tok)
+        if word not in KEYWORDS:  # a run of message statements is one basic
+            messages, locs = [self.message()], [loc]
+            while (tok := self.peek())[0] == "WORD" and tok[1] not in KEYWORDS:
+                locs.append(_loc(tok))
+                messages.append(self.message())
+            return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
         if word == "lifeline":
-            raise ParseError(
-                "lifeline declarations are only allowed at the top level",
-                tok.loc,
-                ("statement",),
-            )
-        return Basic((self.message(),), loc=tok.loc, message_locs=(tok.loc,))
+            raise ParseError("lifeline declarations are only allowed at the top level",
+                             loc, ("statement",))
+        self.pos += 1
+        if word == "skip":
+            return Skip(loc=loc)
+        if word in ("create", "destroy"):
+            return (Create if word == "create" else Destroy)(self.name("lifeline name")[1], loc=loc)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"blocks nest deeper than {MAX_NESTING} levels", loc)
+        frag = self.block(word, loc)
+        self.depth -= 1
+        return frag
 
     def message(self) -> Message:
-        sender = self.name("lifeline name")
-        self.expect("ARROW", "'->'")
-        receiver = self.name("lifeline name")
-        self.expect("COLON", "':'")
-        label = self.expect("WORD", "message label")
-        return Message(sender.text, label.text, receiver.text)
+        """``NAME -> NAME : LABEL``. The token kinds and keywords are checked
+        here in one step and the fields' shape once, by ``Message``; if any
+        check fails, the tokens are read again one at a time, which raises
+        the error of the first bad one."""
+        pos = self.pos
+        try:
+            s, a, r, c, l = self.tokens[pos:pos + 5]
+            if ((s[0], a[0], r[0], c[0], l[0]) == ("WORD", "->", "WORD", ":", "WORD")
+                    and s[1] not in KEYWORDS and r[1] not in KEYWORDS):
+                msg = Message(s[1], l[1], r[1])
+                self.pos = pos + 5
+                return msg
+        except ValueError:  # fewer than five tokens left, or a malformed name
+            pass
+        sender = self.name("lifeline name")[1]
+        self.expect("->", "'->'")
+        receiver = self.name("lifeline name")[1]
+        self.expect(":", "':'")
+        return Message(sender, self.expect("WORD", "message label")[1], receiver)
 
-    def block(self, keyword: str) -> Fragment:
-        """``keyword [msgset] { stmts (-- stmts)* }``; the message set is read
-        for consider/ignore, and ``--`` is legal only in alt and par."""
-        kw_tok = self.advance()
+    def block(self, keyword: str, loc: Loc) -> Fragment:
+        """The rest of ``keyword [msgset] { stmts (-- stmts)* }`` at ``loc``;
+        the message set is read for consider/ignore, and ``--`` is legal only
+        in alt and par."""
         alphabet: set[Message] = set()
         if keyword in ("consider", "ignore"):
-            self.expect("LBRACKET", "'['")
+            self.expect("[", "'['")
             alphabet.add(self.message())
-            while self.peek().kind == "COMMA":
-                self.advance()
+            while self.peek()[0] == ",":
+                self.pos += 1
                 alphabet.add(self.message())
-            self.expect("RBRACKET", "']'")
-        self.expect("LBRACE", "'{'")
+            self.expect("]", "']'")
+        self.expect("{", "'{'")
         operands: list[Fragment] = []
         items: list[Fragment] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                raise ParseError(f"unterminated {keyword} block", tok.loc, ("'}'",))
-            if tok.kind == "DASHDASH" and keyword not in ("alt", "par"):
-                raise ParseError(
-                    "'--' separators are only legal inside alt and par blocks",
-                    tok.loc,
-                    ("statement", "'}'"),
-                )
-            if tok.kind not in ("RBRACE", "DASHDASH"):
+            kind = (tok := self.peek())[0]
+            if kind == "EOF":
+                raise ParseError(f"unterminated {keyword} block", _loc(tok), ("'}'",))
+            if kind == "--" and keyword not in ("alt", "par"):
+                raise ParseError("'--' separators are only legal inside alt and par blocks",
+                                 _loc(tok), ("statement", "'}'"))
+            if kind not in ("}", "--"):
                 items.append(self.statement())
                 continue
-            self.advance()
+            self.pos += 1
             operand = _sequence(items)
             if operand is None:
-                raise EmptyBlockError(keyword, tok.loc)
+                raise EmptyBlockError(keyword, _loc(tok))
             operands.append(operand)
-            if tok.kind == "RBRACE":
+            if kind == "}":
                 break
             items = []
         if keyword in ("alt", "par"):
-            return (Alt if keyword == "alt" else Par)(tuple(operands), loc=kw_tok.loc)
+            return (Alt if keyword == "alt" else Par)(tuple(operands), loc=loc)
         if keyword == "loop":
-            return Loop(operands[0], loc=kw_tok.loc)
+            return Loop(operands[0], loc=loc)
         node = Consider if keyword == "consider" else Ignore
-        return node(frozenset(alphabet), operands[0], loc=kw_tok.loc)
+        return node(frozenset(alphabet), operands[0], loc=loc)
 
 
 def _sequence(parts: list[Fragment]) -> Fragment | None:

@@ -518,6 +518,11 @@ def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[Trace]]:
     return total, heapq.merge(*wholes, loose, key=render_trace)
 
 
+def _located(exc: TraceSetOverflowError, loc: Loc | None) -> TraceSetOverflowError:
+    """``exc``, or its copy at ``loc`` if it has no location of its own."""
+    return exc if exc.loc is not None or loc is None else TraceSetOverflowError(exc.limit, loc)
+
+
 def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
     """The trace set of a scope-checked fragment, by class: held whole but
     for the filters and a ``par`` whose operands share a lifeline, which
@@ -561,20 +566,31 @@ def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
                 words = _eval(body, limits).words()
                 return _Classes(mx, loose={filter_trace(kept, t) for t in words})
     except TraceSetOverflowError as exc:
-        if exc.loc is not None or f.loc is None:
-            raise
-        raise TraceSetOverflowError(exc.limit, f.loc) from None
+        raise _located(exc, f.loc) from None
     raise TypeError(f"not a fragment: {f!r}")
 
 
 def _theorem1(body: Fragment, ns: Iterable[str], k: int, limits: EvalLimits | None,
               loc: Loc | None) -> tuple:
     """Both sides of the unrolling identity, each scope-checked and then
-    evaluated, the loop side first."""
+    evaluated, the loop side first. The unrolled side, ``alt`` over skip and
+    the 1..k-fold weak sequences of the body at ``loc``, is built one power at
+    a time: ``n`` copies are ``n - 1`` copies sequenced with one more. The
+    scope errors of the k-fold sequence begin with those of each shorter one."""
     bounded = replace(limits or EvalLimits(), loop_bound=k)
-    branches = [Skip(), *(body if n == 1 else WeakSeq((body,) * n, loc) for n in range(1, k + 1))]
-    sides = (Loop(body, loc), Alt(tuple(branches), loc))
-    return tuple(_checked_eval(side, ns, bounded)[0] for side in sides)
+    loop = _checked_eval(Loop(body, loc), ns, bounded)[0]
+    errors = scope(WeakSeq((body,) * k), ns)[1] if k > 1 else ()
+    if errors:
+        raise errors[0]
+    mx = bounded.max_traces
+    unrolled = _Classes(mx, [()])
+    try:
+        once = _eval(body, bounded) if k else None
+        for power in itertools.accumulate(itertools.repeat(once, k), lambda p, b: _seq([p, b], mx)):
+            unrolled.merge(power)
+    except TraceSetOverflowError as exc:
+        raise _located(exc, loc) from None
+    return loop, unrolled
 
 
 def theorem1_sides(
@@ -584,7 +600,7 @@ def theorem1_sides(
     limits: EvalLimits | None = None,
     loc: Loc | None = None,
 ) -> tuple[TraceSet, TraceSet]:
-    """Both sides of the bounded loop-unrolling identity, as real ASTs at ``loc``.
+    """Both sides of the bounded loop-unrolling identity, located at ``loc``.
 
     Left: loop(body) evaluated with loop bound ``k``. Right: the alternative
     over skip and the 1..k-fold weak self-compositions of the body. Both

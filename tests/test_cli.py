@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,25 @@ class TestTheorem:
             capsys, "theorem", str(diagrams_dir / "loop_pair.sd"), "--depth", "30000"
         )
         assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_deep_unrolling_is_linear_in_depth(self, capsys, tmp_path):
+        # The body's only trace is the empty one, so both sides are one class
+        # at any depth; evaluating each n-fold copy afresh was quadratic.
+        diagram = tmp_path / "churn.sd"
+        diagram.write_text("lifeline A\nloop {\n  create B\n  destroy B\n}\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "theorem", str(diagram), "--depth", "2000")
+        assert (code, out, err) == (0, "EQUAL\n", "")
+        assert time.perf_counter() - start < 10
+
+    def test_unrolled_scope_error_names_the_second_copy(self, capsys, tmp_path):
+        # One round of the loop is in scope; two copies in sequence create B
+        # twice, and the second create is the one reported.
+        diagram = tmp_path / "recreate.sd"
+        diagram.write_text("lifeline A\nloop {\n  create B\n}\n")
+        code, out, err = run(capsys, "theorem", str(diagram), "--depth", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: 3:3: create of lifeline 'B' which is already in scope\n"
 
     def test_unequal_lists_the_witnesses(self, capsys, tmp_path):
         # The filtered body's word A.a.B C.c.D is not weakly closed: the loop

@@ -109,33 +109,65 @@ class TestParse:
         assert loop.body.message_locs == (Loc(5, 8),)
         assert (after.loc, after.message_locs) == (Loc(6, 1), (Loc(6, 1), Loc(7, 1)))
 
+    def test_keyword_as_label(self):
+        d = parse("lifeline A\nlifeline B\n  A -> B : loop\n")
+        assert d.root == Basic((M("A", "loop", "B"),))
+        assert (d.root.loc, d.root.message_locs) == (Loc(3, 3), (Loc(3, 3),))
 
-# Rejected source text -> the (line, column) its ParseError names.
+    def test_message_split_over_lines_and_comments(self):
+        d = parse("lifeline A\nlifeline B\nA ->\n  B # c\n : m\n\tB -> A : n")
+        assert d.root == Basic((M("A", "m", "B"), M("B", "n", "A")))
+        assert (d.root.loc, d.root.message_locs) == (Loc(3, 1), (Loc(3, 1), Loc(6, 2)))
+
+
+# Rejected source text -> the text of its ParseError, led by "line:column".
 REJECTED = {
-    "lifeline": (1, 9),  # missing name
-    "A -> : m": (1, 6),  # missing receiver
-    "A -> B m": (1, 8),  # missing colon
-    "A -> B :": (1, 9),  # missing label
-    "alt { A -> A : m": (1, 17),  # unterminated block
-    "loop { }": (1, 8),  # empty block
-    "alt { -- A -> A : m }": (1, 7),  # empty first branch
-    "alt { A -> A : m -- }": (1, 21),  # empty second branch
-    "loop { A -> A : m -- A -> A : n }": (1, 19),  # separator in loop
-    "consider [] { A -> A : m }": (1, 11),  # empty message set
-    "consider [A -> A : m] { }": (1, 25),  # empty filter body
-    "consider [A -> A : m] { A -> A : m -- skip }": (1, 36),  # separator in filter
-    "lifeline 9name": (1, 10),  # malformed name
-    "skip }": (1, 6),  # stray brace
-    "A -> B ; m": (1, 8),  # stray punctuation
-    "A - B : m": (1, 3),  # stray dash
-    "loop { lifeline A }": (1, 8),  # header inside block
-    "lifeline loop": (1, 10),  # keyword as name
-    "lifeline A\n\tA -> A :": (2, 10),  # a tab is one column
-    "lifeline A\r\nA -> A : m\r\nA -> A ;": (3, 8),  # CRLF line endings
-    "lifeline A\n# comment\n  A -> A : m $": (3, 14),  # bad character after a comment
+    "lifeline": "1:9: expected lifeline name, found end of input",  # missing name
+    "A -> : m": "1:6: expected lifeline name, found ':'",  # missing receiver
+    "A -> B m": "1:8: expected ':', found 'm'",  # missing colon
+    "A -> B :": "1:9: expected message label, found end of input",  # missing label
+    "alt { A -> A : m": "1:17: unterminated alt block",
+    "loop { }": "1:8: loop block has an empty operand",
+    "alt { -- A -> A : m }": "1:7: alt block has an empty operand",  # empty first branch
+    "alt { A -> A : m -- }": "1:21: alt block has an empty operand",  # empty second branch
+    "loop { A -> A : m -- A -> A : n }":
+        "1:19: '--' separators are only legal inside alt and par blocks",
+    "consider [] { A -> A : m }": "1:11: expected lifeline name, found ']'",  # empty set
+    "consider [A -> A : m] { }": "1:25: consider block has an empty operand",
+    "consider [A -> A : m] { A -> A : m -- skip }":
+        "1:36: '--' separators are only legal inside alt and par blocks",
+    "lifeline 9name": "1:10: invalid lifeline name: '9name'",  # malformed name
+    "skip }": "1:6: expected a statement, found '}'",  # stray brace
+    "A -> B ; m": "1:8: unexpected character ';'",  # stray punctuation
+    "A - B : m": "1:3: stray '-'; expected '->' or '--'",
+    "loop { lifeline A }": "1:8: lifeline declarations are only allowed at the top level",
+    "lifeline loop": "1:10: keyword 'loop' cannot be used as a lifeline name",
+    "lifeline A\n\tA -> A :": "2:10: expected message label, found end of input",  # tab: one column
+    "lifeline A\r\nA -> A : m\r\nA -> A ;": "3:8: unexpected character ';'",  # CRLF
+    "lifeline A\n# comment\n  A -> A : m $": "3:14: unexpected character '$'",
     # End of input after a trailing comment is the true end of the text,
     # not the column where the comment starts.
-    "lifeline A\nloop {\n A -> A : x # note": (3, 19),
+    "lifeline A\nloop {\n A -> A : x # note": "3:19: unterminated loop block",
+    # The message path: each field is checked in reading order, so the
+    # first bad token is the one reported.
+    "A -> loop : m": "1:6: keyword 'loop' cannot be used as a lifeline name",
+    "loop -> B : m": "1:6: expected '{', found '->'",
+    "A.b -> C : m": "1:1: invalid lifeline name: 'A.b'",  # dotted sender
+    "A -> b.c : m": "1:6: invalid lifeline name: 'b.c'",  # dotted receiver
+    "9a -> B : m": "1:1: invalid lifeline name: '9a'",
+    "A -> 9b : m": "1:6: invalid lifeline name: '9b'",
+    "9a B": "1:1: invalid lifeline name: '9a'",  # the name fails before the arrow
+    "A": "1:2: expected '->', found end of input",
+    "A ->": "1:5: expected lifeline name, found end of input",
+    "A -> B": "1:7: expected ':', found end of input",
+    "A -> { : m": "1:6: expected lifeline name, found '{'",
+    "A -> -> : m": "1:6: expected lifeline name, found '->'",
+    "A -> B : ->": "1:10: expected message label, found '->'",
+    "A -> B : m -> C": "1:12: expected a statement, found '->'",
+    "consider [A -> loop : m] { skip }": "1:16: keyword 'loop' cannot be used as a lifeline name",
+    "consider [A -> B : m,] { skip }": "1:22: expected lifeline name, found ']'",
+    "create 9a": "1:8: invalid lifeline name: '9a'",
+    "destroy loop": "1:9: keyword 'loop' cannot be used as a lifeline name",
 }
 
 
@@ -145,7 +177,8 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse(src)
         assert err.value.loc is not None
-        assert (err.value.loc.line, err.value.loc.column) == REJECTED[src]
+        assert str(err.value) == REJECTED[src]
+        assert str(err.value).startswith(f"{err.value.loc}: ")
 
     def test_duplicate_lifeline(self):
         with pytest.raises(DuplicateLifelineError):
@@ -166,6 +199,45 @@ class TestParseErrors:
             assert 1 <= err.loc.line <= len(lines) + 1
         except DiagramError:
             pass
+
+
+def _text_at(source: str, loc: Loc) -> str:
+    """The source from ``loc`` to the end of its line, found without the parser."""
+    return source.split("\n")[loc.line - 1][loc.column - 1:]
+
+
+def _assert_locations_point_at_source(source: str) -> None:
+    """Each message location starts with its sender, and each other located
+    node but a weak sequence starts with its keyword."""
+
+    def walk(f):
+        if isinstance(f, Basic):
+            assert _text_at(source, f.loc).startswith(f.messages[0].sender), (f, source)
+            for m, loc in zip(f.messages, f.message_locs, strict=True):
+                assert _text_at(source, loc).startswith(m.sender), (m, loc, source)
+        elif not isinstance(f, WeakSeq):
+            keyword = type(f).__name__.lower()
+            assert _text_at(source, f.loc).startswith(keyword), (f, source)
+        for part in children(f):
+            walk(part)
+
+    walk(parse(source).root)
+
+
+class TestLocations:
+    def test_corpus(self, diagrams_dir):
+        files = sorted(diagrams_dir.glob("**/*.sd"))
+        assert files
+        for path in files:
+            _assert_locations_point_at_source(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_fragments(self, seed):
+        cfg = GeneratorConfig(
+            max_depth=4, seed=seed, include_filters=True, include_lifecycle=True
+        )
+        for frag in generate_fragments(cfg, 150):
+            _assert_locations_point_at_source(render_fragment(frag))
 
 
 class TestRender:
