@@ -25,10 +25,10 @@ from seqtrace import (
     DiagramError,
     EvalLimits,
     GeneratorConfig,
+    Loop,
     Message,
     Par,
     ParsedDiagram,
-    TraceLog,
     canonicalize,
     conform,
     count_traces,
@@ -64,8 +64,8 @@ def outcome(evaluate):
 
 def agrees(verdict, found) -> bool:
     """Whether a verdict is the one that the listed counterexamples give."""
-    listed = (not found, sorted(found, key=render_trace)[:10], len(found))
-    return (verdict.holds, [w.trace for w in verdict.witnesses], verdict.total) == listed
+    listed = (not found, tuple(sorted(found, key=render_trace)[:10]), len(found))
+    return (verdict.holds, verdict.witnesses, verdict.total) == listed
 
 
 def main() -> int:
@@ -116,8 +116,8 @@ def main() -> int:
     theorem_bad = 0
     for frag in frags:
         ns = cfg.lifeline_pool
-        by_class = outcome(lambda: theorem1_diff(frag, ns, 2, limits))
-        left_right = outcome(lambda: theorem1_sides(frag, ns, 2, limits))
+        by_class = outcome(lambda: theorem1_diff(Loop(frag), ns, limits))
+        left_right = outcome(lambda: theorem1_sides(Loop(frag), ns, limits))
         if not isinstance(left_right, str):
             left, right = left_right
             left_right = (left - right, right - left)
@@ -153,7 +153,7 @@ def main() -> int:
         # A log of half the traces of both sides covers some classes in part.
         log = frozenset(rng.sample(sorted(left | right, key=render_trace), len(left | right) // 2))
         checks = [(refines(a, b, limits), left - right)] + [
-            (conform(a, TraceLog(log), mode, limits), found)
+            (conform(a, log, mode, limits), found)
             for mode, found in ((ConformanceMode.REQUIRED, left - log),
                                 (ConformanceMode.EXHAUSTIVE, log - left),
                                 (ConformanceMode.FORBIDDEN, left & log))

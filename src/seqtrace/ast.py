@@ -90,13 +90,15 @@ class Basic:
 
     messages: tuple[Message, ...]
     loc: Loc | None = field(default=None, compare=False)
-    # Per-message locations, parallel to `messages`; used for diagnostics.
+    # Per-message locations, parallel to `messages` (all `loc` if left out); for diagnostics.
     message_locs: tuple[Loc | None, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.messages:
             raise ValueError("a basic fragment needs at least one message")
-        if self.message_locs is not None and len(self.message_locs) != len(self.messages):
+        if self.message_locs is None:
+            object.__setattr__(self, "message_locs", (self.loc,) * len(self.messages))
+        elif len(self.message_locs) != len(self.messages):
             raise ValueError("message_locs must parallel messages")
 
 
@@ -197,11 +199,6 @@ class Ignore:
 Fragment = (
     Basic | WeakSeq | Alt | Par | Loop | Create | Destroy | Skip | Consider | Ignore
 )
-
-
-def peers(m: Message) -> frozenset[str]:
-    """The lifelines incident to a message: both endpoints, one for self."""
-    return frozenset((m.sender, m.receiver))
 
 
 def shares_lifeline(x: Message, y: Message) -> bool:

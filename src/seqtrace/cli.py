@@ -39,11 +39,14 @@ from seqtrace.semantics import (
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DiagramError(f"cannot read {path}: invalid UTF-8 at byte {exc.start}") from exc
+    # A leading byte-order mark is dropped after decoding: utf-8-sig would
+    # count a decode error's offset from past the mark.
+    return text.removeprefix("\ufeff")
 
 
 def _int_at_least(low: int):
@@ -104,11 +107,9 @@ def _print_verdict(verdict: Verdict, ok_word: str, fail_word: str, tag: bool) ->
         print(ok_word)
         return 0
     print(fail_word)
+    prefix = f"{verdict.side}: " if tag else ""
     for witness in verdict.witnesses:
-        if tag:
-            print(f"{witness.side}: {render_trace(witness.trace)}")
-        else:
-            print(render_trace(witness.trace))
+        print(prefix + render_trace(witness))
     return 1
 
 
@@ -146,10 +147,8 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
         return 2
     if not _validate_or_fail(diagram, args.file):
         return 2
-    loop_only, unrolled_only = theorem1_diff(
-        diagram.root.body, diagram.initial_namespace, args.depth,
-        EvalLimits(max_traces=args.max_traces), diagram.root.loc,
-    )
+    limits = EvalLimits(loop_bound=args.depth, max_traces=args.max_traces)
+    loop_only, unrolled_only = theorem1_diff(diagram.root, diagram.initial_namespace, limits)
     if not (loop_only or unrolled_only):
         print("EQUAL")
         return 0

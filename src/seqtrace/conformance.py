@@ -50,30 +50,19 @@ class ConformanceMode(Enum):
 
 
 @dataclass(frozen=True)
-class TraceLog:
-    """A finite set of recorded system traces, parsed from a log file."""
-
-    traces: TraceSet
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A counterexample trace and which side it came from."""
-
-    side: str  # "diagram" | "log" | "both" | "left"
-    trace: Trace
-
-
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of a set-relation check: the first ``MAX_WITNESSES``
-    counterexamples in rendered order, and ``total``, the exact number of
-    counterexamples."""
+    """Outcome of a set-relation check: the side its counterexamples come
+    from, the first ``MAX_WITNESSES`` of them in rendered order, and
+    ``total``, their exact number; it ``holds`` when there are none."""
 
-    holds: bool
-    witnesses: tuple[Witness, ...]
+    side: str  # "left" | "diagram" | "log" | "both"
+    witnesses: tuple[Trace, ...]
     loop_bound: int
     total: int
+
+    @property
+    def holds(self) -> bool:
+        return self.total == 0
 
 
 def _parse_log_message(token: str, line_no: int) -> Message:
@@ -89,9 +78,10 @@ def _parse_log_message(token: str, line_no: int) -> Message:
         raise LogParseError(f"malformed message {token!r}; {exc}", line_no) from exc
 
 
-def parse_trace_log(text: str) -> TraceLog:
-    """Parse a trace log: one trace per line, messages as sender.label.receiver
-    separated by blanks, epsilon for the empty trace, ``#`` comments.
+def parse_trace_log(text: str) -> TraceSet:
+    """Parse a trace log into its set of traces: one trace per line,
+    messages as sender.label.receiver separated by blanks, epsilon for the
+    empty trace, ``#`` comments.
 
     Each distinct line is read once, at its first occurrence, so an error
     names the first bad line."""
@@ -106,7 +96,7 @@ def parse_trace_log(text: str) -> TraceLog:
         elif EMPTY_TRACE_TOKEN in tokens:
             raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
         traces.add(tuple(_parse_log_message(tok, line_no) for tok in tokens))
-    return TraceLog(frozenset(traces))
+    return frozenset(traces)
 
 
 def validate(d: ParsedDiagram) -> list[Diagnostic]:
@@ -121,8 +111,8 @@ def validate(d: ParsedDiagram) -> list[Diagnostic]:
 
 
 def _verdict(side: str, total: int, ordered: Iterable[Trace], limits: EvalLimits) -> Verdict:
-    witnesses = tuple(Witness(side, t) for t in itertools.islice(ordered, MAX_WITNESSES))
-    return Verdict(not total, witnesses, limits.loop_bound, total)
+    witnesses = tuple(itertools.islice(ordered, MAX_WITNESSES))
+    return Verdict(side, witnesses, limits.loop_bound, total)
 
 
 def refines(
@@ -141,7 +131,7 @@ def refines(
 
 def conform(
     d: ParsedDiagram,
-    log: TraceLog,
+    log: TraceSet,
     mode: ConformanceMode,
     limits: EvalLimits | None = None,
 ) -> Verdict:
@@ -149,12 +139,12 @@ def conform(
     limits = limits or EvalLimits()
     diagram = _checked_eval(d.root, d.initial_namespace, limits)[0]
     # The log's own size is a cap it cannot pass: no verdict overflows on it.
-    system = _Classes(len(log.traces), loose=log.traces)
+    system = _Classes(len(log), loose=log)
     if mode is ConformanceMode.REQUIRED:
         return _verdict("diagram", *_contrast(diagram, system), limits)
     total, unexplained = _contrast(system, diagram)
     if mode is ConformanceMode.EXHAUSTIVE:
         return _verdict("log", total, unexplained, limits)
     # The logged traces that the diagram has: the rest of the log.
-    both = sorted(log.traces.difference(unexplained), key=render_trace)
+    both = sorted(log.difference(unexplained), key=render_trace)
     return _verdict("both", len(both), both, limits)

@@ -245,13 +245,11 @@ def _sequence(parts: list[Fragment]) -> Fragment | None:
     parts, and a single part stands alone."""
     seq: list[Fragment] = []
     for is_basic, run in itertools.groupby(parts, lambda part: isinstance(part, Basic)):
-        if not is_basic:
-            seq.extend(run)
-            continue
         run = list(run)
-        locs = tuple(loc for b in run for loc in b.message_locs or (b.loc,) * len(b.messages))
-        seq.append(Basic(tuple(m for b in run for m in b.messages), loc=run[0].loc,
-                         message_locs=locs if any(locs) else None))
+        if is_basic and len(run) > 1:
+            run = [Basic(tuple(m for b in run for m in b.messages), loc=run[0].loc,
+                         message_locs=tuple(loc for b in run for loc in b.message_locs))]
+        seq.extend(run)
     if len(seq) < 2:
         return seq[0] if seq else None
     return WeakSeq(tuple(seq), loc=seq[0].loc)

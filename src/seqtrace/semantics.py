@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
@@ -290,8 +290,7 @@ def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[DiagramError]
     def walk(f: Fragment, ns: Namespace) -> Namespace:
         match f:
             case Basic(messages=msgs):
-                locs = f.message_locs or (f.loc,) * len(msgs)
-                for m, loc in zip(msgs, locs):
+                for m, loc in zip(msgs, f.message_locs):
                     if m.sender not in ns:
                         errors.append(UnknownLifelineError(m.sender, loc))
                     if m.receiver not in ns and m.receiver != m.sender:
@@ -570,50 +569,45 @@ def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
     raise TypeError(f"not a fragment: {f!r}")
 
 
-def _theorem1(body: Fragment, ns: Iterable[str], k: int, limits: EvalLimits | None,
-              loc: Loc | None) -> tuple:
-    """Both sides of the unrolling identity, each scope-checked and then
-    evaluated, the loop side first. The unrolled side, ``alt`` over skip and
-    the 1..k-fold weak sequences of the body at ``loc``, is built one power at
-    a time: ``n`` copies are ``n - 1`` copies sequenced with one more. The
-    scope errors of the k-fold sequence begin with those of each shorter one."""
-    bounded = replace(limits or EvalLimits(), loop_bound=k)
-    loop = _checked_eval(Loop(body, loc), ns, bounded)[0]
-    errors = scope(WeakSeq((body,) * k), ns)[1] if k > 1 else ()
+def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
+    """Both sides of the unrolling identity at k = ``limits.loop_bound``, each
+    scope-checked and then evaluated, the loop side first. The unrolled side,
+    ``alt`` over skip and the 1..k-fold weak sequences of the body at the
+    loop's location, is built one power at a time: ``n`` copies are ``n - 1``
+    copies sequenced with one more. The scope errors of the k-fold sequence
+    begin with those of each shorter one."""
+    limits = limits or EvalLimits()
+    k, mx = limits.loop_bound, limits.max_traces
+    closure = _checked_eval(loop, ns, limits)[0]
+    errors = scope(WeakSeq((loop.body,) * k), ns)[1] if k > 1 else ()
     if errors:
         raise errors[0]
-    mx = bounded.max_traces
     unrolled = _Classes(mx, [()])
     try:
-        once = _eval(body, bounded) if k else None
+        once = _eval(loop.body, limits) if k else None
         for power in itertools.accumulate(itertools.repeat(once, k), lambda p, b: _seq([p, b], mx)):
             unrolled.merge(power)
     except TraceSetOverflowError as exc:
-        raise _located(exc, loc) from None
-    return loop, unrolled
+        raise _located(exc, loop.loc) from None
+    return closure, unrolled
 
 
 def theorem1_sides(
-    body: Fragment,
-    ns: Iterable[str],
-    k: int,
-    limits: EvalLimits | None = None,
-    loc: Loc | None = None,
+    loop: Loop, ns: Iterable[str], limits: EvalLimits | None = None
 ) -> tuple[TraceSet, TraceSet]:
-    """Both sides of the bounded loop-unrolling identity, located at ``loc``.
+    """Both sides of the bounded loop-unrolling identity at k =
+    ``limits.loop_bound``, located at the loop.
 
-    Left: loop(body) evaluated with loop bound ``k``. Right: the alternative
-    over skip and the 1..k-fold weak self-compositions of the body. Both
-    sides are evaluated independently under the same limits (with the loop
-    bound pinned to ``k`` so nested loops are treated identically).
+    Left: the loop. Right: the alternative over skip and the 1..k-fold weak
+    self-compositions of its body. Each side is evaluated on its own under
+    ``limits``, so nested loops are unrolled to the same bound k.
     """
-    left, right = _theorem1(body, ns, k, limits, loc)
+    left, right = _theorem1(loop, ns, limits)
     return left.words(), right.words()
 
 
 def theorem1_diff(
-    body: Fragment, ns: Iterable[str], k: int,
-    limits: EvalLimits | None = None, loc: Loc | None = None,
+    loop: Loop, ns: Iterable[str], limits: EvalLimits | None = None
 ) -> tuple[TraceSet, TraceSet]:
     """The traces only the loop side has, and those only the unrolled side
     has, of the identity that ``theorem1_sides`` builds, with its errors.
@@ -621,15 +615,5 @@ def theorem1_diff(
     The sides are compared by class key, and only the traces that one side
     lacks are listed.
     """
-    left, right = _theorem1(body, ns, k, limits, loc)
+    left, right = _theorem1(loop, ns, limits)
     return frozenset(_contrast(left, right)[1]), frozenset(_contrast(right, left)[1])
-
-
-def theorem1_check(
-    body: Fragment,
-    ns: Iterable[str],
-    k: int,
-    limits: EvalLimits | None = None,
-) -> bool:
-    """True iff the bounded loop equals its unrolled alternative form."""
-    return not any(theorem1_diff(body, ns, k, limits))

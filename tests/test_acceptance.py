@@ -13,8 +13,10 @@ from pathlib import Path
 
 from seqtrace import (
     Consider,
+    EvalLimits,
     GeneratorConfig,
     Ignore,
+    Loop,
     Message,
     canonicalize,
     denote,
@@ -26,7 +28,7 @@ from seqtrace import (
     oracle_weak,
     parse,
     render_fragment,
-    theorem1_check,
+    theorem1_diff,
     validate,
     weak,
 )
@@ -144,7 +146,7 @@ def test_criterion_5_unrolling_identity():
         body = generate_fragments(cfg, 1)[0]
         for k in (0, 1, 2, 3):
             checked += 1
-            if not theorem1_check(body, cfg.lifeline_pool, k):
+            if any(theorem1_diff(Loop(body), cfg.lifeline_pool, EvalLimits(loop_bound=k))):
                 failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and checked == 400 and elapsed < 120.0

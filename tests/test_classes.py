@@ -33,11 +33,9 @@ from seqtrace import (
     Par,
     ParsedDiagram,
     Skip,
-    TraceLog,
     TraceSetOverflowError,
     Verdict,
     WeakSeq,
-    Witness,
     concat_sets,
     conform,
     count_traces,
@@ -155,9 +153,9 @@ def test_count_equals_listing_and_words_equal_the_reference(seed, k, cap):
     "seed,k,cap", list(itertools.product(range(3), (0, 1, 2, 3), (7, 300)))
 )
 def test_theorem_diff_by_class_equals_the_listed_sides(seed, k, cap):
-    limits = EvalLimits(max_traces=cap)
+    limits = EvalLimits(loop_bound=k, max_traces=cap)
     for d in generated(seed, 60):
-        args = (d.root, d.initial_namespace, k, limits, d.root.loc)
+        args = (Loop(d.root, loc=d.root.loc), d.initial_namespace, limits)
 
         def listed():
             left, right = theorem1_sides(*args)
@@ -245,8 +243,7 @@ def test_par_and_streamed_listing_equal_the_words(seed, k, cap):
 
 def word_verdict(side, found, k):
     """The verdict that listed trace sets give."""
-    witnesses = tuple(Witness(side, t) for t in sorted(found, key=render_trace)[:10])
-    return Verdict(not found, witnesses, k, len(found))
+    return Verdict(side, tuple(sorted(found, key=render_trace)[:10]), k, len(found))
 
 
 def verdict_cases(seed: int):
@@ -283,7 +280,7 @@ def test_verdicts_by_class_equal_the_word_set_operations(seed, k, cap):
             (ConformanceMode.EXHAUSTIVE, "log", log - left),
             (ConformanceMode.FORBIDDEN, "both", left & log),
         ):
-            got = conform(a, TraceLog(log), mode, limits)
+            got = conform(a, log, mode, limits)
             assert got == word_verdict(side, found, k)
 
 

@@ -447,6 +447,35 @@ class TestUnreadableInput:
         assert "invalid UTF-8" in err
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    def test_diagram_reads_as_its_plain_twin(self, capsys, tmp_path, diagrams_dir):
+        plain = diagrams_dir / "weak_order.sd"
+        marked = tmp_path / "marked.sd"
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert run(capsys, "traces", str(marked)) == run(capsys, "traces", str(plain))
+
+    def test_log_gives_the_same_verdict(self, capsys, tmp_path, diagrams_dir):
+        diagram = str(diagrams_dir / "weak_order.sd")
+        text = b"A.m2.B A.m1.B C.m3.D B.m4.C\nA.m1.B A.m2.B C.m3.D B.m4.C\n"
+        plain, marked = tmp_path / "plain.log", tmp_path / "marked.log"
+        plain.write_bytes(text)
+        marked.write_bytes(BOM + text)
+        got = [run(capsys, "conform", diagram, str(log), "--mode", "exhaust")
+               for log in (plain, marked)]
+        assert got[0] == got[1]
+        assert got[0][:2] == (1, "FAILS\nlog: A.m2.B A.m1.B C.m3.D B.m4.C\n")
+
+    def test_bad_byte_offset_counts_the_mark(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sd"
+        bad.write_bytes(BOM + b"lifeline A\n\xff\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {bad}: invalid UTF-8 at byte 14\n"
+
+
 class TestNesting:
     @pytest.mark.parametrize("command", ["parse", "check"])
     def test_too_deep_is_a_located_parse_error(self, capsys, tmp_path, command):

@@ -20,7 +20,7 @@ from seqtrace import (
     denote,
     generate_fragments,
     kleene_bounded,
-    theorem1_check,
+    theorem1_diff,
     theorem1_sides,
 )
 
@@ -103,26 +103,40 @@ class TestLoopSemantics:
         assert (m3, m4, m3, m4, m1, m2, m1, m2) in traces
 
 
+def identity_holds(body, ns, k) -> bool:
+    """Whether ``loop(body)`` equals its unrolled alternative at bound ``k``."""
+    return not any(theorem1_diff(Loop(body), ns, EvalLimits(loop_bound=k)))
+
+
 class TestUnrollingIdentity:
     def test_singleton_body(self):
         body = Basic((M("A", "a", "B"),))
-        assert theorem1_check(body, {"A", "B"}, 3)
+        assert identity_holds(body, {"A", "B"}, 3)
 
     def test_paired_chain_body(self):
-        assert theorem1_check(loop_body, NS, 2)
+        assert identity_holds(loop_body, NS, 2)
 
     def test_paired_chain_body_depth_three(self):
-        assert theorem1_check(loop_body, NS, 3)
+        assert identity_holds(loop_body, NS, 3)
 
     def test_depth_zero(self):
-        left, right = theorem1_sides(loop_body, NS, 0)
+        left, right = theorem1_sides(Loop(loop_body), NS, EvalLimits(loop_bound=0))
         assert left == right == {()}
 
     def test_lifecycle_balanced_body(self):
         body = WeakSeq(
             (Create("P"), Basic((M("S", "run", "P"),)), Destroy("P"))
         )
-        assert theorem1_check(body, {"S"}, 3)
+        assert identity_holds(body, {"S"}, 3)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_loop_side_is_the_loop_at_the_one_bound(self, k):
+        # The body's nested loop is unrolled to the same bound as the outer one.
+        body = WeakSeq((Basic((M("A", "a", "B"),)), Loop(Basic((M("B", "b", "C"),)))))
+        limits = EvalLimits(loop_bound=k)
+        left, _ = theorem1_sides(Loop(body), NS, limits)
+        assert left == denote(Loop(body), NS, limits).traces
+        assert left != denote(Loop(body), NS, EvalLimits(loop_bound=k + 1)).traces
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_generated_bodies(self, k):
@@ -136,4 +150,4 @@ class TestUnrollingIdentity:
             include_lifecycle=False,
         )
         for body in generate_fragments(cfg, 25):
-            assert theorem1_check(body, cfg.lifeline_pool, k), body
+            assert identity_holds(body, cfg.lifeline_pool, k), body

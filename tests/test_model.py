@@ -1,4 +1,4 @@
-"""Core value types: peers, lifeline sharing, and message alphabets."""
+"""Core value types: messages, lifeline sharing, and message alphabets."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +13,6 @@ from seqtrace import (
     Skip,
     WeakSeq,
     message_alphabet,
-    peers,
     shares_lifeline,
 )
 
@@ -46,21 +45,6 @@ class TestMessage:
         assert M("A", "req.v2", "B").label == "req.v2"
 
 
-class TestPeers:
-    def test_distinct_endpoints(self):
-        assert peers(M("A", "m1", "B")) == {"A", "B"}
-
-    def test_self_message_single_peer(self):
-        assert peers(M("A", "m2", "A")) == {"A"}
-
-    def test_invite(self):
-        assert peers(M("c", "invite", "x")) == {"c", "x"}
-
-    @given(messages)
-    def test_never_empty_at_most_two(self, m):
-        assert 1 <= len(peers(m)) <= 2
-
-
 class TestSharesLifeline:
     def test_same_endpoints(self):
         assert shares_lifeline(M("A", "m1", "B"), M("A", "m2", "B"))
@@ -77,7 +61,7 @@ class TestSharesLifeline:
 
     @given(messages, messages)
     def test_agrees_with_peer_intersection(self, x, y):
-        assert shares_lifeline(x, y) == bool(peers(x) & peers(y))
+        assert shares_lifeline(x, y) == bool({x.sender, x.receiver} & {y.sender, y.receiver})
 
 
 class TestMessageAlphabet:

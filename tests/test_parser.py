@@ -338,6 +338,15 @@ class TestCanonicalize:
         (diag,) = validate(ParsedDiagram(frozenset({"A", "B"}), merged))
         assert str(diag).startswith("3:1: unknown-lifeline: ")
 
+    def test_a_basic_fills_in_its_message_locations(self):
+        a = Basic((M("A", "m1", "B"), M("B", "m2", "A")), loc=Loc(2, 1))
+        assert a.message_locs == (Loc(2, 1), Loc(2, 1))
+        b = Basic((M("A", "m3", "C"),), loc=Loc(4, 1))
+        merged = canonicalize(WeakSeq((a, b)))
+        assert merged.message_locs == (Loc(2, 1), Loc(2, 1), Loc(4, 1))
+        # A lone basic stands as it is.
+        assert canonicalize(WeakSeq((a, Skip()))).children[0] is a
+
     def test_recurses_into_blocks(self):
         a = Basic((M("A", "m1", "B"),))
         b = Basic((M("A", "m2", "B"),))
