@@ -1,6 +1,6 @@
 """Differential fuzzing: the compositional semantics against brute force.
 
-Cross-checks seven pairs of independent routes on seeded random inputs:
+Cross-checks eight pairs of independent routes on seeded random inputs:
 
 * weak sequencing vs. permutation filtering
 * trace interleaving vs. position-subset merging
@@ -11,6 +11,10 @@ Cross-checks seven pairs of independent routes on seeded random inputs:
   operands' listed words
 * refinement and conformance verdicts compared by class key vs. set
   operations on listed words
+* the streamed listing (rendered lines, each class from its shared
+  completion blocks, the classes merged) vs. sorting the rendered trace set
+  (each class collected as message tuples), on loops whose classes pass the
+  block size; the line also counts those cases
 
     python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
@@ -21,6 +25,7 @@ import sys
 import time
 
 from seqtrace import (
+    Basic,
     ConformanceMode,
     DiagramError,
     EvalLimits,
@@ -42,10 +47,12 @@ from seqtrace import (
     refines,
     render_fragment,
     render_trace,
+    rendered_traces,
     theorem1_diff,
     theorem1_sides,
     weak,
 )
+from seqtrace.semantics import _BLOCK, _checked_eval
 
 POOL = ("A", "B", "C", "D")
 
@@ -161,8 +168,26 @@ def main() -> int:
         verdict_bad += not all(agrees(v, found) for v, found in checks)
     print(f"verdicts classes vs words:    {len(frags) - 1} cases, {verdict_bad} mismatches")
 
+    listing_bad = past = 0
+    # Loops over runs of up to 7 messages on six lifelines, unrolled twice:
+    # about a fifth of the cases hold a class with more traces than a block.
+    wide = EvalLimits(loop_bound=2, max_traces=5000)
+    ns = POOL + ("E", "F")
+    for _ in range(args.cases):
+        ms = tuple(Message(rng.choice(ns), f"m{rng.randint(1, 3)}", rng.choice(ns))
+                   for _ in range(rng.randint(1, 7)))
+        loop = Loop(Basic(ms))
+        words = outcome(lambda: denote(loop, ns, wide).traces)
+        if not isinstance(words, str):
+            words = sorted(map(render_trace, words))
+            sizes = [size for _, size in _checked_eval(loop, ns, wide)[0].reps.values()]
+            past += max(sizes) > _BLOCK
+        listing_bad += outcome(lambda: list(rendered_traces(loop, ns, wide))) != words
+    print(f"listing vs sorted words:      {args.cases} cases ({past} past a block), "
+          f"{listing_bad} mismatches")
+
     total_bad = (weak_bad + shuffle_bad + trip_bad + count_bad + theorem_bad + par_bad
-                 + verdict_bad)
+                 + verdict_bad + listing_bad)
     print(f"total: {total_bad} mismatches in {time.perf_counter() - start:.1f}s")
     return 1 if total_bad else 0
 

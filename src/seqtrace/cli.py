@@ -12,6 +12,8 @@ traces print sorted, streamed as they are enumerated.
 from __future__ import annotations
 
 import argparse
+import itertools
+import operator
 import os
 import sys
 from pathlib import Path
@@ -97,8 +99,8 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     if args.count:
         print(count_traces(diagram.root, diagram.initial_namespace, limits))
         return 0
-    for line in rendered_traces(diagram.root, diagram.initial_namespace, limits):
-        print(line)
+    lines = rendered_traces(diagram.root, diagram.initial_namespace, limits)
+    sys.stdout.writelines(map(operator.add, lines, itertools.repeat("\n")))
     return 0
 
 

@@ -28,9 +28,14 @@ operands on pairwise disjoint lifelines is their weak sequence, since every
 message of one operand commutes with every message of the others.
 
 One enumerator lists a whole class: ``_extensions`` yields its traces in
-rendered-line order. ``weak`` collects them into a set, and
-``rendered_traces`` and the conformance witnesses merge the classes'
-streams, so a listing is sorted without being held.
+rendered-line order. The completions of a prefix depend only on the downset
+of occurrences it holds, so a downset with at most ``_BLOCK`` completions
+lists them from one shared block, built when the listing first reaches the
+downset; each trace is then one concatenation of a suffix to a prefix.
+``weak`` collects the traces into a set, and ``rendered_traces`` and the
+conformance witnesses merge the classes' streams, so a listing is sorted
+without being held: a stream keeps at most one block of ``_BLOCK`` suffixes
+per downset it has reached, never a larger class whole.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -114,6 +119,12 @@ class Denotation:
     namespace_out: Namespace
 
 
+# The most completions a downset may have and still be listed from a block.
+_BLOCK = 256
+# Turns the digits of a binary numeral into the flags ``itertools.compress`` reads.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
     """Every ordering of ``ms`` consistent with its per-lifeline order, in
     rendered-line order, each spelled as the tuple of its occurrences'
@@ -121,64 +132,103 @@ def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
 
     Occurrence i must precede occurrence j whenever i < j and the two
     messages share a lifeline; all other pairs may commute. The orderings
-    are the linear extensions of that partial order, enumerated directly:
-    repeatedly emit any occurrence whose constrainers have all been emitted,
-    trying the ready occurrences in order of their rendered token, which
-    gives the order of ``render_trace`` lines.
+    are the linear extensions of that partial order. The ready occurrences
+    are tried in order of their rendered token, which gives the order of
+    ``render_trace`` lines. Two equal messages share a lifeline, so they are
+    never ready together and the ready occurrences have distinct tokens.
+
+    The completions of a prefix depend only on the occurrences it holds, a
+    downset of the order (a bit mask here). So the completions of every
+    downset are counted first, and a depth-first walk over prefixes descends
+    only through downsets with more than ``_BLOCK`` completions. At any other
+    downset it reaches, it lists the completions from the downset's block,
+    their spelled suffixes in order, built the first time the walk reaches
+    the downset and shared with every prefix that reaches it later. A trace
+    is then one tuple concatenation of a suffix to the prefix, which is
+    spelled once per block. A downset with one completion needs no block:
+    the occurrences it lacks form a chain, which index order lists.
+
+    A stream holds the count of each downset and one block of at most
+    ``_BLOCK`` suffixes for each downset that the walk has reached with 2 to
+    ``_BLOCK`` completions; building a block holds two layers of the blocks
+    above it. A class with more than ``_BLOCK`` traces is never held whole.
     """
     msgs = tuple(ms)
     n = len(msgs)
-    if n == 0:
-        yield ()
-        return
-    by_token = [str(m) for m in msgs].__getitem__
+    token = [str(m) for m in msgs].__getitem__
+    heads = [(s,) for s in spell]
     # Transitive reduction of the occurrence order: occurrences on one
     # lifeline form a chain, so an occurrence waits only for the previous
     # occurrence on each of its (at most two) lifelines.
-    indeg = [0] * n
+    waits = [0] * n
     succs: list[list[int]] = [[] for _ in range(n)]
     last_on: dict[str, int] = {}
     for i, m in enumerate(msgs):
-        direct = {last_on[name] for name in (m.sender, m.receiver) if name in last_on}
-        indeg[i] = len(direct)
-        for j in direct:
+        for j in {last_on[name] for name in (m.sender, m.receiver) if name in last_on}:
+            waits[i] |= 1 << j
             succs[j].append(i)
-        last_on[m.sender] = i
-        last_on[m.receiver] = i
+        last_on[m.sender] = last_on[m.receiver] = i
+    full = (1 << n) - 1
+    ready_of = {0: sorted((i for i in range(n) if not waits[i]), key=token)}
+    up: dict[int, list[tuple[int, int]]] = {}
+
+    def steps(d: int) -> list[tuple[int, int]]:
+        """(occurrence, downset) for each downset one occurrence above ``d``,
+        in token order."""
+        if d in up:
+            return up[d]
+        out = up[d] = []
+        for r in ready_of[d]:
+            e = d | 1 << r
+            if e not in ready_of:
+                ready_of[e] = sorted([x for x in ready_of[d] if x != r] + [
+                    s for s in succs[r] if e & waits[s] == waits[s]], key=token)
+            out.append((r, e))
+        return out
+
+    def above(d: int, inner) -> Iterator[list[int]]:
+        """``d`` and the downsets above it that ``inner`` accepts, reached
+        through such downsets, layer by layer from the largest."""
+        layers = [[d]]
+        while layers[-1]:
+            layers.append(list(dict.fromkeys(
+                f for e in layers[-1] for _, f in steps(e) if inner(f))))
+        return reversed(layers)
+
+    def tail(d: int) -> tuple:
+        """The one completion of a downset that has one."""
+        return tuple(itertools.compress(spell, f"{full ^ d:b}"[::-1].encode().translate(_BITS)))
+
+    def build(d: int) -> list[tuple]:
+        """The block of ``d``, built from the top layer down."""
+        below: dict[int, list[tuple]] = {}
+        for layer in above(d, lambda e: counts[e] > 1):
+            below = {e: list(itertools.chain.from_iterable(
+                map(heads[r].__add__, below[f] if counts[f] > 1 else [tail(f)])
+                for r, f in steps(e))) for e in layer}
+        return below[d]
+
+    counts: dict[int, int] = {}
+    for layer in above(0, lambda e: True):
+        for d in layer:
+            counts[d] = sum(counts[e] for _, e in steps(d)) or 1
+    blocks: dict[int, list[tuple]] = {}
     prefix: list = []
-    emitted: list[int] = []
-    # Depth-first over prefixes with an explicit stack of pending moves:
-    # (d, i) emits occurrence i after the first d emissions, and ready_at[d]
-    # is the list of occurrences ready at that point. Moves are pushed
-    # highest token first, so the lowest is tried first. A move that leaves
-    # a single occurrence ready is followed inline, without a stack entry.
-    # Two equal messages share a lifeline, so they are never ready together
-    # and the ready occurrences have distinct tokens.
-    ready_at = {0: [i for i in range(n) if indeg[i] == 0]}
-    moves = [(0, i) for i in sorted(ready_at[0], key=by_token, reverse=True)]
+    # Pending moves (at, head, d): cut the prefix to ``at`` entries, add
+    # ``head`` and go to downset d. The lowest token is pushed last, so it is
+    # tried first.
+    moves = [(0, (), 0)]
     while moves:
-        d, i = moves.pop()
-        while len(emitted) > d:
-            for s in succs[emitted.pop()]:
-                indeg[s] += 1
-            prefix.pop()
-        ready = [r for r in ready_at[d] if r != i]
-        while True:
-            emitted.append(i)
-            prefix.append(spell[i])
-            for s in succs[i]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-            if len(ready) != 1:
-                break
-            i = ready.pop()
-        if ready:
-            d = len(emitted)
-            ready_at[d] = ready
-            moves.extend((d, r) for r in sorted(ready, key=by_token, reverse=True))
+        at, head, d = moves.pop()
+        prefix[at:] = head
+        if counts[d] == 1:
+            yield tuple(prefix) + tail(d)
+        elif counts[d] <= _BLOCK:
+            if d not in blocks:
+                blocks[d] = build(d)
+            yield from map(tuple(prefix).__add__, blocks[d])
         else:
-            yield tuple(prefix)
+            moves += [(len(prefix), heads[r], e) for r, e in reversed(steps(d))]
 
 
 def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
@@ -472,7 +522,8 @@ def rendered_traces(
     iterator, with the same errors, raised before the first line.
 
     The lines of each whole class are enumerated in rendered order and merged
-    as they are consumed; a whole class is never held.
+    as they are consumed; a whole class is held only if it fits in one block
+    of ``_extensions``.
     """
     s = _checked_eval(f, ns, limits)[0]
     reps = s.reps.values()

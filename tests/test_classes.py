@@ -11,7 +11,9 @@ operations on listed trace sets for the refinement and conformance verdicts.
 """
 
 import itertools
+import math
 import random
+import time
 from functools import cache, reduce
 
 import pytest
@@ -45,6 +47,7 @@ from seqtrace import (
     interleave_sets,
     kleene_bounded,
     message_alphabet,
+    oracle_interleave,
     oracle_weak,
     parse,
     refines,
@@ -56,7 +59,7 @@ from seqtrace import (
     weak,
     weak_over_set,
 )
-from seqtrace.semantics import _class_key, _class_size, _eval
+from seqtrace.semantics import _BLOCK, _class_key, _class_size, _eval
 
 names = st.sampled_from(("A", "B", "C", "D"))
 labels = st.sampled_from(("m1", "m2", "m3"))
@@ -239,6 +242,80 @@ def test_par_and_streamed_listing_equal_the_words(seed, k, cap):
         streamed = outcome(lambda: list(rendered_traces(root, ns, limits)))
         assert streamed == (listed if isinstance(listed, str)
                             else sorted(render_trace(t) for t in listed))
+
+
+def chains(*lengths):
+    """One chain of messages per length, each between a lifeline pair of its own."""
+    pairs = (("A", "B"), ("C", "D"), ("E", "F"))
+    return [tuple(Message(s, f"{s.lower()}{i}", r) for i in range(n))
+            for (s, r), n in zip(pairs, lengths)]
+
+
+def merges(cs):
+    """Every merge of the chains, by choosing the places of each next chain."""
+    return reduce(lambda ws, c: {t for w in ws for t in oracle_interleave(w, c, len(w) + len(c))},
+                  cs[1:], {cs[0]})
+
+
+@pytest.mark.parametrize("lengths", [
+    (9, 9),  # 48,620 traces
+    (4, 4, 4),  # 34,650 traces
+    (1, _BLOCK - 2), (1, _BLOCK - 1), (1, _BLOCK),  # a class just below, at and above a block
+    (2, 21), (2, 22),  # 253 and 276 traces
+])
+def test_listing_past_the_block_size_equals_the_merges(lengths):
+    cs = chains(*lengths)
+    root, words = Par(tuple(map(Basic, cs))), merges(cs)
+    multinomial = math.factorial(sum(lengths)) // math.prod(map(math.factorial, lengths))
+    assert count_traces(root, "ABCDEF") == multinomial == len(words)
+    assert list(rendered_traces(root, "ABCDEF")) == sorted(map(render_trace, words))
+    assert weak(sum(cs, ())) == words
+
+
+def test_listing_merges_classes_on_both_sides_of_the_block_size():
+    cs = [chains(1, n) for n in (_BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1)]
+    root = Alt(tuple(Par(tuple(map(Basic, c))) for c in cs))
+    words = set().union(*map(merges, cs))
+    assert list(rendered_traces(root, "ABCD")) == sorted(map(render_trace, words))
+
+
+def test_a_long_chain_with_one_commuting_message_lists_without_deep_recursion():
+    # 1,201 lines of 1,201 messages: y at each place among the x's. The walk
+    # reaches downsets up to 1,200 occurrences deep, so it must not recurse
+    # per occurrence, and it must spell each prefix once per block, not once
+    # per occurrence, to stay linear in the length of each line.
+    x, y = Message("A", "x", "B"), Message("C", "y", "D")
+    start = time.perf_counter()
+    lines = list(rendered_traces(Basic((x,) * 1200 + (y,)), "ABCD"))
+    elapsed = time.perf_counter() - start
+    assert lines == sorted(render_trace((x,) * i + (y,) + (x,) * (1200 - i)) for i in range(1201))
+    assert elapsed < 1
+
+
+def test_the_first_traces_of_a_huge_class_come_before_it_is_built():
+    # Three chains of 6: 17,153,136 traces. The tokens order A before C
+    # before E, so the first lines send every A -> B message first and then
+    # merge the other two chains in the order of the places of C's messages.
+    a, c, e = chains(6, 6, 6)
+    limits = EvalLimits(max_traces=20_000_000)
+    left = ParsedDiagram(frozenset("ABCDEF"), Par((Basic(a), Basic(c), Basic(e))))
+    # The right side's class differs in its last message, so it has none of these.
+    other = e[:-1] + (Message("E", "other", "F"),)
+    right = ParsedDiagram(frozenset("ABCDEF"), Par((Basic(a), Basic(c), Basic(other))))
+
+    def merge(places):
+        cs, es = iter(c), iter(e)
+        return a + tuple(next(cs) if i in places else next(es) for i in range(12))
+
+    first = [merge(p) for p in itertools.islice(itertools.combinations(range(12), 6), 10)]
+    start = time.perf_counter()
+    lines = list(itertools.islice(rendered_traces(left.root, left.initial_namespace, limits), 10))
+    assert time.perf_counter() - start < 2
+    assert lines == [render_trace(t) for t in first]
+    start = time.perf_counter()
+    verdict = refines(left, right, limits)
+    assert time.perf_counter() - start < 2
+    assert (verdict.witnesses, verdict.total) == (tuple(first), 17_153_136)
 
 
 def word_verdict(side, found, k):

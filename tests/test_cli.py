@@ -82,6 +82,17 @@ class TestTraces:
         assert proc.wait(timeout=60) == 2
         assert b"Traceback" not in err
 
+    def test_out_of_memory_while_listing_exits_2_without_traceback(
+        self, capsys, diagrams_dir, monkeypatch
+    ):
+        def exhausted(*args):
+            yield "A.m1.B"
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "rendered_traces", exhausted)
+        code, out, err = run(capsys, "traces", str(diagrams_dir / "weak_order.sd"))
+        assert (code, out, err) == (2, "A.m1.B\n", "error: out of memory\n")
+
     def test_invalid_diagram_exits_2(self, capsys, diagrams_dir):
         code, out, err = run(
             capsys, "traces", str(diagrams_dir / "invalid" / "worker_leaky.sd")

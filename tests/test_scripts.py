@@ -1,6 +1,7 @@
 """The scripts in scripts/ run clean and report what they promise."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,10 @@ def test_differential_fuzz_has_no_mismatch():
     proc = run_script("differential_fuzz.py", "--cases", "200")
     assert proc.returncode == 0, proc.stderr
     assert "total: 0 mismatches" in proc.stdout
+    # The listing line reaches classes larger than one completion block.
+    past = re.search(r"listing vs sorted words: +200 cases \((\d+) past a block\), 0 mismatches",
+                     proc.stdout)
+    assert past and int(past[1]) > 0
 
 
 def test_loop_growth_matches_closed_form():
