@@ -12,7 +12,8 @@ check, traces --max-loop 3 (with and without --count), traces --max-traces
 conform in all three modes on every pair, with the second diagram's
 `traces` output as the log; and conform in all three modes of every
 diagram against each hand-written log in diagrams/ (`*.log`, with repeated
-lines, comments, blank lines, tabs and ε). The commands run in process
+lines, comments, blank lines, tabs, ε, CRLF line ends and a malformed
+token). The commands run in process
 through `seqtrace.cli.main`; an exception that escapes it is reported the
 way the interpreter would, as a traceback on stderr and exit code 1.
 

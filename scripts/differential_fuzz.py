@@ -1,6 +1,6 @@
 """Differential fuzzing: the compositional semantics against brute force.
 
-Cross-checks eight pairs of independent routes on seeded random inputs:
+Cross-checks ten pairs of independent routes on seeded random inputs:
 
 * weak sequencing vs. permutation filtering
 * trace interleaving vs. position-subset merging
@@ -15,12 +15,20 @@ Cross-checks eight pairs of independent routes on seeded random inputs:
   completion blocks, the classes merged) vs. sorting the rendered trace set
   (each class collected as message tuples), on loops whose classes pass the
   block size; the line also counts those cases
+* the diagram reader on rendered text, where each message statement on one
+  line is read in one step, vs. the same text with every message statement
+  split one token per line, which the reader takes token by token
+* the log reader (each distinct line read once, its tokens matched in one
+  pattern) vs. reading every line's tokens one by one with
+  ``_parse_log_message``, on random logs with malformed tokens: the traces,
+  or the error's text and line
 
     python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
 
 import argparse
 import random
+import re
 import sys
 import time
 
@@ -30,6 +38,7 @@ from seqtrace import (
     DiagramError,
     EvalLimits,
     GeneratorConfig,
+    LogParseError,
     Loop,
     Message,
     Par,
@@ -44,6 +53,7 @@ from seqtrace import (
     oracle_interleave,
     oracle_weak,
     parse,
+    parse_trace_log,
     refines,
     render_fragment,
     render_trace,
@@ -52,9 +62,15 @@ from seqtrace import (
     theorem1_sides,
     weak,
 )
+from seqtrace.ast import EMPTY_TRACE_TOKEN
+from seqtrace.conformance import _parse_log_message
 from seqtrace.semantics import _BLOCK, _checked_eval
 
 POOL = ("A", "B", "C", "D")
+# Log tokens: messages, one with a dotted label, and malformed ones.
+LOG_TOKENS = ("A.m1.B", "B.m2.A", "C.m.x.D", "A.m1.A", EMPTY_TRACE_TOKEN,
+              "A..B", "A.B", "9.m.B", "A.m.", ".m.B", "A-m-B", "A.m1.B.")
+MESSAGE_STATEMENT = re.compile(r"(\w+) -> (\w+) : ([\w.]+)")
 
 
 def random_message(rng: random.Random) -> Message:
@@ -67,6 +83,45 @@ def outcome(evaluate):
         return evaluate()
     except DiagramError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def read_log_by_token(text: str):
+    """The traces of a log read line by line and token by token, or the
+    error of its first bad line."""
+    traces = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens == [EMPTY_TRACE_TOKEN]:
+            traces.add(())
+        elif EMPTY_TRACE_TOKEN in tokens:
+            raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
+        elif tokens:
+            traces.add(tuple(_parse_log_message(tok, line_no) for tok in tokens))
+    return frozenset(traces)
+
+
+def random_log(rng: random.Random) -> str:
+    """Up to eight lines, some repeated with other blanks or a comment, of
+    mostly well-formed tokens; about half the logs hold a bad token."""
+    bad = rng.random() < 0.5
+    lines = []
+    for _ in range(rng.randint(1, 8)):
+        if lines and rng.random() < 0.3:
+            line = rng.choice(lines).replace(" ", rng.choice(("  ", "\t", " \t ")))
+        elif rng.random() < 0.1:
+            line = " ".join([EMPTY_TRACE_TOKEN] * rng.randint(1, 1 + bad))
+        else:
+            pool = LOG_TOKENS if bad and rng.random() < 0.3 else LOG_TOKENS[:4]
+            line = " ".join(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+        lines.append(line + rng.choice(("", "", " # note", "#")))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+def log_outcome(read, text: str):
+    try:
+        return read(text)
+    except LogParseError as exc:
+        return f"{exc} (line {exc.line_no})"
 
 
 def agrees(verdict, found) -> bool:
@@ -186,8 +241,20 @@ def main() -> int:
     print(f"listing vs sorted words:      {args.cases} cases ({past} past a block), "
           f"{listing_bad} mismatches")
 
+    diagram_bad = 0
+    for frag in frags:
+        text = render_fragment(frag)
+        split = MESSAGE_STATEMENT.sub(r"\1\n->\n\2\n:\n\3", text)
+        diagram_bad += parse(text) != parse(split)
+    log_bad = 0
+    for _ in range(args.cases):
+        text = random_log(rng)
+        log_bad += log_outcome(parse_trace_log, text) != log_outcome(read_log_by_token, text)
+    print(f"readers one step vs tokens:   {len(frags)} diagrams, {diagram_bad} mismatches; "
+          f"{args.cases} logs, {log_bad} mismatches")
+
     total_bad = (weak_bad + shuffle_bad + trip_bad + count_bad + theorem_bad + par_bad
-                 + verdict_bad + listing_bad)
+                 + verdict_bad + listing_bad + diagram_bad + log_bad)
     print(f"total: {total_bad} mismatches in {time.perf_counter() - start:.1f}s")
     return 1 if total_bad else 0
 

@@ -8,19 +8,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_LABEL_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
+# The shapes of a lifeline name and of a message label. The validators below,
+# the diagram scanner and the log reader all match these, so they agree.
+NAME = r"[A-Za-z][A-Za-z0-9_]*"
+LABEL = r"[A-Za-z0-9_.]+"
+_NAME_RE = re.compile(NAME)
+_LABEL_RE = re.compile(LABEL)
 
 
 def is_valid_name(name: str) -> bool:
     """A lifeline name is a letter followed by letters, digits, underscores."""
-    return bool(_NAME_RE.match(name))
+    return bool(_NAME_RE.fullmatch(name))
 
 
 def is_valid_label(label: str) -> bool:
-    return bool(_LABEL_RE.match(label))
+    return bool(_LABEL_RE.fullmatch(label))
 
 
 @dataclass(frozen=True)
@@ -34,30 +39,43 @@ class Loc:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(tuple):
     """One atomic communication event: who sends, what, who receives.
 
-    Sender and receiver may coincide (a message to self). Equality and
-    hashing are structural over the three fields: two arrows drawn in
-    different places with the same fields denote the same symbol of the
-    trace alphabet.
+    A message is the tuple ``(sender, label, receiver)``, so equality,
+    hashing and order are a tuple's: two arrows drawn in different places
+    with the same fields denote the same symbol of the trace alphabet.
+    Sender and receiver may coincide (a message to self).
     """
 
-    sender: str
-    label: str
-    receiver: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_valid_name(self.sender):
-            raise ValueError(f"invalid sender name: {self.sender!r}")
-        if not is_valid_name(self.receiver):
-            raise ValueError(f"invalid receiver name: {self.receiver!r}")
-        if not is_valid_label(self.label):
-            raise ValueError(f"invalid message label: {self.label!r}")
+    def __new__(cls, sender: str, label: str, receiver: str) -> "Message":
+        if not is_valid_name(sender):
+            raise ValueError(f"invalid sender name: {sender!r}")
+        if not is_valid_name(receiver):
+            raise ValueError(f"invalid receiver name: {receiver!r}")
+        if not is_valid_label(label):
+            raise ValueError(f"invalid message label: {label!r}")
+        return tuple.__new__(cls, (sender, label, receiver))
+
+    def __getnewargs__(self) -> tuple[str, str, str]:  # for pickle and copy
+        return tuple(self)
+
+    sender = property(itemgetter(0))
+    label = property(itemgetter(1))
+    receiver = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"Message(sender={self[0]!r}, label={self[1]!r}, receiver={self[2]!r})"
 
     def __str__(self) -> str:
-        return f"{self.sender}.{self.label}.{self.receiver}"
+        return f"{self[0]}.{self[1]}.{self[2]}"
+
+
+def _message(fields: tuple[str, str, str]) -> Message:
+    """The message of ``fields`` already matched against NAME and LABEL."""
+    return tuple.__new__(Message, fields)
 
 
 # A trace is one possible history: a finite (possibly empty) message sequence.
@@ -203,12 +221,9 @@ Fragment = (
 
 def shares_lifeline(x: Message, y: Message) -> bool:
     """True when the two messages touch a common lifeline."""
-    return (
-        x.sender == y.sender
-        or x.sender == y.receiver
-        or x.receiver == y.sender
-        or x.receiver == y.receiver
-    )
+    xs, _, xr = x
+    ys, _, yr = y
+    return xs == ys or xs == yr or xr == ys or xr == yr
 
 
 def children(f: Fragment) -> tuple[Fragment, ...]:

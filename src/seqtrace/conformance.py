@@ -25,15 +25,19 @@ as they are enumerated.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from seqtrace.ast import (
     EMPTY_TRACE_TOKEN,
+    LABEL,
+    NAME,
     Message,
     Trace,
     TraceSet,
+    _message,
     render_trace,
 )
 from seqtrace.errors import Diagnostic, LogParseError
@@ -41,6 +45,8 @@ from seqtrace.parser import ParsedDiagram
 from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast, scope
 
 MAX_WITNESSES = 10
+
+_LOG_MESSAGE_RE = re.compile(rf"({NAME})\.({LABEL})\.({NAME})")
 
 
 class ConformanceMode(Enum):
@@ -83,20 +89,30 @@ def parse_trace_log(text: str) -> TraceSet:
     messages as sender.label.receiver separated by blanks, epsilon for the
     empty trace, ``#`` comments.
 
-    Each distinct line is read once, at its first occurrence, so an error
-    names the first bad line."""
-    first: dict[tuple[str, ...], int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        first.setdefault(tuple(raw.split("#", 1)[0].split()), line_no)
-    first.pop((), None)
+    Each distinct line is read once, in order of first occurrence, so an
+    error names the first bad line."""
     traces: set[Trace] = set()
-    for tokens, line_no in first.items():
-        if tokens == (EMPTY_TRACE_TOKEN,):
-            tokens = ()
-        elif EMPTY_TRACE_TOKEN in tokens:
-            raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
-        traces.add(tuple(_parse_log_message(tok, line_no) for tok in tokens))
+    for raw in dict.fromkeys(text.splitlines()):
+        tokens = raw.split("#", 1)[0].split()
+        matches = list(map(_LOG_MESSAGE_RE.fullmatch, tokens))
+        if tokens == [EMPTY_TRACE_TOKEN]:
+            traces.add(())
+        elif None in matches:
+            _log_error(text, tokens)
+        elif matches:  # a line of no tokens is no trace
+            traces.add(tuple(map(_message, map(re.Match.groups, matches))))
     return frozenset(traces)
+
+
+def _log_error(text: str, tokens: list[str]) -> None:
+    """Raise the error of the first line that reads as ``tokens``, a line
+    with a token that is not a message."""
+    line_no = next(line_no for line_no, raw in enumerate(text.splitlines(), start=1)
+                   if raw.split("#", 1)[0].split() == tokens)
+    if EMPTY_TRACE_TOKEN in tokens:
+        raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
+    for tok in tokens:
+        _parse_log_message(tok, line_no)
 
 
 def validate(d: ParsedDiagram) -> list[Diagnostic]:

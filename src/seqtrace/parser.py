@@ -27,6 +27,8 @@ import re
 from dataclasses import dataclass
 
 from seqtrace.ast import (
+    LABEL,
+    NAME,
     Alt,
     Basic,
     Consider,
@@ -41,6 +43,7 @@ from seqtrace.ast import (
     Par,
     Skip,
     WeakSeq,
+    _message,
     children,
     is_valid_name,
     rebuild,
@@ -61,11 +64,16 @@ KEYWORDS = frozenset(
 # walk over the tree well inside the interpreter's default recursion limit.
 MAX_NESTING = 200
 
-# Blanks, then one token: a comment, a newline, a word, punctuation, any
-# other character (an error) or the end of the input. Every position
-# matches, so the scan never skips text.
+# Blanks, then one token: a comment, a newline, a whole message statement
+# on one line (groups 3-7: its five fields, sender and receiver not
+# keywords), a word (shaped like a label), punctuation, any other character
+# (an error) or the end of the input. Every position matches, so the scan
+# never skips text.
+_NOT_KEYWORD = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b)"
 _TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(#[^\n]*)|(\n)|([A-Za-z0-9_.]+)|(->|--|[{}\[\],:])|(.)|\Z)"
+    rf"[ \t\r]*(?:(#[^\n]*)|(\n)|{_NOT_KEYWORD}({NAME})[ \t\r]*(->)[ \t\r]*"
+    rf"{_NOT_KEYWORD}({NAME})[ \t\r]*(:)[ \t\r]*({LABEL})|({LABEL})"
+    r"|(->|--|[{}\[\],:])|(.)|\Z)"
 )
 
 
@@ -77,31 +85,43 @@ class ParsedDiagram:
     root: Fragment
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
+def _tokenize(source: str) -> list[tuple]:
     """The tokens of ``source`` as ``(kind, text, line, column)`` tuples, the
-    last of kind EOF. A word's kind is WORD, punctuation's is its own text."""
+    last of kind EOF. A word's kind is WORD, punctuation's is its own text.
+    A message statement on one line is one token of kind MSG, whose text and
+    place are its sender's, followed by its ``Message`` and its match."""
     tokens = []
     append = tokens.append
     line, line_start = 1, -1  # line_start: the offset just before the line
     for m in _TOKEN_RE.finditer(source):
         group = m.lastindex
-        if group == 3:
-            append(("WORD", m[3], line, m.start(3) - line_start))
-        elif group == 4:
-            text = m[4]
-            append((text, text, line, m.start(4) - line_start))
+        if group == 7:
+            append(("MSG", m[3], line, m.start(3) - line_start, _message(m.group(3, 7, 5)), m))
+        elif group == 8:
+            append(("WORD", m[8], line, m.start(8) - line_start))
+        elif group == 9:
+            text = m[9]
+            append((text, text, line, m.start(9) - line_start))
         elif group == 2:
             line += 1
             line_start = m.start(2)
         elif group is None:
             append(("EOF", "", line, m.end() - line_start))
             break
-        elif group == 5:  # any other character; a comment yields no token
-            loc = Loc(line, m.start(5) - line_start)
-            if m[5] == "-":
+        elif group == 10:  # any other character; a comment yields no token
+            loc = Loc(line, m.start(10) - line_start)
+            if m[10] == "-":
                 raise ParseError("stray '-'; expected '->' or '--'", loc, ("->", "--"))
-            raise ParseError(f"unexpected character {m[5]!r}", loc, ())
+            raise ParseError(f"unexpected character {m[10]!r}", loc, ())
     return tokens
+
+
+def _split(tok: tuple) -> list[tuple]:
+    """The five tokens that a MSG token spans, as the scan reads them when
+    they do not share one line: name, '->', name, ':', label."""
+    _, _, line, column, _, m = tok
+    shift = column - m.start(3)
+    return [("WORD" if g % 2 else m[g], m[g], line, m.start(g) + shift) for g in range(3, 8)]
 
 
 def _loc(tok: tuple) -> Loc:
@@ -124,6 +144,9 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.pos]
+        if tok[0] == "MSG" and kind == "WORD":  # a word wanted where a message starts
+            self.tokens[self.pos:self.pos + 1] = _split(tok)
+            tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise _unexpected(tok, what)
         self.pos += 1
@@ -153,12 +176,12 @@ class _Parser:
 
     def statement(self) -> Fragment:
         tok = self.peek()
-        if tok[0] != "WORD":
+        if tok[0] not in ("MSG", "WORD"):
             raise _unexpected(tok, "a statement", "statement")
         word, loc = tok[1], _loc(tok)
         if word not in KEYWORDS:  # a run of message statements is one basic
             messages, locs = [self.message()], [loc]
-            while (tok := self.peek())[0] == "WORD" and tok[1] not in KEYWORDS:
+            while (tok := self.peek())[0] in ("MSG", "WORD") and tok[1] not in KEYWORDS:
                 locs.append(_loc(tok))
                 messages.append(self.message())
             return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
@@ -178,20 +201,12 @@ class _Parser:
         return frag
 
     def message(self) -> Message:
-        """``NAME -> NAME : LABEL``. The token kinds and keywords are checked
-        here in one step and the fields' shape once, by ``Message``; if any
-        check fails, the tokens are read again one at a time, which raises
-        the error of the first bad one."""
-        pos = self.pos
-        try:
-            s, a, r, c, l = self.tokens[pos:pos + 5]
-            if ((s[0], a[0], r[0], c[0], l[0]) == ("WORD", "->", "WORD", ":", "WORD")
-                    and s[1] not in KEYWORDS and r[1] not in KEYWORDS):
-                msg = Message(s[1], l[1], r[1])
-                self.pos = pos + 5
-                return msg
-        except ValueError:  # fewer than five tokens left, or a malformed name
-            pass
+        """``NAME -> NAME : LABEL``: one MSG token, or else its tokens read
+        one at a time, which raises the error of the first bad one."""
+        tok = self.tokens[self.pos]
+        if tok[0] == "MSG":
+            self.pos += 1
+            return tok[4]
         sender = self.name("lifeline name")[1]
         self.expect("->", "'->'")
         receiver = self.name("lifeline name")[1]
@@ -275,10 +290,6 @@ def _render_message(m: Message) -> str:
     return f"{m.sender} -> {m.receiver} : {m.label}"
 
 
-def _sorted_alphabet(al: frozenset[Message]) -> list[Message]:
-    return sorted(al, key=lambda m: (m.sender, m.label, m.receiver))
-
-
 def _render_into(f: Fragment, lines: list[str], depth: int) -> None:
     pad = "  " * depth
     keyword = type(f).__name__.lower()
@@ -294,7 +305,7 @@ def _render_into(f: Fragment, lines: list[str], depth: int) -> None:
             lines.append(pad + keyword)
         case _:
             if isinstance(f, (Consider, Ignore)):
-                rendered = ", ".join(_render_message(m) for m in _sorted_alphabet(f.alphabet))
+                rendered = ", ".join(_render_message(m) for m in sorted(f.alphabet))
                 keyword += f" [{rendered}]"
             lines.append(pad + keyword + " {")
             for idx, part in enumerate(children(f)):
@@ -333,7 +344,7 @@ def dump_diagram(d: ParsedDiagram) -> str:
             case Create(name=n) | Destroy(name=n):
                 text += " " + n
             case Consider(alphabet=al) | Ignore(alphabet=al):
-                text += " [" + ", ".join(str(m) for m in _sorted_alphabet(al)) + "]"
+                text += " [" + ", ".join(str(m) for m in sorted(al)) + "]"
         lines.append(text)
         for part in children(f):
             walk(part, depth + 1)

@@ -163,11 +163,11 @@ def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
     waits = [0] * n
     succs: list[list[int]] = [[] for _ in range(n)]
     last_on: dict[str, int] = {}
-    for i, m in enumerate(msgs):
-        for j in {last_on[name] for name in (m.sender, m.receiver) if name in last_on}:
+    for i, (sender, _, receiver) in enumerate(msgs):
+        for j in {last_on[name] for name in (sender, receiver) if name in last_on}:
             waits[i] |= 1 << j
             succs[j].append(i)
-        last_on[m.sender] = last_on[m.receiver] = i
+        last_on[sender] = last_on[receiver] = i
     full = (1 << n) - 1
     ready_of = {0: sorted((i for i in range(n) if not waits[i]), key=token)}
     up: dict[int, list[tuple[int, int]]] = {}
@@ -340,11 +340,11 @@ def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[DiagramError]
     def walk(f: Fragment, ns: Namespace) -> Namespace:
         match f:
             case Basic(messages=msgs):
-                for m, loc in zip(msgs, f.message_locs):
-                    if m.sender not in ns:
-                        errors.append(UnknownLifelineError(m.sender, loc))
-                    if m.receiver not in ns and m.receiver != m.sender:
-                        errors.append(UnknownLifelineError(m.receiver, loc))
+                for (sender, _, receiver), loc in zip(msgs, f.message_locs):
+                    if sender not in ns:
+                        errors.append(UnknownLifelineError(sender, loc))
+                    if receiver not in ns and receiver != sender:
+                        errors.append(UnknownLifelineError(receiver, loc))
             case WeakSeq(children=parts):
                 for part in parts:
                     ns = walk(part, ns)
@@ -370,13 +370,13 @@ def namespace_of(f: Fragment, ns: Namespace) -> Namespace:
 
 
 def _class_key(t: Trace) -> tuple:
-    """``t``'s projection onto each lifeline, messages spelled as fields."""
-    lanes: dict[str, list[tuple[str, str, str]]] = {}
+    """``t``'s projection onto each lifeline."""
+    lanes: dict[str, list[Message]] = {}
     for m in t:
-        fields = (m.sender, m.label, m.receiver)
-        lanes.setdefault(m.sender, []).append(fields)
-        if m.receiver != m.sender:
-            lanes.setdefault(m.receiver, []).append(fields)
+        sender, _, receiver = m
+        lanes.setdefault(sender, []).append(m)
+        if receiver != sender:
+            lanes.setdefault(receiver, []).append(m)
     return tuple(sorted((name, tuple(ms)) for name, ms in lanes.items()))
 
 

@@ -212,6 +212,23 @@ class TestTraceLog:
         assert err.value.line_no == 3
         assert "A-m-B" in str(err.value)
 
+    def test_bad_tokens_spelled_apart_report_their_first_line(self):
+        text = "A.m.B\nA.m.B  A..B # one\nC.n.D\nA.m.B\n\tA.m.B A..B\n"
+        with pytest.raises(LogParseError) as err:
+            parse_trace_log(text)
+        assert err.value.line_no == 2
+        assert str(err.value) == "line 2: malformed message 'A..B'; invalid message label: ''"
+
+    def test_crlf_log_reads_as_its_lf_copy(self):
+        text = "A.m.B C.n.D\nε\n# note\n\nB.x.y.A\n"
+        assert parse_trace_log(text.replace("\n", "\r\n")) == parse_trace_log(text)
+        with pytest.raises(LogParseError) as err:
+            parse_trace_log((text + "A.B\n").replace("\n", "\r\n"))
+        assert err.value.line_no == 6
+
+    def test_many_copies_of_one_line_are_one_trace(self):
+        assert parse_trace_log("A.m.B B.n.A\n" * 10_000) == {(M("A", "m", "B"), M("B", "n", "A"))}
+
     def test_lines_equal_up_to_blanks_and_comments_are_one_trace(self):
         log = parse_trace_log("A.m.B C.n.D\n  A.m.B\tC.n.D\nA.m.B  C.n.D  # again\n")
         assert log == {(M("A", "m", "B"), M("C", "n", "D"))}

@@ -1,5 +1,9 @@
 """Core value types: messages, lifeline sharing, and message alphabets."""
 
+import copy
+import pickle
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +17,7 @@ from seqtrace import (
     Skip,
     WeakSeq,
     message_alphabet,
+    parse,
     shares_lifeline,
 )
 
@@ -43,6 +48,32 @@ class TestMessage:
 
     def test_label_may_contain_dots(self):
         assert M("A", "req.v2", "B").label == "req.v2"
+
+    def test_is_the_tuple_of_its_fields(self):
+        m = M("A", "m", "B")
+        assert m == ("A", "m", "B") and hash(m) == hash(("A", "m", "B"))
+        assert (m.sender, m.label, m.receiver) == tuple(m)
+        assert sorted([M("B", "a", "A"), M("A", "z", "C"), M("A", "m", "B")]) == [
+            M("A", "m", "B"), M("A", "z", "C"), M("B", "a", "A")]
+        assert repr(m) == "Message(sender='A', label='m', receiver='B')"
+        assert str(m) == "A.m.B"
+
+    def test_fields_are_read_only(self):
+        m = M("A", "m", "B")
+        with pytest.raises(AttributeError):
+            m.sender = "C"
+        with pytest.raises(AttributeError):
+            m.note = "x"
+
+    @pytest.mark.parametrize("value", [
+        M("A", "req.v2", "B"),
+        (M("A", "m1", "B"), M("B", "m2", "A")),  # a trace
+        parse((Path(__file__).parents[1] / "diagrams" / "nested.sd").read_text()),
+    ], ids=["message", "trace", "diagram"])
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert clone == value
+            assert type(clone) is type(value)
 
 
 class TestSharesLifeline:
