@@ -20,8 +20,9 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   split one token per line, which the reader takes token by token
 * the log reader (each distinct line read once, its tokens matched in one
   pattern) vs. reading every line's tokens one by one with
-  ``_parse_log_message``, on random logs with malformed tokens: the traces,
-  or the error's text and line
+  ``_parse_log_message``, on random logs with malformed tokens and with
+  blanks that ``str.splitlines`` would take for line ends (a log line ends
+  only at ``\n``): the traces, or the error's text and line
 
     python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
@@ -70,6 +71,9 @@ POOL = ("A", "B", "C", "D")
 # Log tokens: messages, one with a dotted label, and malformed ones.
 LOG_TOKENS = ("A.m1.B", "B.m2.A", "C.m.x.D", "A.m1.A", EMPTY_TRACE_TOKEN,
               "A..B", "A.B", "9.m.B", "A.m.", ".m.B", "A-m-B", "A.m1.B.")
+# Blanks between log tokens: spaces, and characters that str.splitlines
+# takes for line ends but a log line does not.
+LOG_BLANKS = (" ", " ", " ", "\x0b", "\x0c", "\x85", "\u2028")
 MESSAGE_STATEMENT = re.compile(r"(\w+) -> (\w+) : ([\w.]+)")
 
 
@@ -89,7 +93,7 @@ def read_log_by_token(text: str):
     """The traces of a log read line by line and token by token, or the
     error of its first bad line."""
     traces = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens == [EMPTY_TRACE_TOKEN]:
             traces.add(())
@@ -102,7 +106,8 @@ def read_log_by_token(text: str):
 
 def random_log(rng: random.Random) -> str:
     """Up to eight lines, some repeated with other blanks or a comment, of
-    mostly well-formed tokens; about half the logs hold a bad token."""
+    mostly well-formed tokens, some apart by a blank that is no line end;
+    about half the logs hold a bad token."""
     bad = rng.random() < 0.5
     lines = []
     for _ in range(rng.randint(1, 8)):
@@ -112,7 +117,8 @@ def random_log(rng: random.Random) -> str:
             line = " ".join([EMPTY_TRACE_TOKEN] * rng.randint(1, 1 + bad))
         else:
             pool = LOG_TOKENS if bad and rng.random() < 0.3 else LOG_TOKENS[:4]
-            line = " ".join(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+            line = rng.choice(LOG_BLANKS).join(
+                rng.choice(pool) for _ in range(rng.randint(0, 3)))
         lines.append(line + rng.choice(("", "", " # note", "#")))
     return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
 

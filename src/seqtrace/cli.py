@@ -17,6 +17,7 @@ import operator
 import os
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from seqtrace.ast import Loop, render_trace
 from seqtrace.conformance import (
@@ -64,12 +65,13 @@ def _int_at_least(low: int):
     return convert
 
 
-def _validate_or_fail(diagram: ParsedDiagram, path: str) -> bool:
-    """Report validation diagnostics to stderr; True when the diagram is clean."""
-    diags = validate(diagram)
-    for diag in diags:
-        print(f"{path}:{diag}", file=sys.stderr)
-    return not diags
+def _validate(diagram: ParsedDiagram, out: TextIO, prefix: str = "") -> bool:
+    """Print each scope error of ``diagram`` to ``out`` as ``prefix`` and
+    ``line:col: code: message``; True when there are none."""
+    errors = validate(diagram)
+    for e in errors:
+        print(f"{prefix}{e.loc}: {e.code}: {e.message}", file=out)
+    return not errors
 
 
 def _note_bound(limits: EvalLimits) -> None:
@@ -84,16 +86,12 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    diagram = parse(_read(args.file))
-    diags = validate(diagram)
-    for diag in diags:
-        print(diag)
-    return 1 if diags else 0
+    return 0 if _validate(parse(_read(args.file)), sys.stdout) else 1
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
     diagram = parse(_read(args.file))
-    if not _validate_or_fail(diagram, args.file):
+    if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
     limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
     if args.count:
@@ -118,8 +116,8 @@ def _print_verdict(verdict: Verdict, ok_word: str, fail_word: str, tag: bool) ->
 def _cmd_refine(args: argparse.Namespace) -> int:
     left = parse(_read(args.file_a))
     right = parse(_read(args.file_b))
-    ok_a = _validate_or_fail(left, args.file_a)
-    ok_b = _validate_or_fail(right, args.file_b)
+    ok_a = _validate(left, sys.stderr, f"{args.file_a}:")
+    ok_b = _validate(right, sys.stderr, f"{args.file_b}:")
     if not (ok_a and ok_b):
         return 2
     limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
@@ -129,7 +127,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 def _cmd_conform(args: argparse.Namespace) -> int:
     diagram = parse(_read(args.file))
-    if not _validate_or_fail(diagram, args.file):
+    if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
     log = parse_trace_log(_read(args.log))
     limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
@@ -147,7 +145,7 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not _validate_or_fail(diagram, args.file):
+    if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
     limits = EvalLimits(loop_bound=args.depth, max_traces=args.max_traces)
     loop_only, unrolled_only = theorem1_diff(diagram.root, diagram.initial_namespace, limits)

@@ -40,7 +40,7 @@ from seqtrace.ast import (
     _message,
     render_trace,
 )
-from seqtrace.errors import Diagnostic, LogParseError
+from seqtrace.errors import LogParseError, _ScopeError
 from seqtrace.parser import ParsedDiagram
 from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast, scope
 
@@ -85,14 +85,14 @@ def _parse_log_message(token: str, line_no: int) -> Message:
 
 
 def parse_trace_log(text: str) -> TraceSet:
-    """Parse a trace log into its set of traces: one trace per line,
-    messages as sender.label.receiver separated by blanks, epsilon for the
-    empty trace, ``#`` comments.
+    """Parse a trace log into its set of traces: one trace per line, ended
+    only by a newline, messages as sender.label.receiver separated by blanks,
+    epsilon for the empty trace, ``#`` comments.
 
     Each distinct line is read once, in order of first occurrence, so an
     error names the first bad line."""
     traces: set[Trace] = set()
-    for raw in dict.fromkeys(text.splitlines()):
+    for raw in dict.fromkeys(text.split("\n")):
         tokens = raw.split("#", 1)[0].split()
         matches = list(map(_LOG_MESSAGE_RE.fullmatch, tokens))
         if tokens == [EMPTY_TRACE_TOKEN]:
@@ -107,7 +107,7 @@ def parse_trace_log(text: str) -> TraceSet:
 def _log_error(text: str, tokens: list[str]) -> None:
     """Raise the error of the first line that reads as ``tokens``, a line
     with a token that is not a message."""
-    line_no = next(line_no for line_no, raw in enumerate(text.splitlines(), start=1)
+    line_no = next(line_no for line_no, raw in enumerate(text.split("\n"), start=1)
                    if raw.split("#", 1)[0].split() == tokens)
     if EMPTY_TRACE_TOKEN in tokens:
         raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
@@ -115,15 +115,15 @@ def _log_error(text: str, tokens: list[str]) -> None:
         _parse_log_message(tok, line_no)
 
 
-def validate(d: ParsedDiagram) -> list[Diagnostic]:
+def validate(d: ParsedDiagram) -> list[_ScopeError]:
     """Namespace-check a diagram without computing any traces.
 
-    Reports every scope error that ``semantics.scope`` finds, in
-    evaluation order. The list is empty iff evaluation would raise no
-    namespace error.
+    Returns every scope error that ``semantics.scope`` finds, in evaluation
+    order, each with its ``code``, ``name``, ``message`` and ``loc``. The
+    list is empty iff evaluation would raise no namespace error, and its
+    first error is the one evaluation would raise.
     """
-    _, errors = scope(d.root, d.initial_namespace)
-    return [Diagnostic(e.code, e.message, e.loc) for e in errors]
+    return scope(d.root, d.initial_namespace)[1]
 
 
 def _verdict(side: str, total: int, ordered: Iterable[Trace], limits: EvalLimits) -> Verdict:

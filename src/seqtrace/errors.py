@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 from seqtrace.ast import Loc
 
 
@@ -19,10 +16,6 @@ class DiagramError(Exception):
 
 class ParseError(DiagramError):
     """Source text does not match the diagram grammar."""
-
-    def __init__(self, message: str, loc: Loc, expected: Iterable[str] = ()):
-        super().__init__(message, loc)
-        self.expected = frozenset(expected)
 
 
 class DuplicateLifelineError(ParseError):
@@ -41,34 +34,37 @@ class EmptyBlockError(ParseError):
         self.keyword = keyword
 
 
-class UnknownLifelineError(DiagramError):
+class _ScopeError(DiagramError):
+    """A finding of ``semantics.scope``: its ``code``, the lifeline ``name``
+    it is about, and where."""
+
+    code: str
+    text: str  # the message, with {name!r} for the lifeline
+
+    def __init__(self, name: str, loc: Loc | None = None):
+        super().__init__(self.text.format(name=name), loc)
+        self.name = name
+
+
+class UnknownLifelineError(_ScopeError):
     """A message peer is not in scope where the message occurs."""
 
     code = "unknown-lifeline"
-
-    def __init__(self, name: str, loc: Loc | None = None):
-        super().__init__(f"lifeline {name!r} is not in scope", loc)
-        self.name = name
+    text = "lifeline {name!r} is not in scope"
 
 
-class DuplicateCreateError(DiagramError):
+class DuplicateCreateError(_ScopeError):
     """A create names a lifeline that is already in scope."""
 
     code = "duplicate-create"
-
-    def __init__(self, name: str, loc: Loc | None = None):
-        super().__init__(f"create of lifeline {name!r} which is already in scope", loc)
-        self.name = name
+    text = "create of lifeline {name!r} which is already in scope"
 
 
-class DestroyAbsentError(DiagramError):
+class DestroyAbsentError(_ScopeError):
     """A destroy names a lifeline that is not in scope."""
 
     code = "destroy-absent"
-
-    def __init__(self, name: str, loc: Loc | None = None):
-        super().__init__(f"destroy of lifeline {name!r} which is not in scope", loc)
-        self.name = name
+    text = "destroy of lifeline {name!r} which is not in scope"
 
 
 class TraceSetOverflowError(DiagramError):
@@ -94,16 +90,3 @@ class LogParseError(DiagramError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding, reported as a value rather than raised."""
-
-    code: str  # "unknown-lifeline" | "duplicate-create" | "destroy-absent"
-    message: str
-    loc: Loc | None
-
-    def __str__(self) -> str:
-        prefix = f"{self.loc}: " if self.loc is not None else ""
-        return f"{prefix}{self.code}: {self.message}"

@@ -111,8 +111,8 @@ def _tokenize(source: str) -> list[tuple]:
         elif group == 10:  # any other character; a comment yields no token
             loc = Loc(line, m.start(10) - line_start)
             if m[10] == "-":
-                raise ParseError("stray '-'; expected '->' or '--'", loc, ("->", "--"))
-            raise ParseError(f"unexpected character {m[10]!r}", loc, ())
+                raise ParseError("stray '-'; expected '->' or '--'", loc)
+            raise ParseError(f"unexpected character {m[10]!r}", loc)
     return tokens
 
 
@@ -128,9 +128,9 @@ def _loc(tok: tuple) -> Loc:
     return Loc(tok[2], tok[3])
 
 
-def _unexpected(tok: tuple, what: str, expected: str | None = None) -> ParseError:
+def _unexpected(tok: tuple, what: str) -> ParseError:
     found = repr(tok[1]) if tok[1] else "end of input"
-    return ParseError(f"expected {what}, found {found}", _loc(tok), (expected or what,))
+    return ParseError(f"expected {what}, found {found}", _loc(tok))
 
 
 class _Parser:
@@ -155,9 +155,9 @@ class _Parser:
     def name(self, what: str) -> tuple:
         tok = self.expect("WORD", what)
         if tok[1] in KEYWORDS:
-            raise ParseError(f"keyword {tok[1]!r} cannot be used as a {what}", _loc(tok), (what,))
+            raise ParseError(f"keyword {tok[1]!r} cannot be used as a {what}", _loc(tok))
         if not is_valid_name(tok[1]):
-            raise ParseError(f"invalid {what}: {tok[1]!r}", _loc(tok), (what,))
+            raise ParseError(f"invalid {what}: {tok[1]!r}", _loc(tok))
         return tok
 
     def diagram(self) -> ParsedDiagram:
@@ -177,7 +177,7 @@ class _Parser:
     def statement(self) -> Fragment:
         tok = self.peek()
         if tok[0] not in ("MSG", "WORD"):
-            raise _unexpected(tok, "a statement", "statement")
+            raise _unexpected(tok, "a statement")
         word, loc = tok[1], _loc(tok)
         if word not in KEYWORDS:  # a run of message statements is one basic
             messages, locs = [self.message()], [loc]
@@ -186,8 +186,7 @@ class _Parser:
                 messages.append(self.message())
             return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
         if word == "lifeline":
-            raise ParseError("lifeline declarations are only allowed at the top level",
-                             loc, ("statement",))
+            raise ParseError("lifeline declarations are only allowed at the top level", loc)
         self.pos += 1
         if word == "skip":
             return Skip(loc=loc)
@@ -231,10 +230,10 @@ class _Parser:
         while True:
             kind = (tok := self.peek())[0]
             if kind == "EOF":
-                raise ParseError(f"unterminated {keyword} block", _loc(tok), ("'}'",))
+                raise ParseError(f"unterminated {keyword} block", _loc(tok))
             if kind == "--" and keyword not in ("alt", "par"):
                 raise ParseError("'--' separators are only legal inside alt and par blocks",
-                                 _loc(tok), ("statement", "'}'"))
+                                 _loc(tok))
             if kind not in ("}", "--"):
                 items.append(self.statement())
                 continue

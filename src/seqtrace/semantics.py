@@ -75,10 +75,10 @@ from seqtrace.ast import (
 )
 from seqtrace.errors import (
     DestroyAbsentError,
-    DiagramError,
     DuplicateCreateError,
     TraceSetOverflowError,
     UnknownLifelineError,
+    _ScopeError,
 )
 
 DEFAULT_LOOP_BOUND = 2
@@ -326,7 +326,7 @@ def filter_trace(ms: frozenset[Message] | set[Message], t: Trace) -> Trace:
     return tuple(m for m in t if m in ms)
 
 
-def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[DiagramError]]:
+def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[_ScopeError]]:
     """Thread create/destroy through ``f``: the namespace after it, and
     every scope error in evaluation order.
 
@@ -335,7 +335,7 @@ def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[DiagramError]
     or destroys are restored after it. The errors are unknown-lifeline,
     duplicate-create and destroy-absent, each with its location.
     """
-    errors: list[DiagramError] = []
+    errors: list[_ScopeError] = []
 
     def walk(f: Fragment, ns: Namespace) -> Namespace:
         match f:
@@ -362,11 +362,6 @@ def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[DiagramError]
         return ns
 
     return walk(f, frozenset(ns)), errors
-
-
-def namespace_of(f: Fragment, ns: Namespace) -> Namespace:
-    """The namespace in scope after ``f``; see ``scope``."""
-    return scope(f, ns)[0]
 
 
 def _class_key(t: Trace) -> tuple:

@@ -21,7 +21,7 @@ def test_every_public_name_is_listed():
 
 
 def test_removed_names_stay_gone():
-    for name in ("TraceLog", "Witness", "theorem1_check", "peers"):
+    for name in ("TraceLog", "Witness", "theorem1_check", "peers", "Diagnostic", "namespace_of"):
         assert not hasattr(seqtrace, name), name
         assert name not in seqtrace.__all__
     assert not hasattr(seqtrace.ast, "peers")

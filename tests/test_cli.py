@@ -162,6 +162,32 @@ class TestCheck:
         assert "error: 2:6:" in err
 
 
+class TestScopeFindings:
+    # loop_scope.sd has one finding of each kind, inside a loop at the root.
+    FINDINGS = [
+        "7:3: unknown-lifeline: lifeline 'C' is not in scope",
+        "8:3: duplicate-create: create of lifeline 'B' which is already in scope",
+        "9:3: destroy-absent: destroy of lifeline 'D' which is not in scope",
+    ]
+
+    def test_check_prints_them_on_stdout(self, capsys, diagrams_dir):
+        code, out, err = run(capsys, "check", str(diagrams_dir / "invalid" / "loop_scope.sd"))
+        assert (code, out, err) == (1, "".join(f"{f}\n" for f in self.FINDINGS), "")
+
+    @pytest.mark.parametrize("argv", [
+        ["traces", "{bad}"],
+        ["refine", "{good}", "{bad}"],
+        ["conform", "{bad}", "{log}", "--mode", "exhaust"],
+        ["theorem", "{bad}", "--depth", "2"],
+    ])
+    def test_other_commands_print_them_on_stderr(self, capsys, diagrams_dir, argv):
+        bad = str(diagrams_dir / "invalid" / "loop_scope.sd")
+        paths = {"bad": bad, "good": str(diagrams_dir / "weak_order.sd"),
+                 "log": str(diagrams_dir / "weak_order.log")}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out, err) == (2, "", "".join(f"{bad}:{f}\n" for f in self.FINDINGS))
+
+
 class TestParseDump:
     def test_minimal(self, capsys, tmp_path):
         f = tmp_path / "one.sd"

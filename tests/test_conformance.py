@@ -81,16 +81,24 @@ class TestValidate:
         )
 
         cfg = GeneratorConfig(max_depth=3, seed=seed)
-        ns = frozenset(cfg.lifeline_pool)
-        for frag in generate_fragments(cfg, 50):
-            d = ParsedDiagram(ns, frag)
-            diags = validate(d)
-            try:
-                denote(frag, ns)
-                raised = False
-            except (UnknownLifelineError, DuplicateCreateError, DestroyAbsentError):
-                raised = True
-            assert bool(diags) == raised
+        pool = frozenset(cfg.lifeline_pool)
+        codes = set()
+        # Generated fragments are valid under the pool. Under fewer names
+        # they use and destroy absent lifelines; the generator creates
+        # X0, X1, ..., so with those in scope a create duplicates one.
+        for ns in (pool, frozenset({"A", "B"}), pool | {"X0", "X1", "X2", "X3"}):
+            for frag in generate_fragments(cfg, 50):
+                diags = validate(ParsedDiagram(ns, frag))
+                try:
+                    denote(frag, ns)
+                    assert diags == []
+                except (UnknownLifelineError, DuplicateCreateError, DestroyAbsentError) as exc:
+                    # The first finding is the error that evaluation raises.
+                    first = diags[0]
+                    assert (type(first), first.code, first.name, first.loc, first.message) == (
+                        type(exc), exc.code, exc.name, exc.loc, exc.message)
+                    codes.add(first.code)
+        assert codes == {"unknown-lifeline", "duplicate-create", "destroy-absent"}
 
 
 class TestRefines:
@@ -225,6 +233,16 @@ class TestTraceLog:
         with pytest.raises(LogParseError) as err:
             parse_trace_log((text + "A.B\n").replace("\n", "\r\n"))
         assert err.value.line_no == 6
+
+    @pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\r"])
+    def test_a_line_ends_only_at_newline(self, blank):
+        # str.splitlines would end a line at each of these; a log line ends
+        # at "\n" only, and inside a line they are blanks.
+        log = parse_trace_log(f"A.m.B{blank}C.n.D\n")
+        assert log == {(M("A", "m", "B"), M("C", "n", "D"))}
+        with pytest.raises(LogParseError) as err:
+            parse_trace_log(f"A.m.B{blank}\nbad\n")
+        assert err.value.line_no == 2
 
     def test_many_copies_of_one_line_are_one_trace(self):
         assert parse_trace_log("A.m.B B.n.A\n" * 10_000) == {(M("A", "m", "B"), M("B", "n", "A"))}

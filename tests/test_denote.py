@@ -25,8 +25,8 @@ from seqtrace import (
     denote,
     generate_fragments,
     interleave_traces,
-    namespace_of,
 )
+from seqtrace.semantics import scope
 
 M = Message
 
@@ -118,14 +118,14 @@ class TestWeakSeqComposition:
 
 class TestLifecycle:
     def test_create_adds_name(self):
-        assert namespace_of(Create("C"), frozenset({"A", "B"})) == {"A", "B", "C"}
+        assert scope(Create("C"), frozenset({"A", "B"}))[0] == {"A", "B", "C"}
 
     def test_destroy_removes_name(self):
-        assert namespace_of(Destroy("C"), frozenset({"A", "B", "C"})) == {"A", "B"}
+        assert scope(Destroy("C"), frozenset({"A", "B", "C"}))[0] == {"A", "B"}
 
     def test_combined_fragments_leave_namespace_alone(self):
         body = WeakSeq((Create("P"), Basic((M("C", "run", "P"),))))
-        assert namespace_of(Loop(body), frozenset({"C", "S"})) == {"C", "S"}
+        assert scope(Loop(body), frozenset({"C", "S"}))[0] == {"C", "S"}
 
     def test_create_then_use(self):
         f = WeakSeq((Create("P"), Basic((M("A", "go", "P"),))))
@@ -199,7 +199,7 @@ class TestNamespaceRestoration:
                 continue
             if not isinstance(frag, (Create, Destroy, WeakSeq)):
                 assert d.namespace_out == ns
-            assert d.namespace_out == namespace_of(frag, ns)
+            assert d.namespace_out == scope(frag, ns)[0]
 
 
 class TestDeterminism:

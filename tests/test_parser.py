@@ -382,7 +382,7 @@ class TestCanonicalize:
         merged = canonicalize(WeakSeq((a, b)))
         assert (merged.loc, merged.message_locs) == (Loc(2, 1), (Loc(2, 1), Loc(3, 1)))
         (diag,) = validate(ParsedDiagram(frozenset({"A", "B"}), merged))
-        assert str(diag).startswith("3:1: unknown-lifeline: ")
+        assert (diag.loc, diag.code) == (Loc(3, 1), "unknown-lifeline")
 
     def test_a_basic_fills_in_its_message_locations(self):
         a = Basic((M("A", "m1", "B"), M("B", "m2", "A")), loc=Loc(2, 1))
