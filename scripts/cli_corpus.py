@@ -15,7 +15,9 @@ diagram against each hand-written log in diagrams/ (`*.log`, with repeated
 lines, comments, blank lines, tabs, ε, CRLF line ends and a malformed
 token). The commands run in process
 through `seqtrace.cli.main`; an exception that escapes it is reported the
-way the interpreter would, as a traceback on stderr and exit code 1.
+way the interpreter would, as a traceback on stderr and exit code 1. The
+script runs in its own checkout and names every file relative to it, so no
+output depends on where the checkout is.
 
 The last line counts the runs that broke the exit contract (an exit code
 other than 0, 1 or 2, or a traceback on stderr); the script exits 1 if any
@@ -26,6 +28,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 import traceback
@@ -67,11 +70,10 @@ def digest(text: str) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.parse_args()
-    files = sorted((ROOT / "diagrams").glob("*.sd")) + sorted(
-        (ROOT / "diagrams" / "invalid").glob("*.sd")
-    )
-    names = [str(f.relative_to(ROOT)) for f in files]
-    hand_logs = sorted((ROOT / "diagrams").glob("*.log"))
+    os.chdir(ROOT)
+    names = [str(f) for f in sorted(Path("diagrams").glob("*.sd")) + sorted(
+        Path("diagrams", "invalid").glob("*.sd"))]
+    hand_logs = [str(f) for f in sorted(Path("diagrams").glob("*.log"))]
     runs = breaches = 0
 
     def report(argv: list[str], shown: list[str]) -> str:
@@ -85,23 +87,23 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         logs = {}
-        for path, name in zip(files, names):
+        for name in names:
             for cmd in PER_FILE:
-                argv = [cmd[0], str(path), *cmd[1:]]
-                report(argv, [cmd[0], name, *cmd[1:]])
+                argv = [cmd[0], name, *cmd[1:]]
+                report(argv, argv)
             log = Path(tmp) / f"{len(logs)}.log"
-            log.write_text(report(["traces", str(path)], ["traces", name]), encoding="utf-8")
-            logs[name] = log
-        for a, a_name in zip(files, names):
-            for b, b_name in zip(files, names):
-                report(["refine", str(a), str(b)], ["refine", a_name, b_name])
+            log.write_text(report(["traces", name], ["traces", name]), encoding="utf-8")
+            logs[name] = str(log)
+        for a in names:
+            for b in names:
+                report(["refine", a, b], ["refine", a, b])
                 for mode in MODES:
-                    report(["conform", str(a), str(logs[b_name]), "--mode", mode],
-                           ["conform", a_name, f"log({b_name})", "--mode", mode])
+                    report(["conform", a, logs[b], "--mode", mode],
+                           ["conform", a, f"log({b})", "--mode", mode])
             for log in hand_logs:
                 for mode in MODES:
-                    report(["conform", str(a), str(log), "--mode", mode],
-                           ["conform", a_name, str(log.relative_to(ROOT)), "--mode", mode])
+                    argv = ["conform", a, log, "--mode", mode]
+                    report(argv, argv)
     print(f"runs: {runs}, contract breaches: {breaches}")
     return 1 if breaches else 0
 

@@ -98,17 +98,16 @@ def parse_trace_log(text: str) -> TraceSet:
         if tokens == [EMPTY_TRACE_TOKEN]:
             traces.add(())
         elif None in matches:
-            _log_error(text, tokens)
+            _log_error(text, raw, tokens)
         elif matches:  # a line of no tokens is no trace
             traces.add(tuple(map(_message, map(re.Match.groups, matches))))
     return frozenset(traces)
 
 
-def _log_error(text: str, tokens: list[str]) -> None:
-    """Raise the error of the first line that reads as ``tokens``, a line
-    with a token that is not a message."""
-    line_no = next(line_no for line_no, raw in enumerate(text.split("\n"), start=1)
-                   if raw.split("#", 1)[0].split() == tokens)
+def _log_error(text: str, raw: str, tokens: list[str]) -> None:
+    """Raise the error of the first line ``raw`` of ``text``, which reads as
+    ``tokens``, a line with a token that is not a message."""
+    line_no = text.split("\n").index(raw) + 1
     if EMPTY_TRACE_TOKEN in tokens:
         raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
     for tok in tokens:

@@ -27,15 +27,17 @@ their words in part, as the words of each class they hold. A ``par`` of
 operands on pairwise disjoint lifelines is their weak sequence, since every
 message of one operand commutes with every message of the others.
 
-One enumerator lists a whole class: ``_extensions`` yields its traces in
-rendered-line order. The completions of a prefix depend only on the downset
-of occurrences it holds, so a downset with at most ``_BLOCK`` completions
-lists them from one shared block, built when the listing first reaches the
-downset; each trace is then one concatenation of a suffix to a prefix.
-``weak`` collects the traces into a set, and ``rendered_traces`` and the
-conformance witnesses merge the classes' streams, so a listing is sorted
-without being held: a stream keeps at most one block of ``_BLOCK`` suffixes
-per downset it has reached, never a larger class whole.
+One walk sizes, caps and lists a whole class: ``_above`` visits the
+downsets of its occurrence order (``_order``) layer by layer, counting the
+prefixes that reach each one and checking the cap on every layer, so a
+class past the cap raises before it is listed; the last layer holds the
+class size. ``_extensions`` lists the class in rendered-line order from the
+same walk, a downset with at most ``_BLOCK`` completions from one shared
+block of suffixes. ``weak`` collects the traces into a set, and
+``rendered_traces`` and the conformance witnesses merge the classes'
+streams, so a listing is sorted without being held: a stream keeps at most
+one block of ``_BLOCK`` suffixes per downset it has reached, never a
+larger class whole.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -49,7 +51,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from seqtrace.ast import (
     Alt,
@@ -125,38 +127,17 @@ _BLOCK = 256
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
-    """Every ordering of ``ms`` consistent with its per-lifeline order, in
-    rendered-line order, each spelled as the tuple of its occurrences'
-    entries in ``spell`` (``ms`` itself gives the traces).
-
-    Occurrence i must precede occurrence j whenever i < j and the two
-    messages share a lifeline; all other pairs may commute. The orderings
-    are the linear extensions of that partial order. The ready occurrences
-    are tried in order of their rendered token, which gives the order of
-    ``render_trace`` lines. Two equal messages share a lifeline, so they are
-    never ready together and the ready occurrences have distinct tokens.
-
-    The completions of a prefix depend only on the occurrences it holds, a
-    downset of the order (a bit mask here). So the completions of every
-    downset are counted first, and a depth-first walk over prefixes descends
-    only through downsets with more than ``_BLOCK`` completions. At any other
-    downset it reaches, it lists the completions from the downset's block,
-    their spelled suffixes in order, built the first time the walk reaches
-    the downset and shared with every prefix that reaches it later. A trace
-    is then one tuple concatenation of a suffix to the prefix, which is
-    spelled once per block. A downset with one completion needs no block:
-    the occurrences it lacks form a chain, which index order lists.
-
-    A stream holds the count of each downset and one block of at most
-    ``_BLOCK`` suffixes for each downset that the walk has reached with 2 to
-    ``_BLOCK`` completions; building a block holds two layers of the blocks
-    above it. A class with more than ``_BLOCK`` traces is never held whole.
+def _order(ms: Sequence[Message]) -> Callable[[int], list[tuple[int, int]]]:
+    """The occurrence order of ``ms``, whose linear extensions are its class:
+    occurrence i precedes occurrence j whenever i < j and the two messages
+    share a lifeline. It is given as the function from a downset (a bit mask
+    of occurrences) to (occurrence, downset) for each downset one occurrence
+    above it, in token order. Two equal messages share a lifeline, so they
+    are never ready together and the ready occurrences have distinct tokens.
     """
     msgs = tuple(ms)
     n = len(msgs)
     token = [str(m) for m in msgs].__getitem__
-    heads = [(s,) for s in spell]
     # Transitive reduction of the occurrence order: occurrences on one
     # lifeline form a chain, so an occurrence waits only for the previous
     # occurrence on each of its (at most two) lifelines.
@@ -168,13 +149,10 @@ def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
             waits[i] |= 1 << j
             succs[j].append(i)
         last_on[sender] = last_on[receiver] = i
-    full = (1 << n) - 1
     ready_of = {0: sorted((i for i in range(n) if not waits[i]), key=token)}
     up: dict[int, list[tuple[int, int]]] = {}
 
     def steps(d: int) -> list[tuple[int, int]]:
-        """(occurrence, downset) for each downset one occurrence above ``d``,
-        in token order."""
         if d in up:
             return up[d]
         out = up[d] = []
@@ -186,14 +164,59 @@ def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
             out.append((r, e))
         return out
 
-    def above(d: int, inner) -> Iterator[list[int]]:
-        """``d`` and the downsets above it that ``inner`` accepts, reached
-        through such downsets, layer by layer from the largest."""
-        layers = [[d]]
-        while layers[-1]:
-            layers.append(list(dict.fromkeys(
-                f for e in layers[-1] for _, f in steps(e) if inner(f))))
-        return reversed(layers)
+    return steps
+
+
+def _above(steps: Callable[[int], list[tuple[int, int]]], d: int,
+           max_traces: int) -> list[dict[int, int]]:
+    """``d`` and the downsets above it, layer by layer from ``d``, each mapped
+    to its number of prefixes from ``d``. A layer's prefixes are distinct,
+    each the start of a completion of ``d`` of its own, so the cap is checked
+    on every layer, the first included, before the next is built; the last
+    layer, the full downset alone, holds the number of completions."""
+    layers = [{d: 1}]
+    while True:
+        _cap(sum(layers[-1].values()), max_traces)
+        after: dict[int, int] = {}
+        for e, ways in layers[-1].items():
+            for _, f in steps(e):
+                after[f] = after.get(f, 0) + ways
+        if not after:
+            return layers
+        layers.append(after)
+
+
+def _class_size(t: Trace, max_traces: int) -> int:
+    """The number of traces in ``t``'s class, raising past ``max_traces``."""
+    return sum(_above(_order(t), 0, max_traces)[-1].values())
+
+
+def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iterator[tuple]:
+    """Every ordering of ``ms`` consistent with its per-lifeline order, in
+    rendered-line order, each spelled as the tuple of its occurrences'
+    entries in ``spell`` (``ms`` itself gives the traces); past
+    ``max_traces`` orderings it raises before the first.
+
+    The completions of a prefix depend only on the downset it holds. So the
+    walk of ``_above`` sizes the class first, and the completions of every
+    downset are counted over its layers from the top. A depth-first walk
+    over prefixes then descends only through downsets with more than
+    ``_BLOCK`` completions. At any other downset it reaches, it lists the
+    completions from the downset's block, their spelled suffixes in order,
+    built the first time the walk reaches the downset and shared with every
+    prefix that reaches it later. A trace is then one tuple concatenation of
+    a suffix to the prefix, which is spelled once per block. A downset with
+    one completion needs no block: the occurrences it lacks form a chain,
+    which index order lists.
+
+    A stream holds the count of each downset and one block of at most
+    ``_BLOCK`` suffixes for each downset that the walk has reached with 2 to
+    ``_BLOCK`` completions; building a block holds two layers of the blocks
+    above it. A class with more than ``_BLOCK`` traces is never held whole.
+    """
+    steps = _order(ms)
+    full = (1 << len(ms)) - 1
+    heads = [(s,) for s in spell]
 
     def tail(d: int) -> tuple:
         """The one completion of a downset that has one."""
@@ -202,14 +225,13 @@ def _extensions(ms: Sequence[Message], spell: Sequence) -> Iterator[tuple]:
     def build(d: int) -> list[tuple]:
         """The block of ``d``, built from the top layer down."""
         below: dict[int, list[tuple]] = {}
-        for layer in above(d, lambda e: counts[e] > 1):
+        for layer in reversed(_above(steps, d, counts[d])):
             below = {e: list(itertools.chain.from_iterable(
-                map(heads[r].__add__, below[f] if counts[f] > 1 else [tail(f)])
-                for r, f in steps(e))) for e in layer}
+                map(heads[r].__add__, below[f]) for r, f in steps(e))) or [()] for e in layer}
         return below[d]
 
     counts: dict[int, int] = {}
-    for layer in above(0, lambda e: True):
+    for layer in reversed(_above(steps, 0, max_traces)):
         for d in layer:
             counts[d] = sum(counts[e] for _, e in steps(d)) or 1
     blocks: dict[int, list[tuple]] = {}
@@ -235,9 +257,7 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
     """All orderings of ``ms`` consistent with its per-lifeline order: the
     weak-equivalence class of ``ms`` as a trace set."""
     msgs = tuple(ms)
-    out = frozenset(itertools.islice(_extensions(msgs, msgs), max_traces + 1))
-    _cap(len(out), max_traces)
-    return out
+    return frozenset(_extensions(msgs, msgs, max_traces))
 
 
 def weak_over_set(ts: Iterable[Trace], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
@@ -375,30 +395,6 @@ def _class_key(t: Trace) -> tuple:
     return tuple(sorted((name, tuple(ms)) for name, ms in lanes.items()))
 
 
-def _class_size(key: tuple, max_traces: int) -> int:
-    """The number of traces in a class: the linear extensions of its occurrence
-    order, counted layer by layer over downsets (messages emitted per lifeline).
-    A layer's ways are distinct prefixes, each the start of a trace of its
-    own, so a layer past ``max_traces`` is a class past it."""
-    index = {name: i for i, (name, _) in enumerate(key)}
-    layer = {(0,) * len(key): 1}
-    while True:
-        after: dict[tuple[int, ...], int] = {}
-        for state, ways in layer.items():
-            for i, (name, lane) in enumerate(key):
-                if state[i] == len(lane) or lane[state[i]][0] != name:
-                    continue
-                j = index[lane[state[i]][2]]
-                if key[j][1][state[j]] == lane[state[i]]:  # next on both lifelines
-                    nxt = list(state)
-                    nxt[i], nxt[j] = state[i] + 1, state[j] + 1
-                    after[tuple(nxt)] = after.get(tuple(nxt), 0) + ways
-        if not after:
-            return sum(layer.values())
-        _cap(sum(after.values()), max_traces)
-        layer = after
-
-
 def _key(t: Trace) -> tuple:
     """The key of ``t``'s class. A trace whose neighbours all share a
     lifeline is its class's only one, so its own word keys it; any other
@@ -431,7 +427,7 @@ class _Classes:
         if key in self.reps:
             return False
         # A chain is keyed by itself, and it is a class of one.
-        self._put(key, rep, 1 if key is rep else _class_size(key, self.max_traces))
+        self._put(key, rep, 1 if key is rep else _class_size(rep, self.max_traces))
         return True
 
     def merge(self, other: _Classes) -> None:
@@ -458,7 +454,7 @@ class _Classes:
 
     def words(self) -> TraceSet:
         """Every trace held."""
-        return frozenset().union(*(weak(rep, self.max_traces) if size > 1 else {rep}
+        return frozenset().union(*(weak(rep, size) if size > 1 else {rep}
                                    for rep, size in self.reps.values()), *self.loose.values())
 
 
@@ -527,7 +523,7 @@ def rendered_traces(
     singles = sorted(map(render_trace, itertools.chain(
         (rep for rep, size in reps if size == 1), *s.loose.values())))
     return heapq.merge(singles, *(
-        map(" ".join, _extensions(rep, [str(m) for m in rep]))
+        map(" ".join, _extensions(rep, [str(m) for m in rep], size))
         for rep, size in reps if size > 1
     ))
 
@@ -549,11 +545,11 @@ def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[Trace]]:
             continue
         total += n
         if part:
-            wholes.append(itertools.filterfalse(part.__contains__, _extensions(rep, rep)))
+            wholes.append(itertools.filterfalse(part.__contains__, _extensions(rep, rep, size)))
         elif size == 1:  # a class of one is its representative
             loose.append(rep)
         else:
-            wholes.append(_extensions(rep, rep))
+            wholes.append(_extensions(rep, rep, size))
     for key, ts in left.loose.items():
         if key not in right.reps:
             missing = ts - right.loose.get(key, frozenset())

@@ -1,13 +1,17 @@
 """Weak sequencing: the compositional enumeration against the brute-force oracle."""
 
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqtrace import (
+    Basic,
+    EvalLimits,
     Message,
     TraceSetOverflowError,
+    count_traces,
     oracle_weak,
     shares_lifeline,
     weak,
@@ -91,6 +95,40 @@ class TestWeak:
                 )
                 positions.append(idx)
                 del remaining[idx]
+
+
+class TestCap:
+    # 18 independent messages: 18! orderings. Their prefixes of three
+    # messages already number 4,896, so the cap of 1,000 is passed before
+    # the class is walked.
+    independent = tuple(M(f"P{i}", "m", f"Q{i}") for i in range(18))
+
+    def test_weak_raises_before_walking_a_huge_class(self):
+        start = time.perf_counter()
+        with pytest.raises(TraceSetOverflowError):
+            weak(self.independent, max_traces=1000)
+        assert time.perf_counter() - start < 1
+
+    def test_weak_over_set_raises_before_walking_a_huge_class(self):
+        start = time.perf_counter()
+        with pytest.raises(TraceSetOverflowError):
+            weak_over_set({self.independent}, 1000)
+        assert time.perf_counter() - start < 1
+
+    def test_a_class_at_the_cap_is_kept_and_one_past_it_raises(self):
+        # Three disjoint 2-message chains: 6!/(2!)^3 = 90 orderings.
+        a, c, e = M("A", "a", "B"), M("C", "c", "D"), M("E", "e", "F")
+        ms = (a, c, e, a, c, e)
+        assert len(weak(ms, 90)) == 90
+        assert count_traces(Basic(ms), "ABCDEF", EvalLimits(max_traces=90)) == 90
+        with pytest.raises(TraceSetOverflowError):
+            weak(ms, 89)
+        with pytest.raises(TraceSetOverflowError):
+            count_traces(Basic(ms), "ABCDEF", EvalLimits(max_traces=89))
+
+    def test_the_empty_trace_overflows_a_cap_of_zero(self):
+        with pytest.raises(TraceSetOverflowError):
+            weak((), 0)
 
 
 class TestWeakOverSet:
