@@ -24,6 +24,11 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   blanks that ``str.splitlines`` would take for line ends (a log line ends
   only at ``\n``): the traces, or the error's text and line
 
+The generated fragments and the listing's loops use dotted labels, which
+order rendered lines apart from message fields: ("A", "a", "B") sorts
+before ("A", "a.1", "B"), but the line "A.a.1.B" before "A.a.B". A listing
+or a witness list in message order would not match.
+
     python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
 
@@ -162,9 +167,8 @@ def main() -> int:
     print(f"shuffle vs position oracle:   {args.cases} cases, {shuffle_bad} mismatches")
 
     trip_bad = 0
-    cfg = GeneratorConfig(
-        max_depth=4, seed=args.seed, include_filters=True, include_lifecycle=True
-    )
+    cfg = GeneratorConfig(max_depth=4, seed=args.seed, include_filters=True,
+                          include_lifecycle=True, label_pool=("a", "b", "a.1", "c"))
     frags = generate_fragments(cfg, args.cases)
     for frag in frags:
         if parse(render_fragment(frag)).root != canonicalize(frag):
@@ -235,7 +239,7 @@ def main() -> int:
     wide = EvalLimits(loop_bound=2, max_traces=5000)
     ns = POOL + ("E", "F")
     for _ in range(args.cases):
-        ms = tuple(Message(rng.choice(ns), f"m{rng.randint(1, 3)}", rng.choice(ns))
+        ms = tuple(Message(rng.choice(ns), rng.choice(("m", "m1", "m.1")), rng.choice(ns))
                    for _ in range(rng.randint(1, 7)))
         loop = Loop(Basic(ms))
         words = outcome(lambda: denote(loop, ns, wide).traces)

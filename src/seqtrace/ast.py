@@ -12,11 +12,13 @@ from operator import itemgetter
 from typing import Sequence
 
 # The shapes of a lifeline name and of a message label. The validators below,
-# the diagram scanner and the log reader all match these, so they agree.
+# the diagram scanner and the line reader all match these, so they agree.
 NAME = r"[A-Za-z][A-Za-z0-9_]*"
 LABEL = r"[A-Za-z0-9_.]+"
 _NAME_RE = re.compile(NAME)
 _LABEL_RE = re.compile(LABEL)
+# A message's rendered token, sender.label.receiver; a name has no dot.
+_MESSAGE_RE = re.compile(rf"({NAME})\.({LABEL})\.({NAME})")
 
 
 def is_valid_name(name: str) -> bool:
@@ -95,6 +97,19 @@ def render_trace(t: Trace) -> str:
     space sorts below every character of a name or label.
     """
     return " ".join(map(str, t)) or EMPTY_TRACE_TOKEN
+
+
+def _read_trace(line: str) -> Trace | None:
+    """The trace a line spells as ``render_trace`` writes it: blank-separated
+    ``sender.label.receiver`` tokens, or a lone epsilon for the empty trace.
+    None for a blank line or one with a token that is not a message."""
+    tokens = line.split()
+    if tokens == [EMPTY_TRACE_TOKEN]:
+        return ()
+    matches = list(map(_MESSAGE_RE.fullmatch, tokens))
+    if not tokens or None in matches:
+        return None
+    return tuple(map(_message, map(re.Match.groups, matches)))
 
 
 def _check_name(name: str) -> None:

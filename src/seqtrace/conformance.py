@@ -18,35 +18,23 @@ size, or in part, as its words, where a filter or a ``par`` over a shared
 lifeline makes it so. The log's traces are grouped once by class, held in
 part. A class held whole covers every trace of its key, one held in part
 its own words. Each verdict carries the exact number of counterexamples,
-and its first ``MAX_WITNESSES`` in rendered order, drawn from the classes
-as they are enumerated.
+and its first ``MAX_WITNESSES`` in rendered order, read back from the
+lines of the classes as they are enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from seqtrace.ast import (
-    EMPTY_TRACE_TOKEN,
-    LABEL,
-    NAME,
-    Message,
-    Trace,
-    TraceSet,
-    _message,
-    render_trace,
-)
+from seqtrace.ast import EMPTY_TRACE_TOKEN, Message, Trace, TraceSet, _read_trace, render_trace
 from seqtrace.errors import LogParseError, _ScopeError
 from seqtrace.parser import ParsedDiagram
 from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast, scope
 
 MAX_WITNESSES = 10
-
-_LOG_MESSAGE_RE = re.compile(rf"({NAME})\.({LABEL})\.({NAME})")
 
 
 class ConformanceMode(Enum):
@@ -93,14 +81,12 @@ def parse_trace_log(text: str) -> TraceSet:
     error names the first bad line."""
     traces: set[Trace] = set()
     for raw in dict.fromkeys(text.split("\n")):
-        tokens = raw.split("#", 1)[0].split()
-        matches = list(map(_LOG_MESSAGE_RE.fullmatch, tokens))
-        if tokens == [EMPTY_TRACE_TOKEN]:
-            traces.add(())
-        elif None in matches:
+        line = raw.split("#", 1)[0]
+        t = _read_trace(line)
+        if t is not None:
+            traces.add(t)
+        elif tokens := line.split():  # a blank line is no trace
             _log_error(text, raw, tokens)
-        elif matches:  # a line of no tokens is no trace
-            traces.add(tuple(map(_message, map(re.Match.groups, matches))))
     return frozenset(traces)
 
 
@@ -125,8 +111,10 @@ def validate(d: ParsedDiagram) -> list[_ScopeError]:
     return scope(d.root, d.initial_namespace)[1]
 
 
-def _verdict(side: str, total: int, ordered: Iterable[Trace], limits: EvalLimits) -> Verdict:
-    witnesses = tuple(itertools.islice(ordered, MAX_WITNESSES))
+def _verdict(side: str, total: int, lines: Iterable[str], limits: EvalLimits) -> Verdict:
+    """The verdict on ``total`` counterexamples, whose rendered ``lines`` are
+    in order: the first ``MAX_WITNESSES``, read back as traces."""
+    witnesses = tuple(map(_read_trace, itertools.islice(lines, MAX_WITNESSES)))
     return Verdict(side, witnesses, limits.loop_bound, total)
 
 
@@ -161,5 +149,5 @@ def conform(
     if mode is ConformanceMode.EXHAUSTIVE:
         return _verdict("log", total, unexplained, limits)
     # The logged traces that the diagram has: the rest of the log.
-    both = sorted(log.difference(unexplained), key=render_trace)
+    both = sorted(set(map(render_trace, log)).difference(unexplained))
     return _verdict("both", len(both), both, limits)

@@ -33,11 +33,12 @@ prefixes that reach each one and checking the cap on every layer, so a
 class past the cap raises before it is listed; the last layer holds the
 class size. ``_extensions`` lists the class in rendered-line order from the
 same walk, a downset with at most ``_BLOCK`` completions from one shared
-block of suffixes. ``weak`` collects the traces into a set, and
-``rendered_traces`` and the conformance witnesses merge the classes'
-streams, so a listing is sorted without being held: a stream keeps at most
-one block of ``_BLOCK`` suffixes per downset it has reached, never a
-larger class whole.
+block of suffixes. ``weak`` collects the traces into a set. Every ordered
+listing is ``_contrast``'s one merge of rendered lines: ``rendered_traces``
+lists a fragment with it, and the conformance witnesses and
+``theorem1_diff`` read its lines back as traces. A listing is sorted
+without being held: a stream keeps at most one block of ``_BLOCK``
+suffixes per downset it has reached, never a larger class whole.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -70,6 +71,7 @@ from seqtrace.ast import (
     Trace,
     TraceSet,
     WeakSeq,
+    _read_trace,
     children,
     message_alphabet,
     render_trace,
@@ -510,53 +512,43 @@ def rendered_traces(
     f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None
 ) -> Iterator[str]:
     """``sorted(render_trace(t) for t in denote(f, ns, limits).traces)`` as an
-    iterator, with the same errors, raised before the first line.
-
-    The lines of each whole class are enumerated in rendered order and merged
-    as they are consumed; a whole class is held only if it fits in one block
-    of ``_extensions``.
-    """
+    iterator, with the same errors, raised before the first line: the
+    listing of ``_contrast`` against no traces."""
     s = _checked_eval(f, ns, limits)[0]
-    reps = s.reps.values()
-    # A class of one is its representative, so those are sorted as one list
-    # with the loose traces; the empty trace is such a class.
-    singles = sorted(map(render_trace, itertools.chain(
-        (rep for rep, size in reps if size == 1), *s.loose.values())))
-    return heapq.merge(singles, *(
-        map(" ".join, _extensions(rep, [str(m) for m in rep], size))
-        for rep, size in reps if size > 1
-    ))
+    return _contrast(s, _Classes(s.max_traces))[1]
 
 
-def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[Trace]]:
-    """The traces of ``left`` that ``right`` lacks: how many there are, and an
-    iterator over them in rendered order.
+def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[str]]:
+    """The traces of ``left`` that ``right`` lacks: how many there are, and
+    their rendered lines in order.
 
     ``right`` holds every trace of a class it holds whole, and of a class it
-    holds in part, its loose traces. Sizes give the number; a whole class of
-    ``left`` with traces to list is enumerated only as the iterator is
-    consumed, and one with none builds no stream.
+    holds in part, its loose traces. Sizes give the number. The lines of a
+    whole class of ``left`` with more than one trace are streamed in order
+    by ``_extensions``, less those of ``right``'s loose traces of the class,
+    as the iterator is consumed; a class with none to list builds no stream.
+    A class of one is its representative, so those and the loose traces of
+    ``left`` are sorted as one list of lines, and one merge orders them all.
     """
-    total, wholes, loose = 0, [], []
+    total, streams, singles = 0, [], []
     for key, (rep, size) in left.reps.items():
-        part = right.loose.get(key, frozenset())
+        part = right.loose.get(key, ())
         n = 0 if key in right.reps else size - len(part)
         if not n:
             continue
         total += n
-        if part:
-            wholes.append(itertools.filterfalse(part.__contains__, _extensions(rep, rep, size)))
-        elif size == 1:  # a class of one is its representative
-            loose.append(rep)
-        else:
-            wholes.append(_extensions(rep, rep, size))
+        if size == 1:  # the empty trace is such a class
+            singles.append(render_trace(rep))
+            continue
+        lines = map(" ".join, _extensions(rep, [str(m) for m in rep], size))
+        streams.append(itertools.filterfalse(set(map(render_trace, part)).__contains__, lines))
     for key, ts in left.loose.items():
         if key not in right.reps:
             missing = ts - right.loose.get(key, frozenset())
             total += len(missing)
-            loose.extend(missing)
-    loose.sort(key=render_trace)
-    return total, heapq.merge(*wholes, loose, key=render_trace)
+            singles.extend(map(render_trace, missing))
+    singles.sort()
+    return total, heapq.merge(singles, *streams)
 
 
 def _located(exc: TraceSetOverflowError, loc: Loc | None) -> TraceSetOverflowError:
@@ -658,4 +650,5 @@ def theorem1_diff(
     lacks are listed.
     """
     left, right = _theorem1(loop, ns, limits)
-    return frozenset(_contrast(left, right)[1]), frozenset(_contrast(right, left)[1])
+    return (frozenset(map(_read_trace, _contrast(left, right)[1])),
+            frozenset(map(_read_trace, _contrast(right, left)[1])))

@@ -336,6 +336,52 @@ class TestConform:
         )
 
 
+# dotted_order.sd's traces in rendered-line order, which a dotted label sets
+# apart from message order: ("S", "a", "c") < ("S", "a.b", "c"), but the line
+# S.a.b.c sorts before S.a.c. The class of one falls between the two lines
+# of the class of two.
+DOTTED_LINES = ("S.a.b.c T.a.d", "S.a.c", "T.a.d S.a.b.c")
+
+
+def stdout(*lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+class TestRenderedOrder:
+    @pytest.fixture()
+    def dotted(self, diagrams_dir):
+        return str(diagrams_dir / "dotted_order.sd")
+
+    @pytest.fixture()
+    def log(self, tmp_path):
+        path = tmp_path / "dotted.log"
+        path.write_text("S.a.c\nT.a.d S.a.b.c\nS.a.1.c\nS.a.b.c T.a.d\n")
+        return str(path)
+
+    def test_traces(self, capsys, dotted):
+        assert run(capsys, "traces", dotted)[:2] == (0, stdout(*DOTTED_LINES))
+
+    def test_refine_lists_every_trace(self, capsys, tmp_path, dotted):
+        empty = tmp_path / "empty.sd"
+        empty.write_text("lifeline S\nlifeline c\nlifeline T\nlifeline d\n")
+        assert run(capsys, "refine", dotted, str(empty))[:2] == (
+            1, stdout("FAILS", *DOTTED_LINES))
+
+    def test_required_of_an_empty_log(self, capsys, tmp_path, dotted):
+        empty = tmp_path / "empty.log"
+        empty.write_text("")
+        assert run(capsys, "conform", dotted, str(empty), "--mode", "required")[:2] == (
+            1, stdout("FAILS", *(f"diagram: {t}" for t in DOTTED_LINES)))
+
+    def test_forbid(self, capsys, dotted, log):
+        assert run(capsys, "conform", dotted, log, "--mode", "forbid")[:2] == (
+            1, stdout("FAILS", *(f"both: {t}" for t in DOTTED_LINES)))
+
+    def test_exhaust(self, capsys, dotted, log):
+        assert run(capsys, "conform", dotted, log, "--mode", "exhaust")[:2] == (
+            1, stdout("FAILS", "log: S.a.1.c"))
+
+
 class TestTheorem:
     def test_loop_file_equal(self, capsys, diagrams_dir):
         code, out, _ = run(

@@ -18,8 +18,10 @@ from seqtrace import (
     WeakSeq,
     message_alphabet,
     parse,
+    render_trace,
     shares_lifeline,
 )
+from seqtrace.ast import _read_trace
 
 M = Message
 
@@ -74,6 +76,29 @@ class TestMessage:
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert clone == value
             assert type(clone) is type(value)
+
+
+class TestReadTrace:
+    # Dotted labels, and messages to self whenever sender and receiver meet.
+    dotted = st.builds(M, names, st.sampled_from(("m", "m.1", "a.b.c", "1")), names)
+
+    @given(st.lists(dotted, max_size=6).map(tuple))
+    def test_reads_back_a_rendered_trace(self, t):
+        read = _read_trace(render_trace(t))
+        assert read == t
+        assert all(type(m) is M for m in read)
+
+    def test_reads_a_self_message_with_a_dotted_label(self):
+        assert _read_trace("A.x.1.A  B.y.C") == (M("A", "x.1", "A"), M("B", "y", "C"))
+
+    def test_a_lone_epsilon_is_the_empty_trace(self):
+        assert render_trace(()) == "ε"
+        assert _read_trace("ε") == ()
+        assert _read_trace(" ε\t") == ()
+
+    @pytest.mark.parametrize("line", ["", " \t", "A.B", "A..B", "ε ε", "ε A.m.B", "A.m.B x"])
+    def test_a_line_of_no_trace_reads_as_none(self, line):
+        assert _read_trace(line) is None
 
 
 class TestSharesLifeline:
