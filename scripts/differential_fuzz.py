@@ -11,10 +11,11 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   operands' listed words
 * refinement and conformance verdicts compared by class key vs. set
   operations on listed words
-* the streamed listing (rendered lines, each class from its shared
-  completion blocks, the classes merged) vs. sorting the rendered trace set
-  (each class collected as message tuples), on loops whose classes pass the
-  block size; the line also counts those cases
+* the streamed listing (rendered lines, each class in blocks from its
+  shared completion blocks, the classes merged in sorted windows) vs.
+  sorting the rendered trace set (each class collected as message tuples),
+  on loops whose classes pass the block size and on loops over an ``alt``,
+  whose classes interleave; the line counts the cases of each kind
 * the diagram reader on rendered text, where each message statement on one
   line is read in one step, vs. the same text with every message statement
   split one token per line, which the reader takes token by token
@@ -39,6 +40,7 @@ import sys
 import time
 
 from seqtrace import (
+    Alt,
     Basic,
     ConformanceMode,
     DiagramError,
@@ -49,6 +51,7 @@ from seqtrace import (
     Message,
     Par,
     ParsedDiagram,
+    WeakSeq,
     canonicalize,
     conform,
     count_traces,
@@ -233,23 +236,33 @@ def main() -> int:
         verdict_bad += not all(agrees(v, found) for v, found in checks)
     print(f"verdicts classes vs words:    {len(frags) - 1} cases, {verdict_bad} mismatches")
 
-    listing_bad = past = 0
+    listing_bad = past = merged = 0
     # Loops over runs of up to 7 messages on six lifelines, unrolled twice:
     # about a fifth of the cases hold a class with more traces than a block.
+    # Every other body ends in an alt of 2-3 shorter runs, whose classes
+    # interleave in the listing.
     wide = EvalLimits(loop_bound=2, max_traces=5000)
     ns = POOL + ("E", "F")
-    for _ in range(args.cases):
-        ms = tuple(Message(rng.choice(ns), rng.choice(("m", "m1", "m.1")), rng.choice(ns))
-                   for _ in range(rng.randint(1, 7)))
-        loop = Loop(Basic(ms))
+
+    def random_run(longest: int) -> Basic:
+        return Basic(tuple(
+            Message(rng.choice(ns), rng.choice(("m", "m1", "m.1")), rng.choice(ns))
+            for _ in range(rng.randint(1, longest))))
+
+    for case in range(args.cases):
+        body = random_run(7)
+        if case % 2:
+            body = WeakSeq((body, Alt(tuple(random_run(3) for _ in range(rng.randint(2, 3))))))
+        loop = Loop(body)
         words = outcome(lambda: denote(loop, ns, wide).traces)
         if not isinstance(words, str):
             words = sorted(map(render_trace, words))
             sizes = [size for _, size in _checked_eval(loop, ns, wide)[0].reps.values()]
             past += max(sizes) > _BLOCK
+            merged += sum(size > 1 for size in sizes) > 1
         listing_bad += outcome(lambda: list(rendered_traces(loop, ns, wide))) != words
-    print(f"listing vs sorted words:      {args.cases} cases ({past} past a block), "
-          f"{listing_bad} mismatches")
+    print(f"listing vs sorted words:      {args.cases} cases ({past} past a block, "
+          f"{merged} merging class streams), {listing_bad} mismatches")
 
     diagram_bad = 0
     for frag in frags:

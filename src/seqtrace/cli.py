@@ -6,14 +6,13 @@ a checked property fails (with witnesses on stdout), 2 on usage, parse,
 validation, or evaluation errors (diagnostics on stderr), 2 when memory
 runs out, and 2 when the reader of stdout goes away before the output
 ends. Machine-readable output goes to stdout only and is deterministic:
-traces print sorted, streamed as they are enumerated.
+traces print sorted, streamed as they are enumerated, one write per sorted
+window of lines (see ``semantics._contrast``), not one per line.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
-import operator
 import os
 import sys
 from pathlib import Path
@@ -34,8 +33,8 @@ from seqtrace.semantics import (
     DEFAULT_LOOP_BOUND,
     DEFAULT_MAX_TRACES,
     EvalLimits,
+    _rendered_windows,
     count_traces,
-    rendered_traces,
     theorem1_diff,
 )
 
@@ -97,8 +96,8 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     if args.count:
         print(count_traces(diagram.root, diagram.initial_namespace, limits))
         return 0
-    lines = rendered_traces(diagram.root, diagram.initial_namespace, limits)
-    sys.stdout.writelines(map(operator.add, lines, itertools.repeat("\n")))
+    for window in _rendered_windows(diagram.root, diagram.initial_namespace, limits):
+        sys.stdout.write("\n".join(window) + "\n")
     return 0
 
 

@@ -111,9 +111,10 @@ def validate(d: ParsedDiagram) -> list[_ScopeError]:
     return scope(d.root, d.initial_namespace)[1]
 
 
-def _verdict(side: str, total: int, lines: Iterable[str], limits: EvalLimits) -> Verdict:
-    """The verdict on ``total`` counterexamples, whose rendered ``lines`` are
-    in order: the first ``MAX_WITNESSES``, read back as traces."""
+def _verdict(side: str, total: int, windows: Iterable[list[str]], limits: EvalLimits) -> Verdict:
+    """The verdict on ``total`` counterexamples, whose rendered lines are in
+    order in ``windows``: the first ``MAX_WITNESSES``, read back as traces."""
+    lines = itertools.chain.from_iterable(windows)
     witnesses = tuple(map(_read_trace, itertools.islice(lines, MAX_WITNESSES)))
     return Verdict(side, witnesses, limits.loop_bound, total)
 
@@ -149,5 +150,5 @@ def conform(
     if mode is ConformanceMode.EXHAUSTIVE:
         return _verdict("log", total, unexplained, limits)
     # The logged traces that the diagram has: the rest of the log.
-    both = sorted(set(map(render_trace, log)).difference(unexplained))
-    return _verdict("both", len(both), both, limits)
+    both = sorted(set(map(render_trace, log)).difference(*unexplained))
+    return _verdict("both", len(both), [both], limits)

@@ -32,13 +32,15 @@ downsets of its occurrence order (``_order``) layer by layer, counting the
 prefixes that reach each one and checking the cap on every layer, so a
 class past the cap raises before it is listed; the last layer holds the
 class size. ``_extensions`` lists the class in rendered-line order from the
-same walk, a downset with at most ``_BLOCK`` completions from one shared
-block of suffixes. ``weak`` collects the traces into a set. Every ordered
-listing is ``_contrast``'s one merge of rendered lines: ``rendered_traces``
-lists a fragment with it, and the conformance witnesses and
-``theorem1_diff`` read its lines back as traces. A listing is sorted
-without being held: a stream keeps at most one block of ``_BLOCK``
-suffixes per downset it has reached, never a larger class whole.
+same walk, in blocks: a downset with at most ``_BLOCK`` completions gives
+one, from one shared list of suffixes. ``weak`` collects the traces into a set. Every
+ordered listing is ``_contrast``'s one merge of rendered lines, in sorted
+windows: ``traces`` writes each window at once, ``rendered_traces`` chains
+them, and the conformance witnesses and ``theorem1_diff`` read the lines
+back as traces. A listing is sorted without being held: a window holds at
+most one block per class stream, plus the classes of one and the loose
+traces, and a stream keeps at most ``_BLOCK`` suffixes per downset it has
+reached, never a larger class whole.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -48,6 +50,7 @@ when a trace set would exceed the configured cap.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -193,28 +196,28 @@ def _class_size(t: Trace, max_traces: int) -> int:
     return sum(_above(_order(t), 0, max_traces)[-1].values())
 
 
-def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iterator[tuple]:
+def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iterator[list[tuple]]:
     """Every ordering of ``ms`` consistent with its per-lifeline order, in
-    rendered-line order, each spelled as the tuple of its occurrences'
-    entries in ``spell`` (``ms`` itself gives the traces); past
+    rendered-line order, in blocks (lists), each spelled as the tuple of its
+    occurrences' entries in ``spell`` (``ms`` itself gives the traces); past
     ``max_traces`` orderings it raises before the first.
 
     The completions of a prefix depend only on the downset it holds. So the
     walk of ``_above`` sizes the class first, and the completions of every
     downset are counted over its layers from the top. A depth-first walk
     over prefixes then descends only through downsets with more than
-    ``_BLOCK`` completions. At any other downset it reaches, it lists the
-    completions from the downset's block, their spelled suffixes in order,
-    built the first time the walk reaches the downset and shared with every
-    prefix that reaches it later. A trace is then one tuple concatenation of
-    a suffix to the prefix, which is spelled once per block. A downset with
-    one completion needs no block: the occurrences it lacks form a chain,
-    which index order lists.
+    ``_BLOCK`` completions. At any other downset it reaches, it yields one
+    block: the prefix joined to each of the downset's spelled suffixes, in
+    order, built the first time the walk reaches the downset and shared
+    with every prefix that reaches it later. A trace is then one tuple
+    concatenation of a suffix to the prefix, which is spelled once per
+    block. A downset with one completion needs no suffixes: the occurrences
+    it lacks form a chain, which index order lists.
 
-    A stream holds the count of each downset and one block of at most
-    ``_BLOCK`` suffixes for each downset that the walk has reached with 2 to
-    ``_BLOCK`` completions; building a block holds two layers of the blocks
-    above it. A class with more than ``_BLOCK`` traces is never held whole.
+    A stream holds the count of each downset and at most ``_BLOCK`` suffixes
+    for each downset that the walk has reached with 2 to ``_BLOCK``
+    completions; building them holds two layers of the suffixes above. A
+    class with more than ``_BLOCK`` traces is never held whole.
     """
     steps = _order(ms)
     full = (1 << len(ms)) - 1
@@ -225,7 +228,7 @@ def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iter
         return tuple(itertools.compress(spell, f"{full ^ d:b}"[::-1].encode().translate(_BITS)))
 
     def build(d: int) -> list[tuple]:
-        """The block of ``d``, built from the top layer down."""
+        """The suffixes of ``d``, built from the top layer down."""
         below: dict[int, list[tuple]] = {}
         for layer in reversed(_above(steps, d, counts[d])):
             below = {e: list(itertools.chain.from_iterable(
@@ -236,7 +239,7 @@ def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iter
     for layer in reversed(_above(steps, 0, max_traces)):
         for d in layer:
             counts[d] = sum(counts[e] for _, e in steps(d)) or 1
-    blocks: dict[int, list[tuple]] = {}
+    suffixes: dict[int, list[tuple]] = {}
     prefix: list = []
     # Pending moves (at, head, d): cut the prefix to ``at`` entries, add
     # ``head`` and go to downset d. The lowest token is pushed last, so it is
@@ -246,11 +249,11 @@ def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iter
         at, head, d = moves.pop()
         prefix[at:] = head
         if counts[d] == 1:
-            yield tuple(prefix) + tail(d)
+            yield [tuple(prefix) + tail(d)]
         elif counts[d] <= _BLOCK:
-            if d not in blocks:
-                blocks[d] = build(d)
-            yield from map(tuple(prefix).__add__, blocks[d])
+            if d not in suffixes:
+                suffixes[d] = build(d)
+            yield list(map(tuple(prefix).__add__, suffixes[d]))
         else:
             moves += [(len(prefix), heads[r], e) for r, e in reversed(steps(d))]
 
@@ -259,7 +262,7 @@ def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSe
     """All orderings of ``ms`` consistent with its per-lifeline order: the
     weak-equivalence class of ``ms`` as a trace set."""
     msgs = tuple(ms)
-    return frozenset(_extensions(msgs, msgs, max_traces))
+    return frozenset(itertools.chain.from_iterable(_extensions(msgs, msgs, max_traces)))
 
 
 def weak_over_set(ts: Iterable[Trace], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
@@ -512,23 +515,30 @@ def rendered_traces(
     f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None
 ) -> Iterator[str]:
     """``sorted(render_trace(t) for t in denote(f, ns, limits).traces)`` as an
-    iterator, with the same errors, raised before the first line: the
-    listing of ``_contrast`` against no traces."""
+    iterator, with the same errors, raised before the first line."""
+    return itertools.chain.from_iterable(_rendered_windows(f, ns, limits))
+
+
+def _rendered_windows(
+    f: Fragment, ns: Iterable[str], limits: EvalLimits | None
+) -> Iterator[list[str]]:
+    """The lines of ``rendered_traces`` in sorted windows: ``_contrast``'s
+    listing against no traces."""
     s = _checked_eval(f, ns, limits)[0]
     return _contrast(s, _Classes(s.max_traces))[1]
 
 
-def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[str]]:
+def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[list[str]]]:
     """The traces of ``left`` that ``right`` lacks: how many there are, and
-    their rendered lines in order.
+    their rendered lines in sorted windows (lists), one after another.
 
     ``right`` holds every trace of a class it holds whole, and of a class it
     holds in part, its loose traces. Sizes give the number. The lines of a
-    whole class of ``left`` with more than one trace are streamed in order
-    by ``_extensions``, less those of ``right``'s loose traces of the class,
-    as the iterator is consumed; a class with none to list builds no stream.
-    A class of one is its representative, so those and the loose traces of
-    ``left`` are sorted as one list of lines, and one merge orders them all.
+    whole class of ``left`` with more than one trace are streamed block by
+    block by ``_class_lines``, as the windows are consumed; a class with
+    none to list builds no stream. A class of one is its representative, so
+    those and the loose traces of ``left`` are sorted as one block of lines,
+    and ``_merge`` orders them all.
     """
     total, streams, singles = 0, [], []
     for key, (rep, size) in left.reps.items():
@@ -539,16 +549,62 @@ def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[str]]:
         total += n
         if size == 1:  # the empty trace is such a class
             singles.append(render_trace(rep))
-            continue
-        lines = map(" ".join, _extensions(rep, [str(m) for m in rep], size))
-        streams.append(itertools.filterfalse(set(map(render_trace, part)).__contains__, lines))
+        else:
+            streams.append(_class_lines(rep, size, set(map(render_trace, part))))
     for key, ts in left.loose.items():
         if key not in right.reps:
             missing = ts - right.loose.get(key, frozenset())
             total += len(missing)
             singles.extend(map(render_trace, missing))
-    singles.sort()
-    return total, heapq.merge(singles, *streams)
+    if singles:
+        streams.append(iter([sorted(singles)]))
+    return total, _merge(streams)
+
+
+def _class_lines(rep: Trace, size: int, drop: set[str]) -> Iterator[list[str]]:
+    """The rendered lines of the ``size`` traces of ``rep``'s class, less
+    those in ``drop``, in ``_extensions``' blocks; no block is empty."""
+    for block in _extensions(rep, [str(m) for m in rep], size):
+        if lines := [line for line in map(" ".join, block) if line not in drop]:
+            yield lines
+
+
+def _merge(streams: list[Iterator[list[str]]]) -> Iterator[list[str]]:
+    """Merge streams of sorted, nonempty blocks of lines, each block's lines
+    before its stream's next block's and no line in two streams, into sorted
+    windows. A window ends at h, the smallest last line of the current
+    blocks: a stream's later blocks come after its current block, so every
+    line left that is at most h is in a current block, a run of it that
+    ``bisect`` finds from the block's head. Only the stream whose block ends
+    at h moves on to its next block.
+    """
+    ends: list[tuple[str, int]] = []  # (last line, stream) of each current block
+    # (first line not merged, its index, block): heads are distinct lines, so
+    # no two entries compare past the line.
+    heads: list[tuple[str, int, list[str]]] = []
+
+    def advance(i: int) -> None:
+        if block := next(streams[i], None):
+            heapq.heappush(ends, (block[-1], i))
+            heapq.heappush(heads, (block[0], 0, block))
+
+    for i in range(len(streams)):
+        advance(i)
+    while ends:
+        h, i = heapq.heappop(ends)
+        window: list[str] = []
+        runs = 0
+        while heads and heads[0][0] <= h:
+            _, at, block = heapq.heappop(heads)
+            stop = bisect.bisect_right(block, h, at)
+            window += block[at:stop]
+            runs += 1
+            if stop < len(block):
+                heapq.heappush(heads, (block[stop], stop, block))
+        if runs > 1:
+            window.sort()
+        yield window
+        advance(i)
 
 
 def _located(exc: TraceSetOverflowError, loc: Loc | None) -> TraceSetOverflowError:
@@ -650,5 +706,5 @@ def theorem1_diff(
     lacks are listed.
     """
     left, right = _theorem1(loop, ns, limits)
-    return (frozenset(map(_read_trace, _contrast(left, right)[1])),
-            frozenset(map(_read_trace, _contrast(right, left)[1])))
+    return tuple(frozenset(map(_read_trace, itertools.chain.from_iterable(_contrast(a, b)[1])))
+                 for a, b in ((left, right), (right, left)))

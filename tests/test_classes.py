@@ -59,7 +59,15 @@ from seqtrace import (
     weak,
     weak_over_set,
 )
-from seqtrace.semantics import _BLOCK, _class_key, _class_size, _eval
+from seqtrace.semantics import (
+    _BLOCK,
+    _class_key,
+    _class_size,
+    _Classes,
+    _contrast,
+    _eval,
+    _extensions,
+)
 
 names = st.sampled_from(("A", "B", "C", "D"))
 labels = st.sampled_from(("m1", "m2", "m3"))
@@ -292,6 +300,72 @@ def test_listing_merges_classes_on_both_sides_of_the_block_size():
     root = Alt(tuple(Par(tuple(map(Basic, c))) for c in cs))
     words = set().union(*map(merges, cs))
     assert list(rendered_traces(root, "ABCD")) == sorted(map(render_trace, words))
+
+
+BRANCHING = """\
+lifeline A
+lifeline B
+lifeline C
+lifeline D
+loop {
+  B -> A : q
+  D -> C : y
+  C -> D : a
+  alt {
+    A -> B : x
+  --
+    A -> B : y
+  --
+    A -> B : z
+  }
+}
+"""
+
+
+def test_listing_of_forty_interleaving_classes_equals_the_sorted_words():
+    # At k=3 the loop has 1 + 3 + 9 + 27 classes, one per choice of labels,
+    # and lines of different classes alternate all through the listing.
+    d = parse(BRANCHING)
+    limits = EvalLimits(loop_bound=3)
+    assert len(_eval(d.root, limits).reps) == 40
+    lines = list(rendered_traces(d.root, d.initial_namespace, limits))
+    assert lines == sorted(map(render_trace, reference(d.root, limits)))
+    assert len(lines) == count_traces(d.root, d.initial_namespace, limits)
+
+
+def test_verdicts_skip_a_block_the_other_side_covers():
+    # The class of a0 a1 and c0..c21 has C(24, 2) = 276 traces, past a block,
+    # so it is listed in two blocks: the 23 traces that start with a0, then
+    # the 253 that start with c0. Behind a consider, B -> C : s makes a0 come
+    # first, so the right side holds exactly the first block, loose.
+    a, c = chains(2, 22)
+    left = ParsedDiagram(frozenset("ABCD"), Basic(a + c))
+    s = Message("B", "s", "C")
+    right = ParsedDiagram(frozenset("ABCD"), Consider(
+        message_alphabet(left.root), Basic((a[0], s, a[1]) + c)))
+    left_words = reference(left.root, EvalLimits())
+    right_words = reference(right.root, EvalLimits())
+    assert right_words == set(next(_extensions(a + c, a + c, 276)))
+    assert refines(left, right) == word_verdict("left", left_words - right_words, 2)
+    got = conform(left, right_words, ConformanceMode.REQUIRED)
+    assert got == word_verdict("diagram", left_words - right_words, 2)
+    assert got.total == 253
+
+
+def test_listing_drops_each_class_own_loose_traces():
+    # Two classes whose lines interleave, each covered in part by the log;
+    # each class stream drops its own covered lines, not the other's.
+    a, c = chains(2, 2)
+    other = c[:-1] + (Message("C", "c9", "D"),)
+    d = ParsedDiagram(frozenset("ABCD"), Alt((Basic(a + c), Basic(a + other))))
+    words = sorted(reference(d.root, EvalLimits()), key=render_trace)
+    log = frozenset(words[::3])
+    assert len({_class_key(t) for t in log}) == 2
+    s = _eval(d.root, EvalLimits())
+    lines = itertools.chain.from_iterable(_contrast(s, _Classes(len(log), loose=log))[1])
+    assert list(lines) == sorted(map(render_trace, set(words) - log))
+    got = conform(d, log, ConformanceMode.REQUIRED)
+    assert got == word_verdict("diagram", set(words) - log, 2)
 
 
 def test_a_long_chain_with_one_commuting_message_lists_without_deep_recursion():

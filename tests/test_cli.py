@@ -53,6 +53,22 @@ class TestTraces:
         assert code == 0
         assert out.strip() == "77"
 
+    def test_listing_is_written_a_window_at_a_time(self, diagrams_dir, monkeypatch):
+        # With PYTHONUNBUFFERED set, each write to stdout is a system call.
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = Counting()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["traces", str(diagrams_dir / "loop_pair.sd"), "--max-loop", "4"]) == 0
+        lines = out.getvalue().splitlines()
+        assert lines == sorted(set(lines)) and len(lines) == 13_871
+        assert out.writes <= len(lines) / 100
+
     def test_lifecycle_only_prints_epsilon(self, capsys, diagrams_dir):
         code, out, _ = run(capsys, "traces", str(diagrams_dir / "lifecycle_only.sd"))
         assert code == 0
@@ -86,10 +102,10 @@ class TestTraces:
         self, capsys, diagrams_dir, monkeypatch
     ):
         def exhausted(*args):
-            yield "A.m1.B"
+            yield ["A.m1.B"]
             raise MemoryError
 
-        monkeypatch.setattr(cli, "rendered_traces", exhausted)
+        monkeypatch.setattr(cli, "_rendered_windows", exhausted)
         code, out, err = run(capsys, "traces", str(diagrams_dir / "weak_order.sd"))
         assert (code, out, err) == (2, "A.m1.B\n", "error: out of memory\n")
 

@@ -25,10 +25,11 @@ def test_differential_fuzz_has_no_mismatch():
     proc = run_script("differential_fuzz.py", "--cases", "200")
     assert proc.returncode == 0, proc.stderr
     assert "total: 0 mismatches" in proc.stdout
-    # The listing line reaches classes larger than one completion block.
-    past = re.search(r"listing vs sorted words: +200 cases \((\d+) past a block\), 0 mismatches",
-                     proc.stdout)
-    assert past and int(past[1]) > 0
+    # The listing line reaches classes larger than one completion block, and
+    # listings that merge the streams of two or more classes.
+    listing = re.search(r"listing vs sorted words: +200 cases \((\d+) past a block, "
+                        r"(\d+) merging class streams\), 0 mismatches", proc.stdout)
+    assert listing and int(listing[1]) > 0 and int(listing[2]) > 0
 
 
 def test_loop_growth_matches_closed_form():
