@@ -30,15 +30,29 @@ def is_valid_label(label: str) -> bool:
     return bool(_LABEL_RE.fullmatch(label))
 
 
-@dataclass(frozen=True)
-class Loc:
-    """1-based line/column of a token in diagram source text."""
+class Loc(tuple):
+    """1-based line/column of a token in diagram source text.
 
-    line: int
-    column: int
+    A location is the tuple ``(line, column)``, so equality, hashing and
+    order are a tuple's, as for ``Message``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, line: int, column: int) -> "Loc":
+        return tuple.__new__(cls, (line, column))
+
+    def __getnewargs__(self) -> tuple[int, int]:  # for pickle and copy
+        return tuple(self)
+
+    line = property(itemgetter(0))
+    column = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"Loc(line={self[0]!r}, column={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}"
+        return f"{self[0]}:{self[1]}"
 
 
 class Message(tuple):

@@ -125,7 +125,8 @@ def _split(tok: tuple) -> list[tuple]:
 
 
 def _loc(tok: tuple) -> Loc:
-    return Loc(tok[2], tok[3])
+    """The location of a token, whose line and column are already ints."""
+    return tuple.__new__(Loc, tok[2:4])
 
 
 def _unexpected(tok: tuple, what: str) -> ParseError:

@@ -33,14 +33,15 @@ prefixes that reach each one and checking the cap on every layer, so a
 class past the cap raises before it is listed; the last layer holds the
 class size. ``_extensions`` lists the class in rendered-line order from the
 same walk, in blocks: a downset with at most ``_BLOCK`` completions gives
-one, from one shared list of suffixes. ``weak`` collects the traces into a set. Every
-ordered listing is ``_contrast``'s one merge of rendered lines, in sorted
-windows: ``traces`` writes each window at once, ``rendered_traces`` chains
-them, and the conformance witnesses and ``theorem1_diff`` read the lines
-back as traces. A listing is sorted without being held: a window holds at
-most one block per class stream, plus the classes of one and the loose
-traces, and a stream keeps at most ``_BLOCK`` suffixes per downset it has
-reached, never a larger class whole.
+one, from one shared list of suffixes, and a trace is spelled by
+concatenating one unit per occurrence: ``weak`` spells tuples, a listing
+its rendered lines. Every ordered listing is ``_contrast``'s one merge of
+those lines, in sorted windows: ``traces`` writes each window at once,
+``rendered_traces`` chains them, and the conformance witnesses and
+``theorem1_diff`` read them back as traces. A listing is sorted without
+being held: a window holds at most one block per class stream, plus the
+classes of one and the loose traces, and a stream keeps at most ``_BLOCK``
+suffixes per downset it has reached, never a larger class whole.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -54,7 +55,7 @@ import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from seqtrace.ast import (
@@ -196,23 +197,23 @@ def _class_size(t: Trace, max_traces: int) -> int:
     return sum(_above(_order(t), 0, max_traces)[-1].values())
 
 
-def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iterator[list[tuple]]:
+def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
+                max_traces: int) -> Iterator[list]:
     """Every ordering of ``ms`` consistent with its per-lifeline order, in
-    rendered-line order, in blocks (lists), each spelled as the tuple of its
-    occurrences' entries in ``spell`` (``ms`` itself gives the traces); past
+    rendered-line order, in blocks (lists), each spelled as the
+    concatenation of its occurrences' ``units``: ``join`` spells a run of
+    units in index order, and ``join(())`` the empty ordering. Past
     ``max_traces`` orderings it raises before the first.
 
     The completions of a prefix depend only on the downset it holds. So the
     walk of ``_above`` sizes the class first, and the completions of every
     downset are counted over its layers from the top. A depth-first walk
-    over prefixes then descends only through downsets with more than
-    ``_BLOCK`` completions. At any other downset it reaches, it yields one
-    block: the prefix joined to each of the downset's spelled suffixes, in
-    order, built the first time the walk reaches the downset and shared
-    with every prefix that reaches it later. A trace is then one tuple
-    concatenation of a suffix to the prefix, which is spelled once per
-    block. A downset with one completion needs no suffixes: the occurrences
-    it lacks form a chain, which index order lists.
+    over prefixes, each spelled by one concatenation, then descends only
+    through downsets with more than ``_BLOCK`` completions. A downset with
+    one completion gives its trace: the occurrences it lacks form a chain,
+    which ``join`` spells. Any other gives one block, the prefix followed by
+    each of the downset's suffixes, built from the downsets above it the
+    first time the walk reaches it, and shared with every later prefix.
 
     A stream holds the count of each downset and at most ``_BLOCK`` suffixes
     for each downset that the walk has reached with 2 to ``_BLOCK``
@@ -221,48 +222,45 @@ def _extensions(ms: Sequence[Message], spell: Sequence, max_traces: int) -> Iter
     """
     steps = _order(ms)
     full = (1 << len(ms)) - 1
-    heads = [(s,) for s in spell]
 
-    def tail(d: int) -> tuple:
+    def tail(d: int) -> Sequence:
         """The one completion of a downset that has one."""
-        return tuple(itertools.compress(spell, f"{full ^ d:b}"[::-1].encode().translate(_BITS)))
+        return join(itertools.compress(units, f"{full ^ d:b}"[::-1].encode().translate(_BITS)))
 
-    def build(d: int) -> list[tuple]:
+    @cache
+    def build(d: int) -> list:
         """The suffixes of ``d``, built from the top layer down."""
-        below: dict[int, list[tuple]] = {}
-        for layer in reversed(_above(steps, d, counts[d])):
-            below = {e: list(itertools.chain.from_iterable(
-                map(heads[r].__add__, below[f]) for r, f in steps(e))) or [()] for e in layer}
+        layers = [{d}]
+        while up := {f for e in layers[-1] if counts[e] > 1 for _, f in steps(e)}:
+            layers.append(up)
+        below: dict[int, list] = {}
+        for layer in reversed(layers):
+            below = {e: [units[r] + s for r, f in steps(e) for s in below[f]]
+                     if counts[e] > 1 else [tail(e)] for e in layer}
         return below[d]
 
     counts: dict[int, int] = {}
     for layer in reversed(_above(steps, 0, max_traces)):
         for d in layer:
             counts[d] = sum(counts[e] for _, e in steps(d)) or 1
-    suffixes: dict[int, list[tuple]] = {}
-    prefix: list = []
-    # Pending moves (at, head, d): cut the prefix to ``at`` entries, add
-    # ``head`` and go to downset d. The lowest token is pushed last, so it is
-    # tried first.
-    moves = [(0, (), 0)]
+    # Pending moves (prefix, d); the lowest token is pushed last, to be tried first.
+    moves = [(join(()), 0)]
     while moves:
-        at, head, d = moves.pop()
-        prefix[at:] = head
+        prefix, d = moves.pop()
         if counts[d] == 1:
-            yield [tuple(prefix) + tail(d)]
+            yield [prefix + tail(d)]
         elif counts[d] <= _BLOCK:
-            if d not in suffixes:
-                suffixes[d] = build(d)
-            yield list(map(tuple(prefix).__add__, suffixes[d]))
+            yield list(map(prefix.__add__, build(d)))
         else:
-            moves += [(len(prefix), heads[r], e) for r, e in reversed(steps(d))]
+            moves += [(prefix + units[r], e) for r, e in reversed(steps(d))]
 
 
 def weak(ms: Sequence[Message], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
     """All orderings of ``ms`` consistent with its per-lifeline order: the
     weak-equivalence class of ``ms`` as a trace set."""
     msgs = tuple(ms)
-    return frozenset(itertools.chain.from_iterable(_extensions(msgs, msgs, max_traces)))
+    return frozenset(itertools.chain.from_iterable(_extensions(
+        msgs, [(m,) for m in msgs], lambda units: tuple(itertools.chain(*units)), max_traces)))
 
 
 def weak_over_set(ts: Iterable[Trace], max_traces: int = DEFAULT_MAX_TRACES) -> TraceSet:
@@ -563,10 +561,12 @@ def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[list[str]]
 
 def _class_lines(rep: Trace, size: int, drop: set[str]) -> Iterator[list[str]]:
     """The rendered lines of the ``size`` traces of ``rep``'s class, less
-    those in ``drop``, in ``_extensions``' blocks; no block is empty."""
-    for block in _extensions(rep, [str(m) for m in rep], size):
-        if lines := [line for line in map(" ".join, block) if line not in drop]:
-            yield lines
+    those in ``drop``, in ``_extensions``' blocks; no block is empty. A unit
+    is a token and a blank, and ``join`` drops a line's last blank."""
+    blocks = _extensions(rep, [f"{m} " for m in rep], lambda units: "".join(units)[:-1], size)
+    if drop:
+        blocks = filter(None, ([line for line in block if line not in drop] for block in blocks))
+    return blocks
 
 
 def _merge(streams: list[Iterator[list[str]]]) -> Iterator[list[str]]:

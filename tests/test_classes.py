@@ -14,10 +14,11 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from functools import cache, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seqtrace import (
     Alt,
@@ -62,6 +63,7 @@ from seqtrace import (
 from seqtrace.semantics import (
     _BLOCK,
     _class_key,
+    _class_lines,
     _class_size,
     _Classes,
     _contrast,
@@ -302,6 +304,56 @@ def test_listing_merges_classes_on_both_sides_of_the_block_size():
     assert list(rendered_traces(root, "ABCD")) == sorted(map(render_trace, words))
 
 
+@st.composite
+def representatives(draw):
+    """1 to 12 messages over 2 to 4 lifelines, with dotted labels and
+    self-messages."""
+    names = st.sampled_from(("A", "B", "C", "D")[:draw(st.integers(2, 4))])
+    label = st.sampled_from(("m", "m.1", "n", "a.b"))
+    return tuple(draw(st.lists(st.builds(Message, names, label, names), min_size=1, max_size=12)))
+
+
+def assert_lines_are_the_sorted_class(rep, size):
+    blocks = list(_class_lines(rep, size, set()))
+    assert all(blocks) and all(block == sorted(block) for block in blocks)
+    assert list(itertools.chain.from_iterable(blocks)) == sorted(map(render_trace, weak(rep)))
+    return list(map(len, blocks))
+
+
+@given(representatives())
+@settings(max_examples=200, deadline=None)
+def test_line_blocks_chain_to_the_sorted_rendered_class(rep):
+    size = _class_size(rep, 10**9)
+    assume(size <= 3_000)
+    assert sum(assert_lines_are_the_sorted_class(rep, size)) == size
+
+
+@pytest.mark.parametrize("rep,blocks", [
+    # Two traces: one block whose prefix is empty.
+    ((Message("A", "x", "B"), Message("C", "y", "D")), [2]),
+    (sum(chains(1, _BLOCK - 1), ()), [_BLOCK]),
+    (sum(chains(1, _BLOCK), ()), [1, _BLOCK]),
+    (sum(chains(2, 22), ()), [23, 253]),
+    # a0 after each of c0..c44: a one-completion tail after a branching prefix.
+    (sum(chains(1, 300), ()), [1] * 45 + [_BLOCK]),
+], ids=["two", "block", "block+1", "276", "tails"])
+def test_line_blocks_at_the_edges_of_a_block(rep, blocks):
+    assert assert_lines_are_the_sorted_class(rep, sum(blocks)) == blocks
+
+
+def test_a_streamed_listing_holds_no_class_whole():
+    # Holding all 48,620 lines would take about 8.9 MB.
+    root = Par(tuple(map(Basic, chains(9, 9))))
+    tracemalloc.start()
+    try:
+        lines = sum(1 for _ in rendered_traces(root, "ABCD"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == 48_620
+    assert peak < 2_000_000
+
+
 BRANCHING = """\
 lifeline A
 lifeline B
@@ -345,7 +397,8 @@ def test_verdicts_skip_a_block_the_other_side_covers():
         message_alphabet(left.root), Basic((a[0], s, a[1]) + c)))
     left_words = reference(left.root, EvalLimits())
     right_words = reference(right.root, EvalLimits())
-    assert right_words == set(next(_extensions(a + c, a + c, 276)))
+    units = [(m,) for m in a + c]
+    assert right_words == set(next(_extensions(a + c, units, lambda us: sum(us, ()), 276)))
     assert refines(left, right) == word_verdict("left", left_words - right_words, 2)
     got = conform(left, right_words, ConformanceMode.REQUIRED)
     assert got == word_verdict("diagram", left_words - right_words, 2)

@@ -1,4 +1,4 @@
-"""Core value types: messages, lifeline sharing, and message alphabets."""
+"""Core value types: messages, locations, lifeline sharing, and message alphabets."""
 
 import copy
 import pickle
@@ -21,7 +21,8 @@ from seqtrace import (
     render_trace,
     shares_lifeline,
 )
-from seqtrace.ast import _read_trace
+from seqtrace.ast import Loc, _read_trace
+from seqtrace.parser import _loc
 
 M = Message
 
@@ -76,6 +77,32 @@ class TestMessage:
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert clone == value
             assert type(clone) is type(value)
+
+
+class TestLoc:
+    def test_is_the_tuple_of_its_line_and_column(self):
+        loc = Loc(3, 14)
+        assert loc == (3, 14) and hash(loc) == hash((3, 14))
+        assert (loc.line, loc.column) == (3, 14)
+        assert sorted([Loc(2, 9), Loc(1, 5), Loc(2, 1)]) == [Loc(1, 5), Loc(2, 1), Loc(2, 9)]
+        assert repr(loc) == "Loc(line=3, column=14)"
+        assert str(loc) == "3:14"
+
+    def test_fields_are_read_only(self):
+        loc = Loc(1, 1)
+        with pytest.raises(AttributeError):
+            loc.line = 2
+        with pytest.raises(AttributeError):
+            loc.note = "x"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        loc = Loc(7, 2)
+        for clone in (pickle.loads(pickle.dumps(loc)), copy.deepcopy(loc), copy.copy(loc)):
+            assert clone == loc and type(clone) is Loc
+
+    def test_the_parser_builds_a_loc_from_a_token(self):
+        loc = _loc(("WORD", "A", 4, 9))
+        assert type(loc) is Loc and loc == Loc(4, 9) and str(loc) == "4:9"
 
 
 class TestReadTrace:
