@@ -46,13 +46,6 @@ from seqtrace.errors import (
     TraceSetOverflowError,
     UnknownLifelineError,
 )
-from seqtrace.oracle import (
-    GeneratorConfig,
-    generate_fragment,
-    generate_fragments,
-    oracle_interleave,
-    oracle_weak,
-)
 from seqtrace.parser import (
     ParsedDiagram,
     canonicalize,
@@ -80,6 +73,20 @@ from seqtrace.semantics import (
 )
 
 __version__ = "0.1.0"
+
+# The reference oracle and the fragment generator serve tests and scripts,
+# not the CLI, so they load on first use (PEP 562).
+_ORACLE_NAMES = frozenset((
+    "GeneratorConfig", "generate_fragment", "generate_fragments", "oracle_interleave", "oracle_weak"
+))
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from seqtrace import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Alt",

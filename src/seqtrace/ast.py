@@ -7,7 +7,6 @@ Everything here is immutable and hashable, so values can be shared freely
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
@@ -131,116 +130,140 @@ def _check_name(name: str) -> None:
         raise ValueError(f"invalid lifeline name: {name!r}")
 
 
-@dataclass(frozen=True)
-class Basic:
+class _Value:
+    """Base of the frozen value classes. A subclass's fields are its
+    ``__init__`` parameters, stored in order by ``_freeze`` and read-only
+    after that; they live in the instance ``__dict__``, so pickle and copy
+    restore them without ``__setattr__``. Equality and hash use every field
+    but ``loc`` and ``message_locs`` (diagnostics only), in order, between
+    instances of one class; ``repr`` shows every field, as a dataclass's does."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        cls._compared = tuple(n for n in cls.__match_args__ if n not in ("loc", "message_locs"))
+
+    def _freeze(self, *values: object) -> None:
+        self.__dict__.update(zip(self.__match_args__, values))
+
+    def _key(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Basic(_Value):
     """A run of messages, ordered top to bottom along the lifelines."""
 
-    messages: tuple[Message, ...]
-    loc: Loc | None = field(default=None, compare=False)
-    # Per-message locations, parallel to `messages` (all `loc` if left out); for diagnostics.
-    message_locs: tuple[Loc | None, ...] | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.messages:
+    def __init__(
+        self,
+        messages: tuple[Message, ...],
+        loc: Loc | None = None,
+        # Per-message locations, parallel to `messages` (all `loc` if left out); for diagnostics.
+        message_locs: tuple[Loc | None, ...] | None = None,
+    ) -> None:
+        if not messages:
             raise ValueError("a basic fragment needs at least one message")
-        if self.message_locs is None:
-            object.__setattr__(self, "message_locs", (self.loc,) * len(self.messages))
-        elif len(self.message_locs) != len(self.messages):
+        if message_locs is None:
+            message_locs = (loc,) * len(messages)
+        elif len(message_locs) != len(messages):
             raise ValueError("message_locs must parallel messages")
+        self._freeze(messages, loc, message_locs)
 
 
-@dataclass(frozen=True)
-class WeakSeq:
+class WeakSeq(_Value):
     """Sequential composition that only orders same-lifeline messages."""
 
-    children: tuple["Fragment", ...]
-    loc: Loc | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple["Fragment", ...], loc: Loc | None = None) -> None:
+        if len(children) < 2:
             raise ValueError("a weak sequence needs at least two children")
+        self._freeze(children, loc)
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(_Value):
     """Nondeterministic choice between branches."""
 
-    branches: tuple["Fragment", ...]
-    loc: Loc | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.branches:
+    def __init__(self, branches: tuple["Fragment", ...], loc: Loc | None = None) -> None:
+        if not branches:
             raise ValueError("an alt fragment needs at least one branch")
+        self._freeze(branches, loc)
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(_Value):
     """Parallel composition: operand traces interleave freely."""
 
-    operands: tuple["Fragment", ...]
-    loc: Loc | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.operands:
+    def __init__(self, operands: tuple["Fragment", ...], loc: Loc | None = None) -> None:
+        if not operands:
             raise ValueError("a par fragment needs at least one operand")
+        self._freeze(operands, loc)
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(_Value):
     """Unbounded repetition of the body; evaluation truncates at a bound.
 
     A multi-statement body is represented as Loop(WeakSeq(...)).
     """
 
-    body: "Fragment"
-    loc: Loc | None = field(default=None, compare=False)
+    def __init__(self, body: "Fragment", loc: Loc | None = None) -> None:
+        self._freeze(body, loc)
 
 
-@dataclass(frozen=True)
-class Create:
+class Create(_Value):
     """Bring a fresh lifeline name into scope. Not a communication event."""
 
-    name: str
-    loc: Loc | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        _check_name(self.name)
+    def __init__(self, name: str, loc: Loc | None = None) -> None:
+        _check_name(name)
+        self._freeze(name, loc)
 
 
-@dataclass(frozen=True)
-class Destroy:
+class Destroy(_Value):
     """Remove a lifeline name from scope. Not a communication event."""
 
-    name: str
-    loc: Loc | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        _check_name(self.name)
+    def __init__(self, name: str, loc: Loc | None = None) -> None:
+        _check_name(name)
+        self._freeze(name, loc)
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(_Value):
     """The fragment that does nothing; its only trace is the empty one."""
 
-    loc: Loc | None = field(default=None, compare=False)
+    def __init__(self, loc: Loc | None = None) -> None:
+        self._freeze(loc)
 
 
-@dataclass(frozen=True)
-class Consider:
+class Consider(_Value):
     """Keep only the listed messages in every trace of the body."""
 
-    alphabet: frozenset[Message]
-    body: "Fragment"
-    loc: Loc | None = field(default=None, compare=False)
+    def __init__(
+        self, alphabet: frozenset[Message], body: "Fragment", loc: Loc | None = None
+    ) -> None:
+        self._freeze(alphabet, body, loc)
 
 
-@dataclass(frozen=True)
-class Ignore:
+class Ignore(_Value):
     """Drop the listed messages from every trace of the body."""
 
-    alphabet: frozenset[Message]
-    body: "Fragment"
-    loc: Loc | None = field(default=None, compare=False)
+    def __init__(
+        self, alphabet: frozenset[Message], body: "Fragment", loc: Loc | None = None
+    ) -> None:
+        self._freeze(alphabet, body, loc)
 
 
 Fragment = (

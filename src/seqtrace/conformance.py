@@ -25,11 +25,18 @@ lines of the classes as they are enumerated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from seqtrace.ast import EMPTY_TRACE_TOKEN, Message, Trace, TraceSet, _read_trace, render_trace
+from seqtrace.ast import (
+    EMPTY_TRACE_TOKEN,
+    Message,
+    Trace,
+    TraceSet,
+    _read_trace,
+    _Value,
+    render_trace,
+)
 from seqtrace.errors import LogParseError, _ScopeError
 from seqtrace.parser import ParsedDiagram
 from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast, scope
@@ -43,16 +50,16 @@ class ConformanceMode(Enum):
     FORBIDDEN = "forbid"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of a set-relation check: the side its counterexamples come
     from, the first ``MAX_WITNESSES`` of them in rendered order, and
     ``total``, their exact number; it ``holds`` when there are none."""
 
-    side: str  # "left" | "diagram" | "log" | "both"
-    witnesses: tuple[Trace, ...]
-    loop_bound: int
-    total: int
+    def __init__(
+        self, side: str, witnesses: tuple[Trace, ...], loop_bound: int, total: int
+    ) -> None:
+        # side: "left" | "diagram" | "log" | "both"
+        self._freeze(side, witnesses, loop_bound, total)
 
     @property
     def holds(self) -> bool:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from seqtrace.ast import (
     LABEL,
@@ -44,6 +43,7 @@ from seqtrace.ast import (
     Skip,
     WeakSeq,
     _message,
+    _Value,
     children,
     is_valid_name,
     rebuild,
@@ -77,12 +77,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ParsedDiagram:
+class ParsedDiagram(_Value):
     """Parse result: declared lifelines plus the root fragment."""
 
-    initial_namespace: Namespace
-    root: Fragment
+    def __init__(self, initial_namespace: Namespace, root: Fragment) -> None:
+        self._freeze(initial_namespace, root)
 
 
 def _tokenize(source: str) -> list[tuple]:

@@ -54,7 +54,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from dataclasses import dataclass
 from functools import cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -76,6 +75,7 @@ from seqtrace.ast import (
     TraceSet,
     WeakSeq,
     _read_trace,
+    _Value,
     children,
     message_alphabet,
     render_trace,
@@ -93,8 +93,7 @@ DEFAULT_LOOP_BOUND = 2
 DEFAULT_MAX_TRACES = 1_000_000
 
 
-@dataclass(frozen=True)
-class EvalLimits:
+class EvalLimits(_Value):
     """Evaluation budget: loop unrolling depth and a hard trace-set cap.
 
     ``loop_bound`` = 0 makes every loop contribute only the empty trace.
@@ -102,14 +101,14 @@ class EvalLimits:
     trace set; exceeding it raises, it never truncates.
     """
 
-    loop_bound: int = DEFAULT_LOOP_BOUND
-    max_traces: int = DEFAULT_MAX_TRACES
-
-    def __post_init__(self) -> None:
-        if self.loop_bound < 0:
+    def __init__(
+        self, loop_bound: int = DEFAULT_LOOP_BOUND, max_traces: int = DEFAULT_MAX_TRACES
+    ) -> None:
+        if loop_bound < 0:
             raise ValueError("loop_bound must be nonnegative")
-        if self.max_traces < 1:
+        if max_traces < 1:
             raise ValueError("max_traces must be positive")
+        self._freeze(loop_bound, max_traces)
 
 
 def _cap(size: int, max_traces: int) -> None:
@@ -119,12 +118,11 @@ def _cap(size: int, max_traces: int) -> None:
         raise TraceSetOverflowError(max_traces)
 
 
-@dataclass(frozen=True)
-class Denotation:
+class Denotation(_Value):
     """The meaning of a fragment: its traces and its outgoing namespace."""
 
-    traces: TraceSet
-    namespace_out: Namespace
+    def __init__(self, traces: TraceSet, namespace_out: Namespace) -> None:
+        self._freeze(traces, namespace_out)
 
 
 # The most completions a downset may have and still be listed from a block.

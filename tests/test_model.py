@@ -11,11 +11,19 @@ from seqtrace import (
     Alt,
     Basic,
     Consider,
+    Create,
+    Denotation,
+    Destroy,
+    EvalLimits,
+    Ignore,
     Loop,
     Message,
     Par,
+    ParsedDiagram,
     Skip,
+    Verdict,
     WeakSeq,
+    dump_diagram,
     message_alphabet,
     parse,
     render_trace,
@@ -77,6 +85,8 @@ class TestMessage:
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert clone == value
             assert type(clone) is type(value)
+            if isinstance(value, ParsedDiagram):  # == ignores locations; the dump shows them
+                assert dump_diagram(clone) == dump_diagram(value)
 
 
 class TestLoc:
@@ -197,3 +207,79 @@ class TestFragmentInvariants:
 
         m = M("A", "m", "B")
         assert Basic((m,), loc=Loc(3, 1)) == Basic((m,))
+
+
+_AB = M("A", "m", "B")
+_B = Basic((_AB,))
+
+# Each frozen value class, built by a function of a location; a class that
+# carries none ignores it.
+_VALUES = [
+    lambda at: Basic((_AB, M("B", "n", "A")), at),
+    lambda at: WeakSeq((_B, Skip(at)), at),
+    lambda at: Alt((_B,), at),
+    lambda at: Par((_B, _B), at),
+    lambda at: Loop(_B, at),
+    lambda at: Create("C", at),
+    lambda at: Destroy("C", at),
+    lambda at: Skip(at),
+    lambda at: Consider(frozenset({_AB}), _B, at),
+    lambda at: Ignore(frozenset({_AB}), _B, at),
+    lambda at: ParsedDiagram(frozenset({"A", "B"}), Basic((_AB,), at)),
+    lambda at: EvalLimits(3, 7),
+    lambda at: Denotation(frozenset({(_AB,)}), frozenset({"A", "B"})),
+    lambda at: Verdict("left", ((_AB,),), 2, 1),
+]
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize("make", _VALUES, ids=lambda make: type(make(None)).__name__)
+    def test_a_value_is_frozen_compared_without_locations_and_copied_whole(self, make):
+        value, elsewhere = make(Loc(1, 1)), make(Loc(5, 3))
+        assert value == elsewhere and not value != elsewhere
+        assert hash(value) == hash(elsewhere)
+        same_fields = tuple(vars(value).values())  # of another type
+        assert value != object() and value.__eq__(same_fields) is NotImplemented
+        first = type(value).__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, first, None)
+        with pytest.raises(AttributeError):
+            delattr(value, first)
+        with pytest.raises(AttributeError):
+            value.note = "x"
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value) and clone == value
+            # Every field, locations too; not repr, as a set may print in another order.
+            assert vars(clone) == vars(value)
+
+    def test_equal_fields_of_another_class_are_not_equal(self):
+        assert Consider(frozenset({_AB}), _B) != Ignore(frozenset({_AB}), _B)
+        assert Alt((_B,)) != Par((_B,))
+        assert Create("C") != Destroy("C")
+
+    @pytest.mark.parametrize("value,text", [
+        (Basic((_AB, M("B", "n", "A")), Loc(2, 5)),
+         "Basic(messages=(Message(sender='A', label='m', receiver='B'), "
+         "Message(sender='B', label='n', receiver='A')), loc=Loc(line=2, column=5), "
+         "message_locs=(Loc(line=2, column=5), Loc(line=2, column=5)))"),
+        (Loop(Skip(), Loc(1, 1)), "Loop(body=Skip(loc=None), loc=Loc(line=1, column=1))"),
+        (EvalLimits(), "EvalLimits(loop_bound=2, max_traces=1000000)"),
+    ], ids=["basic", "loop", "limits"])
+    def test_repr_names_every_field(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("build,text", [
+        (lambda: Basic(()), "a basic fragment needs at least one message"),
+        (lambda: Basic((_AB,), None, ()), "message_locs must parallel messages"),
+        (lambda: WeakSeq((_B,)), "a weak sequence needs at least two children"),
+        (lambda: Alt(()), "an alt fragment needs at least one branch"),
+        (lambda: Par(()), "a par fragment needs at least one operand"),
+        (lambda: Create("1A"), "invalid lifeline name: '1A'"),
+        (lambda: Destroy(""), "invalid lifeline name: ''"),
+        (lambda: EvalLimits(-1), "loop_bound must be nonnegative"),
+        (lambda: EvalLimits(max_traces=0), "max_traces must be positive"),
+    ])
+    def test_constructor_errors(self, build, text):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == text
