@@ -4,10 +4,11 @@ Commands: parse, check, traces, refine, conform, theorem. Exit codes are
 uniform: 0 when the command succeeds / the checked property holds, 1 when
 a checked property fails (with witnesses on stdout), 2 on usage, parse,
 validation, or evaluation errors (diagnostics on stderr), 2 when memory
-runs out, and 2 when the reader of stdout goes away before the output
-ends. Machine-readable output goes to stdout only and is deterministic:
-traces print sorted, streamed as they are enumerated, one write per sorted
-window of lines (see ``semantics._contrast``), not one per line.
+runs out, 2 when the reader of stdout goes away before the output ends,
+and 2 when stdout cannot be written. Machine-readable output goes to
+stdout only, as UTF-8 whatever the locale, and is deterministic: traces
+print sorted, streamed as they are enumerated, one write per sorted window
+of lines (see ``semantics._contrast``), not one per line.
 """
 
 from __future__ import annotations
@@ -138,15 +139,11 @@ def _cmd_conform(args: argparse.Namespace) -> int:
 def _cmd_theorem(args: argparse.Namespace) -> int:
     diagram = parse(_read(args.file))
     if not isinstance(diagram.root, Loop):
-        print(
-            f"error: {args.file}: the diagram's root is not a loop fragment; "
-            "the unrolling identity only applies to loops",
-            file=sys.stderr,
-        )
-        return 2
+        raise DiagramError(f"{args.file}: the diagram's root is not a loop fragment; "
+                           "the unrolling identity only applies to loops")
     if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
-    limits = EvalLimits(loop_bound=args.depth, max_traces=args.max_traces)
+    limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
     loop_only, unrolled_only = theorem1_diff(diagram.root, diagram.initial_namespace, limits)
     if not (loop_only or unrolled_only):
         print("EQUAL")
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", parents=[cap], help="Check the bounded loop-unrolling identity")
     p.add_argument("file")
-    p.add_argument("--depth", type=_int_at_least(0), required=True, metavar="K")
+    p.add_argument("--depth", type=_int_at_least(0), required=True, metavar="K", dest="max_loop")
     p.set_defaults(func=_cmd_theorem)
 
     return parser
@@ -207,6 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # logs are read as UTF-8, and listings are logs
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe is met here, not at exit
@@ -217,10 +216,13 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader of stdout has gone. Point stdout at the null device so
-        # that the interpreter's final flush of what is still buffered
-        # cannot raise again.
+    except OSError as exc:
+        # Only writing output raises it here. A closed pipe means the reader
+        # of stdout has gone, and needs no message. Point stdout at the null
+        # device so that the interpreter's final flush of what is still
+        # buffered cannot raise again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

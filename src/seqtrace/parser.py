@@ -1,7 +1,8 @@
 """A small textual DSL for asynchronous sequence diagrams.
 
-Grammar (whitespace between tokens is free, ``#`` comments run to end of
-line, keywords are reserved and cannot name lifelines):
+Grammar (blanks between tokens, spaces, tabs and line ends, are free; other
+whitespace is an unexpected character; ``#`` comments run to end of line;
+keywords are reserved and cannot name lifelines):
 
     diagram   := (header | stmt)*
     header    := "lifeline" NAME

@@ -31,17 +31,19 @@ One walk sizes, caps and lists a whole class: ``_above`` visits the
 downsets of its occurrence order (``_order``) layer by layer, counting the
 prefixes that reach each one and checking the cap on every layer, so a
 class past the cap raises before it is listed; the last layer holds the
-class size. ``_extensions`` lists the class in rendered-line order from the
-same walk, in blocks: a downset with at most ``_BLOCK`` completions gives
-one, from one shared list of suffixes, and a trace is spelled by
-concatenating one unit per occurrence: ``weak`` spells tuples, a listing
-its rendered lines. Every ordered listing is ``_contrast``'s one merge of
-those lines, in sorted windows: ``traces`` writes each window at once,
-``rendered_traces`` chains them, and the conformance witnesses and
-``theorem1_diff`` read them back as traces. A listing is sorted without
-being held: a window holds at most one block per class stream, plus the
-classes of one and the loose traces, and a stream keeps at most ``_BLOCK``
-suffixes per downset it has reached, never a larger class whole.
+class size. ``_extensions`` lists the class in rendered-line order from
+the same walk, in blocks: the pass that counts each downset's completions
+from the top layer down also builds the suffixes of each downset with at
+most ``_BLOCK`` of them, and a block is a prefix followed by the suffixes
+of a block root. A trace is spelled by concatenating one unit per
+occurrence: ``weak`` spells tuples, a listing its rendered lines. Every
+ordered listing is ``_contrast``'s one merge of those lines, in sorted
+windows: ``traces`` writes each window at once, ``rendered_traces`` chains
+them, and the conformance witnesses and ``theorem1_diff`` read them back
+as traces. A listing is sorted without being held: a window holds at most
+one block per class stream, plus the classes of one and the loose traces,
+and a stream holds at most ``_BLOCK`` suffixes per block root, plus two
+layers of suffix lists while it builds them, never a larger class whole.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
@@ -54,7 +56,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from functools import cache, reduce
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from seqtrace.ast import (
@@ -204,19 +206,21 @@ def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
     ``max_traces`` orderings it raises before the first.
 
     The completions of a prefix depend only on the downset it holds. So the
-    walk of ``_above`` sizes the class first, and the completions of every
-    downset are counted over its layers from the top. A depth-first walk
-    over prefixes, each spelled by one concatenation, then descends only
-    through downsets with more than ``_BLOCK`` completions. A downset with
-    one completion gives its trace: the occurrences it lacks form a chain,
-    which ``join`` spells. Any other gives one block, the prefix followed by
-    each of the downset's suffixes, built from the downsets above it the
-    first time the walk reaches it, and shared with every later prefix.
+    walk of ``_above`` sizes the class first, and one pass over its layers
+    from the top counts the completions of every downset and builds, once,
+    the suffixes of each downset with 2 to ``_BLOCK`` of them, from the
+    suffixes of the layer above. A depth-first walk over prefixes, each
+    spelled by one concatenation, then descends only through downsets with
+    more than ``_BLOCK`` completions. A downset with one completion gives
+    its trace: the occurrences it lacks form a chain, which ``join`` spells.
+    Any other is a block root, a downset with 2 to ``_BLOCK`` completions
+    one occurrence above one with more, or the empty downset; it gives one
+    block, the prefix followed by each of its suffixes.
 
     A stream holds the count of each downset and at most ``_BLOCK`` suffixes
-    for each downset that the walk has reached with 2 to ``_BLOCK``
-    completions; building them holds two layers of the suffixes above. A
-    class with more than ``_BLOCK`` traces is never held whole.
+    per block root, all built before its first block; building them holds
+    two layers of suffix lists. A class with more than ``_BLOCK`` traces is
+    never held whole.
     """
     steps = _order(ms)
     full = (1 << len(ms)) - 1
@@ -225,22 +229,23 @@ def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
         """The one completion of a downset that has one."""
         return join(itertools.compress(units, f"{full ^ d:b}"[::-1].encode().translate(_BITS)))
 
-    @cache
-    def build(d: int) -> list:
-        """The suffixes of ``d``, built from the top layer down."""
-        layers = [{d}]
-        while up := {f for e in layers[-1] if counts[e] > 1 for _, f in steps(e)}:
-            layers.append(up)
-        below: dict[int, list] = {}
-        for layer in reversed(layers):
-            below = {e: [units[r] + s for r, f in steps(e) for s in below[f]]
-                     if counts[e] > 1 else [tail(e)] for e in layer}
-        return below[d]
-
+    # From the top layer down: each downset's completions are counted and, if
+    # 2 to _BLOCK, spelled from the suffixes of the layer above (``above``).
+    # Only a block root's suffixes outlive the layer below theirs.
     counts: dict[int, int] = {}
+    above: dict[int, list] = {}
+    blocks: dict[int, list] = {}
     for layer in reversed(_above(steps, 0, max_traces)):
+        lists = {}
         for d in layer:
-            counts[d] = sum(counts[e] for _, e in steps(d)) or 1
+            n = counts[d] = sum(counts[e] for _, e in steps(d)) or 1
+            if n > _BLOCK:
+                blocks.update((e, above[e]) for _, e in steps(d) if e in above)
+            elif n > 1:
+                lists[d] = [units[r] + s for r, e in steps(d)
+                            for s in (above[e] if counts[e] > 1 else [tail(e)])]
+        above = lists
+    blocks.update(above)  # the empty downset, if it roots a block
     # Pending moves (prefix, d); the lowest token is pushed last, to be tried first.
     moves = [(join(()), 0)]
     while moves:
@@ -248,7 +253,7 @@ def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
         if counts[d] == 1:
             yield [prefix + tail(d)]
         elif counts[d] <= _BLOCK:
-            yield list(map(prefix.__add__, build(d)))
+            yield list(map(prefix.__add__, blocks[d]))
         else:
             moves += [(prefix + units[r], e) for r, e in reversed(steps(d))]
 
@@ -662,12 +667,18 @@ def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple
     scope-checked and then evaluated, the loop side first. The unrolled side,
     ``alt`` over skip and the 1..k-fold weak sequences of the body at the
     loop's location, is built one power at a time: ``n`` copies are ``n - 1``
-    copies sequenced with one more. The scope errors of the k-fold sequence
-    begin with those of each shorter one."""
+    copies sequenced with one more.
+
+    The first scope error of the k-fold sequence is that of two copies.
+    Suppose copy 1 has no scope error. If copy 1 leaves the namespace as it
+    found it, every later copy repeats copy 1. If it does not, copy 2 has a
+    scope error: the first statement of copy 1 that names a lifeline whose
+    presence copy 1 changed meets it changed in copy 2. So the first error
+    of the k-fold sequence is always in its first two copies."""
     limits = limits or EvalLimits()
     k, mx = limits.loop_bound, limits.max_traces
     closure = _checked_eval(loop, ns, limits)[0]
-    errors = scope(WeakSeq((loop.body,) * k), ns)[1] if k > 1 else ()
+    errors = scope(WeakSeq((loop.body,) * 2), ns)[1] if k > 1 else ()
     if errors:
         raise errors[0]
     unrolled = _Classes(mx, [()])

@@ -69,6 +69,7 @@ from seqtrace.semantics import (
     _contrast,
     _eval,
     _extensions,
+    scope,
 )
 
 names = st.sampled_from(("A", "B", "C", "D"))
@@ -175,6 +176,28 @@ def test_theorem_diff_by_class_equals_the_listed_sides(seed, k, cap):
             return left - right, right - left
 
         assert outcome(lambda: theorem1_diff(*args)) == outcome(listed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_theorem_meets_the_first_scope_error_of_the_k_fold_sequence(seed):
+    # The theorem checks scope on two copies of the body, not k: a copy that
+    # changes the namespace makes the next copy fail.
+    failing = 0
+    for d in generated(seed, 60):
+        body, ns = d.root, d.initial_namespace
+        loop = Loop(body, loc=body.loc)
+        failing += bool(scope(WeakSeq((body, body)), ns)[1])
+        for k in range(1, 8):
+            limits = EvalLimits(loop_bound=k, max_traces=60)
+
+            def k_fold():
+                count_traces(loop, ns, limits)  # the loop side comes first
+                if k > 1 and (errors := scope(WeakSeq((body,) * k), ns)[1]):
+                    raise errors[0]
+                return theorem1_diff(loop, ns, limits)
+
+            assert outcome(lambda: theorem1_diff(loop, ns, limits)) == outcome(k_fold)
+    assert failing
 
 
 # Generated at depth 4 from seed 23. At k=2 and a cap of 7 the loop branch
@@ -458,6 +481,23 @@ def test_the_first_traces_of_a_huge_class_come_before_it_is_built():
     verdict = refines(left, right, limits)
     assert time.perf_counter() - start < 2
     assert (verdict.witnesses, verdict.total) == (tuple(first), 17_153_136)
+
+
+def test_the_first_traces_of_a_huge_class_hold_its_blocks_and_two_layers():
+    # The blocks of the 17,153,136-trace class are built before its first
+    # line: every block root keeps its suffixes, and building them holds two
+    # layers of the downsets' suffix lists.
+    a, c, e = chains(6, 6, 6)
+    root = Par((Basic(a), Basic(c), Basic(e)))
+    tracemalloc.start()
+    try:
+        lines = list(itertools.islice(rendered_traces(root, "ABCDEF", EvalLimits(
+            max_traces=20_000_000)), 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 10
+    assert peak < 4_000_000
 
 
 def word_verdict(side, found, k):

@@ -1,6 +1,7 @@
 """The command-line surface: exit codes, output shape, and determinism."""
 
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -97,6 +98,41 @@ class TestTraces:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert b"Traceback" not in err
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_output_is_utf8_whatever_the_locale(self, diagrams_dir, tmp_path, encoding):
+        # The listing is log input, and logs are read as UTF-8.
+        env = dict(os.environ, PYTHONPATH=str(diagrams_dir.parent / "src"),
+                   PYTHONIOENCODING=encoding)
+
+        def seqtrace(*argv):
+            proc = subprocess.run([sys.executable, "-m", "seqtrace", *argv],
+                                  capture_output=True, env=env, timeout=60)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        traces = seqtrace("traces", str(diagrams_dir / "lifecycle_only.sd"))
+        assert traces == (0, "ε\n".encode(), b"")
+        log = tmp_path / "empty.log"
+        log.write_text("ε\n", encoding="utf-8")
+        witness = seqtrace("conform", str(diagrams_dir / "weak_order.sd"), str(log),
+                           "--mode", "exhaust")
+        assert witness == (1, "FAILS\nlog: ε\n".encode(), b"note: loop bound 2\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["traces", "weak_order.sd"],
+        ["check", "invalid/destroy_absent.sd"],
+    ])
+    def test_unwritable_output_exits_2_without_traceback(self, diagrams_dir, argv):
+        # Every write to /dev/full fails with ENOSPC.
+        env = dict(os.environ, PYTHONPATH=str(diagrams_dir.parent / "src"))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "seqtrace", argv[0], str(diagrams_dir / argv[1])],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        want = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+        assert (proc.returncode, proc.stderr) == (2, want)
 
     def test_out_of_memory_while_listing_exits_2_without_traceback(
         self, capsys, diagrams_dir, monkeypatch

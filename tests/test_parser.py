@@ -166,6 +166,8 @@ REJECTED = {
     "lifeline A\n\tA -> A :": "2:10: expected message label, found end of input",  # tab: one column
     "lifeline A\r\nA -> A : m\r\nA -> A ;": "3:8: unexpected character ';'",  # CRLF
     "lifeline A\n# comment\n  A -> A : m $": "3:14: unexpected character '$'",
+    # Blanks are spaces, tabs and line ends; other whitespace is no blank.
+    "lifeline A\nA -> A : m\n\fA -> A : n": "3:1: unexpected character '\\x0c'",
     # End of input after a trailing comment is the true end of the text,
     # not the column where the comment starts.
     "lifeline A\nloop {\n A -> A : x # note": "3:19: unterminated loop block",
