@@ -106,7 +106,7 @@ def read_log_by_token(text: str):
         if tokens == [EMPTY_TRACE_TOKEN]:
             traces.add(())
         elif EMPTY_TRACE_TOKEN in tokens:
-            raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
+            raise LogParseError("the empty-trace marker must stand alone on its line", line_no)
         elif tokens:
             traces.add(tuple(_parse_log_message(tok, line_no) for tok in tokens))
     return frozenset(traces)

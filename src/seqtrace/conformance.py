@@ -102,7 +102,7 @@ def _log_error(text: str, raw: str, tokens: list[str]) -> None:
     ``tokens``, a line with a token that is not a message."""
     line_no = text.split("\n").index(raw) + 1
     if EMPTY_TRACE_TOKEN in tokens:
-        raise LogParseError("the empty-trace marker cannot mix with messages", line_no)
+        raise LogParseError("the empty-trace marker must stand alone on its line", line_no)
     for tok in tokens:
         _parse_log_message(tok, line_no)
 

@@ -32,10 +32,11 @@ downsets of its occurrence order (``_order``) layer by layer, counting the
 prefixes that reach each one and checking the cap on every layer, so a
 class past the cap raises before it is listed; the last layer holds the
 class size. ``_extensions`` lists the class in rendered-line order from
-the same walk, in blocks: the pass that counts each downset's completions
-from the top layer down also builds the suffixes of each downset with at
-most ``_BLOCK`` of them, and a block is a prefix followed by the suffixes
-of a block root. A trace is spelled by concatenating one unit per
+the same walk, in blocks: one pass from the top layer down builds the
+suffixes of each downset with at most ``_BLOCK`` completions, counted by
+its successors' suffixes. A downset is then either a block root, whose
+block is a prefix followed by its suffixes, or walked through; no count is
+kept per downset. A trace is spelled by concatenating one unit per
 occurrence: ``weak`` spells tuples, a listing its rendered lines. Every
 ordered listing is ``_contrast``'s one merge of those lines, in sorted
 windows: ``traces`` writes each window at once, ``rendered_traces`` chains
@@ -173,14 +174,14 @@ def _order(ms: Sequence[Message]) -> Callable[[int], list[tuple[int, int]]]:
     return steps
 
 
-def _above(steps: Callable[[int], list[tuple[int, int]]], d: int,
+def _above(steps: Callable[[int], list[tuple[int, int]]],
            max_traces: int) -> list[dict[int, int]]:
-    """``d`` and the downsets above it, layer by layer from ``d``, each mapped
-    to its number of prefixes from ``d``. A layer's prefixes are distinct,
-    each the start of a completion of ``d`` of its own, so the cap is checked
-    on every layer, the first included, before the next is built; the last
-    layer, the full downset alone, holds the number of completions."""
-    layers = [{d: 1}]
+    """The downsets, layer by layer from the empty one, each mapped to its
+    number of prefixes. A layer's prefixes are distinct, each the start of a
+    trace of its own, so the cap is checked on every layer, the first
+    included, before the next is built; the last layer, the full downset
+    alone, holds the number of traces."""
+    layers = [{0: 1}]
     while True:
         _cap(sum(layers[-1].values()), max_traces)
         after: dict[int, int] = {}
@@ -194,7 +195,7 @@ def _above(steps: Callable[[int], list[tuple[int, int]]], d: int,
 
 def _class_size(t: Trace, max_traces: int) -> int:
     """The number of traces in ``t``'s class, raising past ``max_traces``."""
-    return sum(_above(_order(t), 0, max_traces)[-1].values())
+    return sum(_above(_order(t), max_traces)[-1].values())
 
 
 def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
@@ -207,20 +208,22 @@ def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
 
     The completions of a prefix depend only on the downset it holds. So the
     walk of ``_above`` sizes the class first, and one pass over its layers
-    from the top counts the completions of every downset and builds, once,
-    the suffixes of each downset with 2 to ``_BLOCK`` of them, from the
-    suffixes of the layer above. A depth-first walk over prefixes, each
-    spelled by one concatenation, then descends only through downsets with
-    more than ``_BLOCK`` completions. A downset with one completion gives
-    its trace: the occurrences it lacks form a chain, which ``join`` spells.
-    Any other is a block root, a downset with 2 to ``_BLOCK`` completions
-    one occurrence above one with more, or the empty downset; it gives one
-    block, the prefix followed by each of its suffixes.
+    from the top gives each downset with at most ``_BLOCK`` completions its
+    sorted suffixes, from those of the layer above. A downset's completions
+    are as many as its successors' suffixes, where a successor with none
+    counts as more than ``_BLOCK``. A downset with one completion has the
+    chain of the occurrences it lacks, which ``join`` spells; any other
+    takes each occurrence it can add, followed by that successor's
+    suffixes. A block root is a downset with suffixes one occurrence above
+    one without, or the empty downset if it has suffixes. A depth-first walk
+    over prefixes, each spelled by one concatenation, has two cases: a block
+    root gives one block, the prefix followed by each of its suffixes, and
+    any other downset is walked through.
 
-    A stream holds the count of each downset and at most ``_BLOCK`` suffixes
-    per block root, all built before its first block; building them holds
-    two layers of suffix lists. A class with more than ``_BLOCK`` traces is
-    never held whole.
+    A stream keeps no count per downset: it holds at most ``_BLOCK``
+    suffixes per block root, all built before its first block, and building
+    them holds two layers of suffix lists. A class with more than ``_BLOCK``
+    traces is never held whole.
     """
     steps = _order(ms)
     full = (1 << len(ms)) - 1
@@ -229,30 +232,28 @@ def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
         """The one completion of a downset that has one."""
         return join(itertools.compress(units, f"{full ^ d:b}"[::-1].encode().translate(_BITS)))
 
-    # From the top layer down: each downset's completions are counted and, if
-    # 2 to _BLOCK, spelled from the suffixes of the layer above (``above``).
-    # Only a block root's suffixes outlive the layer below theirs.
-    counts: dict[int, int] = {}
+    # From the top layer down, each downset with at most _BLOCK completions
+    # is given its suffixes from those of the layer above (``above``). Only a
+    # block root's suffixes outlive the layer below theirs.
     above: dict[int, list] = {}
     blocks: dict[int, list] = {}
-    for layer in reversed(_above(steps, 0, max_traces)):
+    for layer in reversed(_above(steps, max_traces)):
         lists = {}
         for d in layer:
-            n = counts[d] = sum(counts[e] for _, e in steps(d)) or 1
+            n = sum(len(above[e]) if e in above else _BLOCK + 1 for _, e in steps(d))
             if n > _BLOCK:
                 blocks.update((e, above[e]) for _, e in steps(d) if e in above)
             elif n > 1:
-                lists[d] = [units[r] + s for r, e in steps(d)
-                            for s in (above[e] if counts[e] > 1 else [tail(e)])]
+                lists[d] = [units[r] + s for r, e in steps(d) for s in above[e]]
+            else:
+                lists[d] = [tail(d)]
         above = lists
     blocks.update(above)  # the empty downset, if it roots a block
     # Pending moves (prefix, d); the lowest token is pushed last, to be tried first.
     moves = [(join(()), 0)]
     while moves:
         prefix, d = moves.pop()
-        if counts[d] == 1:
-            yield [prefix + tail(d)]
-        elif counts[d] <= _BLOCK:
+        if d in blocks:
             yield list(map(prefix.__add__, blocks[d]))
         else:
             moves += [(prefix + units[r], e) for r, e in reversed(steps(d))]
@@ -466,7 +467,8 @@ class _Classes:
 
 def _seq(sets: list[_Classes], mx: int) -> _Classes:
     """The weak sequence of ``sets``: the concatenations of one trace of each
-    class, each added as its whole class."""
+    class, each added as its whole class. It is folded one set at a time, so
+    each prefix keeps its classes, not every choice of classes reaching them."""
     return reduce(lambda u, v: _Classes(mx, (
         x + y for x, y in itertools.product(u.each(), v.each()))), sets)
 

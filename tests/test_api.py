@@ -1,6 +1,8 @@
 """The package's public surface: ``__all__`` names exactly what it binds or
-serves on first use, and importing the CLI loads nothing it does not run."""
+serves on first use, importing the CLI loads nothing it does not run, and
+the runtime imports only the standard library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -55,3 +57,16 @@ def test_removed_names_stay_gone():
         assert not hasattr(seqtrace, name), name
         assert name not in seqtrace.__all__
     assert not hasattr(seqtrace.ast, "peers")
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # Every import statement, at module level or inside a function.
+    imported = set()
+    for path in (SRC / "seqtrace").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert "seqtrace" in imported
+    assert imported - sys.stdlib_module_names - {"seqtrace"} == set()

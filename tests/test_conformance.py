@@ -209,6 +209,13 @@ class TestTraceLog:
             parse_trace_log("A.m.B\n" + line + "\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("line", ["ε ε", "ε A.m.B"])
+    def test_a_marker_not_alone_on_its_line_is_named(self, line):
+        with pytest.raises(LogParseError) as err:
+            parse_trace_log("ε\nA.m.B\n" + line + "\n")
+        assert err.value.line_no == 3
+        assert str(err.value) == "line 3: the empty-trace marker must stand alone on its line"
+
     def test_repeated_bad_line_reports_its_first_line(self):
         with pytest.raises(LogParseError) as err:
             parse_trace_log("A.m.B\nA..B\nA.m.B\nA..B\n")

@@ -57,6 +57,10 @@ class TestKleeneBounded:
     def test_bound_zero(self):
         assert kleene_bounded({(a,), (b,)}, 0) == {()}
 
+    def test_negative_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="loop bound must be nonnegative"):
+            kleene_bounded({(a,)}, -1)
+
     def test_powers_of_singleton(self):
         got = kleene_bounded({(a,)}, 3)
         assert got == {(), (a,), (a, a), (a, a, a)}

@@ -117,3 +117,7 @@ class TestGenerator:
             GeneratorConfig(max_depth=0)
         with pytest.raises(ValueError):
             GeneratorConfig(lifeline_pool=())
+        with pytest.raises(ValueError, match="max_messages_per_basic"):
+            GeneratorConfig(max_messages_per_basic=0)
+        with pytest.raises(ValueError, match="invalid lifeline name in pool: '2A'"):
+            GeneratorConfig(lifeline_pool=("A", "2A"))
