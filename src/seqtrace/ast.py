@@ -1,4 +1,5 @@
-"""Core value types: messages, traces, namespaces, and the fragment tree.
+"""Core value types: messages, traces, namespaces, the fragment tree, and
+the conformance modes.
 
 Everything here is immutable and hashable, so values can be shared freely
 (including across threads) and dropped into sets without ceremony.
@@ -7,6 +8,7 @@ Everything here is immutable and hashable, so values can be shared freely
 from __future__ import annotations
 
 import re
+from enum import Enum
 from operator import itemgetter
 from typing import Sequence
 
@@ -100,6 +102,17 @@ TraceSet = frozenset[Trace]
 # The set of lifeline names in scope at some point of the diagram.
 Namespace = frozenset[str]
 EMPTY_TRACE_TOKEN = "ε"  # lowercase epsilon
+
+# The evaluation defaults and the conformance modes are here, not with the
+# evaluator, so that the CLI builds its options without loading it.
+DEFAULT_LOOP_BOUND = 2
+DEFAULT_MAX_TRACES = 1_000_000
+
+
+class ConformanceMode(Enum):
+    REQUIRED = "required"
+    EXHAUSTIVE = "exhaust"
+    FORBIDDEN = "forbid"
 
 
 def render_trace(t: Trace) -> str:

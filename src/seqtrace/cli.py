@@ -9,6 +9,10 @@ and 2 when stdout cannot be written. Machine-readable output goes to
 stdout only, as UTF-8 whatever the locale, and is deterministic: traces
 print sorted, streamed as they are enumerated, one write per sorted window
 of lines (see ``semantics._contrast``), not one per line.
+
+The evaluator and the conformance checks load inside the commands that
+run them, once the diagrams are valid, so ``parse`` and ``check`` never
+load them.
 """
 
 from __future__ import annotations
@@ -17,27 +21,21 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from seqtrace.ast import Loop, render_trace
-from seqtrace.conformance import (
-    ConformanceMode,
-    Verdict,
-    conform,
-    parse_trace_log,
-    refines,
-    validate,
-)
-from seqtrace.errors import DiagramError
-from seqtrace.parser import ParsedDiagram, dump_diagram, parse
-from seqtrace.semantics import (
+from seqtrace.ast import (
     DEFAULT_LOOP_BOUND,
     DEFAULT_MAX_TRACES,
-    EvalLimits,
-    _rendered_windows,
-    count_traces,
-    theorem1_diff,
+    ConformanceMode,
+    Loop,
+    render_trace,
 )
+from seqtrace.errors import DiagramError
+from seqtrace.parser import ParsedDiagram, dump_diagram, parse, validate
+
+if TYPE_CHECKING:
+    from seqtrace.conformance import Verdict
+    from seqtrace.semantics import EvalLimits
 
 
 def _read(path: str) -> str:
@@ -74,6 +72,12 @@ def _validate(diagram: ParsedDiagram, out: TextIO, prefix: str = "") -> bool:
     return not errors
 
 
+def _limits(args: argparse.Namespace) -> EvalLimits:
+    from seqtrace.semantics import EvalLimits
+
+    return EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
+
+
 def _note_bound(limits: EvalLimits) -> None:
     # Verdicts are only meaningful relative to the unrolling bound.
     print(f"note: loop bound {limits.loop_bound}", file=sys.stderr)
@@ -93,7 +97,9 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     diagram = parse(_read(args.file))
     if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
-    limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
+    from seqtrace.semantics import _rendered_windows, count_traces
+
+    limits = _limits(args)
     if args.count:
         print(count_traces(diagram.root, diagram.initial_namespace, limits))
         return 0
@@ -120,7 +126,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     ok_b = _validate(right, sys.stderr, f"{args.file_b}:")
     if not (ok_a and ok_b):
         return 2
-    limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
+    from seqtrace.conformance import refines
+
+    limits = _limits(args)
     _note_bound(limits)
     return _print_verdict(refines(left, right, limits), "REFINES", "FAILS", tag=False)
 
@@ -129,8 +137,10 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     diagram = parse(_read(args.file))
     if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
+    from seqtrace.conformance import conform, parse_trace_log
+
     log = parse_trace_log(_read(args.log))
-    limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
+    limits = _limits(args)
     _note_bound(limits)
     verdict = conform(diagram, log, ConformanceMode(args.mode), limits)
     return _print_verdict(verdict, "HOLDS", "FAILS", tag=True)
@@ -143,7 +153,9 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
                            "the unrolling identity only applies to loops")
     if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
-    limits = EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
+    from seqtrace.semantics import theorem1_diff
+
+    limits = _limits(args)
     loop_only, unrolled_only = theorem1_diff(diagram.root, diagram.initial_namespace, limits)
     if not (loop_only or unrolled_only):
         print("EQUAL")

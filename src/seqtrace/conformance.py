@@ -1,4 +1,4 @@
-"""Diagram validation, refinement, and trace-log conformance.
+"""Refinement and trace-log conformance.
 
 A diagram's trace set D can relate to a system's observed trace set S in
 three ways, each useful for a different reading of the diagram:
@@ -25,11 +25,11 @@ lines of the classes as they are enumerated.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from typing import Iterable
 
 from seqtrace.ast import (
     EMPTY_TRACE_TOKEN,
+    ConformanceMode,
     Message,
     Trace,
     TraceSet,
@@ -37,17 +37,13 @@ from seqtrace.ast import (
     _Value,
     render_trace,
 )
-from seqtrace.errors import LogParseError, _ScopeError
-from seqtrace.parser import ParsedDiagram
-from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast, scope
+from seqtrace.errors import LogParseError
+# ``validate`` lives with the parser and stays bound here, where callers such
+# as perfbench/tracing.py look it up.
+from seqtrace.parser import ParsedDiagram, validate
+from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast
 
 MAX_WITNESSES = 10
-
-
-class ConformanceMode(Enum):
-    REQUIRED = "required"
-    EXHAUSTIVE = "exhaust"
-    FORBIDDEN = "forbid"
 
 
 class Verdict(_Value):
@@ -105,17 +101,6 @@ def _log_error(text: str, raw: str, tokens: list[str]) -> None:
         raise LogParseError("the empty-trace marker must stand alone on its line", line_no)
     for tok in tokens:
         _parse_log_message(tok, line_no)
-
-
-def validate(d: ParsedDiagram) -> list[_ScopeError]:
-    """Namespace-check a diagram without computing any traces.
-
-    Returns every scope error that ``semantics.scope`` finds, in evaluation
-    order, each with its ``code``, ``name``, ``message`` and ``loc``. The
-    list is empty iff evaluation would raise no namespace error, and its
-    first error is the one evaluation would raise.
-    """
-    return scope(d.root, d.initial_namespace)[1]
 
 
 def _verdict(side: str, total: int, windows: Iterable[list[str]], limits: EvalLimits) -> Verdict:

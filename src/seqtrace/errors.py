@@ -35,7 +35,7 @@ class EmptyBlockError(ParseError):
 
 
 class _ScopeError(DiagramError):
-    """A finding of ``semantics.scope``: its ``code``, the lifeline ``name``
+    """A finding of ``parser.scope``: its ``code``, the lifeline ``name``
     it is about, and where."""
 
     code: str

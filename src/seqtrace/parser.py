@@ -19,12 +19,19 @@ keywords are reserved and cannot name lifelines):
 has exactly one operand. Consecutive message statements coalesce into one
 basic fragment; statement sequences become weak-sequence nodes and single
 statements stand alone; an empty diagram parses to skip.
+
+Lifeline scope is checked here too, before any trace is computed: ``scope``
+threads create and destroy through a fragment, and ``validate`` lists a
+diagram's scope errors. The evaluator calls ``scope`` before it evaluates,
+and ``render_fragment`` to find the lifelines a fragment needs declared, so
+checking a diagram never loads the evaluator.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from typing import Iterable
 
 from seqtrace.ast import (
     LABEL,
@@ -50,12 +57,14 @@ from seqtrace.ast import (
     rebuild,
 )
 from seqtrace.errors import (
+    DestroyAbsentError,
     DuplicateCreateError,
     DuplicateLifelineError,
     EmptyBlockError,
     ParseError,
+    UnknownLifelineError,
+    _ScopeError,
 )
-from seqtrace.semantics import scope
 
 KEYWORDS = frozenset(
     {"lifeline", "create", "destroy", "skip", "loop", "par", "alt", "consider", "ignore"}
@@ -67,13 +76,14 @@ MAX_NESTING = 200
 
 # Blanks, then one token: a comment, a newline, a whole message statement
 # on one line (groups 3-7: its five fields, sender and receiver not
-# keywords), a word (shaped like a label), punctuation, any other character
-# (an error) or the end of the input. Every position matches, so the scan
-# never skips text.
+# keywords) with the blanks, comment and newline (group 8) that end its
+# line, a word (shaped like a label), punctuation, any other character (an
+# error) or the end of the input. Every position matches, so the scan never
+# skips text, and a line holding one message is one match.
 _NOT_KEYWORD = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b)"
 _TOKEN_RE = re.compile(
     rf"[ \t\r]*(?:(#[^\n]*)|(\n)|{_NOT_KEYWORD}({NAME})[ \t\r]*(->)[ \t\r]*"
-    rf"{_NOT_KEYWORD}({NAME})[ \t\r]*(:)[ \t\r]*({LABEL})|({LABEL})"
+    rf"{_NOT_KEYWORD}({NAME})[ \t\r]*(:)[ \t\r]*({LABEL})[ \t\r]*(?:#[^\n]*)?(\n)?|({LABEL})"
     r"|(->|--|[{}\[\],:])|(.)|\Z)"
 )
 
@@ -89,38 +99,45 @@ def _tokenize(source: str) -> list[tuple]:
     """The tokens of ``source`` as ``(kind, text, line, column)`` tuples, the
     last of kind EOF. A word's kind is WORD, punctuation's is its own text.
     A message statement on one line is one token of kind MSG, whose text and
-    place are its sender's, followed by its ``Message`` and its match."""
+    place are its sender's, followed by its ``Message`` and the offset of
+    its sender in ``source``."""
     tokens = []
     append = tokens.append
     line, line_start = 1, -1  # line_start: the offset just before the line
     for m in _TOKEN_RE.finditer(source):
         group = m.lastindex
-        if group == 7:
-            append(("MSG", m[3], line, m.start(3) - line_start, _message(m.group(3, 7, 5)), m))
-        elif group == 8:
-            append(("WORD", m[8], line, m.start(8) - line_start))
+        if group == 8 or group == 7:
+            fields, start = m.group(3, 7, 5), m.start(3)
+            append(("MSG", fields[0], line, start - line_start, _message(fields), start))
+            if group == 8:
+                line += 1
+                line_start = m.start(8)
         elif group == 9:
-            text = m[9]
-            append((text, text, line, m.start(9) - line_start))
+            append(("WORD", m[9], line, m.start(9) - line_start))
+        elif group == 10:
+            text = m[10]
+            append((text, text, line, m.start(10) - line_start))
         elif group == 2:
             line += 1
             line_start = m.start(2)
         elif group is None:
             append(("EOF", "", line, m.end() - line_start))
             break
-        elif group == 10:  # any other character; a comment yields no token
-            loc = Loc(line, m.start(10) - line_start)
-            if m[10] == "-":
+        elif group == 11:  # any other character; a comment yields no token
+            loc = Loc(line, m.start(11) - line_start)
+            if m[11] == "-":
                 raise ParseError("stray '-'; expected '->' or '--'", loc)
-            raise ParseError(f"unexpected character {m[10]!r}", loc)
+            raise ParseError(f"unexpected character {m[11]!r}", loc)
     return tokens
 
 
-def _split(tok: tuple) -> list[tuple]:
-    """The five tokens that a MSG token spans, as the scan reads them when
-    they do not share one line: name, '->', name, ':', label."""
-    _, _, line, column, _, m = tok
-    shift = column - m.start(3)
+def _split(tok: tuple, source: str) -> list[tuple]:
+    """The five tokens that a MSG token of ``source`` spans, as the scan
+    reads them when they do not share one line: name, '->', name, ':',
+    label. The scan matches the statement again at its sender."""
+    _, _, line, column, _, start = tok
+    m = _TOKEN_RE.match(source, start)
+    shift = column - start
     return [("WORD" if g % 2 else m[g], m[g], line, m.start(g) + shift) for g in range(3, 8)]
 
 
@@ -135,8 +152,9 @@ def _unexpected(tok: tuple, what: str) -> ParseError:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0  # blocks open around the current token
 
@@ -146,7 +164,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.pos]
         if tok[0] == "MSG" and kind == "WORD":  # a word wanted where a message starts
-            self.tokens[self.pos:self.pos + 1] = _split(tok)
+            self.tokens[self.pos:self.pos + 1] = _split(tok, self.source)
             tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise _unexpected(tok, what)
@@ -181,11 +199,17 @@ class _Parser:
             raise _unexpected(tok, "a statement")
         word, loc = tok[1], _loc(tok)
         if word not in KEYWORDS:  # a run of message statements is one basic
-            messages, locs = [self.message()], [loc]
-            while (tok := self.peek())[0] in ("MSG", "WORD") and tok[1] not in KEYWORDS:
+            tokens, messages, locs = self.tokens, [], []
+            while True:
+                if tok[0] == "MSG":
+                    self.pos += 1
+                    messages.append(tok[4])
+                elif tok[0] == "WORD" and tok[1] not in KEYWORDS:
+                    messages.append(self.message())  # its fields on more than one line
+                else:
+                    return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
                 locs.append(_loc(tok))
-                messages.append(self.message())
-            return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
+                tok = tokens[self.pos]
         if word == "lifeline":
             raise ParseError("lifeline declarations are only allowed at the top level", loc)
         self.pos += 1
@@ -272,7 +296,56 @@ def _sequence(parts: list[Fragment]) -> Fragment | None:
 
 def parse(source: str) -> ParsedDiagram:
     """Parse diagram source text; raises ParseError and friends on bad input."""
-    return _Parser(_tokenize(source)).diagram()
+    return _Parser(source).diagram()
+
+
+def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[_ScopeError]]:
+    """Thread create/destroy through ``f``: the namespace after it, and
+    every scope error in evaluation order.
+
+    Only weak sequences pass scope on from child to child; every other
+    combined fragment is a scope of its own, so the names its body creates
+    or destroys are restored after it. The errors are unknown-lifeline,
+    duplicate-create and destroy-absent, each with its location.
+    """
+    errors: list[_ScopeError] = []
+
+    def walk(f: Fragment, ns: Namespace) -> Namespace:
+        match f:
+            case Basic(messages=msgs):
+                for (sender, _, receiver), loc in zip(msgs, f.message_locs):
+                    if sender not in ns:
+                        errors.append(UnknownLifelineError(sender, loc))
+                    if receiver not in ns and receiver != sender:
+                        errors.append(UnknownLifelineError(receiver, loc))
+            case WeakSeq(children=parts):
+                for part in parts:
+                    ns = walk(part, ns)
+            case Create(name=n):
+                if n in ns:
+                    errors.append(DuplicateCreateError(n, f.loc))
+                return ns | {n}
+            case Destroy(name=n):
+                if n not in ns:
+                    errors.append(DestroyAbsentError(n, f.loc))
+                return ns - {n}
+            case _:
+                for part in children(f):
+                    walk(part, ns)
+        return ns
+
+    return walk(f, frozenset(ns)), errors
+
+
+def validate(d: ParsedDiagram) -> list[_ScopeError]:
+    """Namespace-check a diagram without computing any traces.
+
+    Returns every scope error that ``scope`` finds, in evaluation order,
+    each with its ``code``, ``name``, ``message`` and ``loc``. The list is
+    empty iff evaluation would raise no namespace error, and its first error
+    is the one evaluation would raise.
+    """
+    return scope(d.root, d.initial_namespace)[1]
 
 
 def canonicalize(f: Fragment) -> Fragment:

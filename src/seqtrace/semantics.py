@@ -49,7 +49,10 @@ layers of suffix lists while it builds them, never a larger class whole.
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation
 aborts with :class:`TraceSetOverflowError` instead of silently truncating
-when a trace set would exceed the configured cap.
+when a trace set would exceed the configured cap. Before any trace is
+computed, ``parser.scope`` checks lifeline scope and the first error it
+finds is raised; it lives with the parser, so that checking a diagram does
+not load this module.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from seqtrace.ast import (
+    DEFAULT_LOOP_BOUND,
+    DEFAULT_MAX_TRACES,
     Alt,
     Basic,
     Consider,
@@ -79,21 +84,12 @@ from seqtrace.ast import (
     WeakSeq,
     _read_trace,
     _Value,
-    children,
     message_alphabet,
     render_trace,
     shares_lifeline,
 )
-from seqtrace.errors import (
-    DestroyAbsentError,
-    DuplicateCreateError,
-    TraceSetOverflowError,
-    UnknownLifelineError,
-    _ScopeError,
-)
-
-DEFAULT_LOOP_BOUND = 2
-DEFAULT_MAX_TRACES = 1_000_000
+from seqtrace.errors import TraceSetOverflowError
+from seqtrace.parser import scope
 
 
 class EvalLimits(_Value):
@@ -351,44 +347,6 @@ def interleave_sets(
 def filter_trace(ms: frozenset[Message] | set[Message], t: Trace) -> Trace:
     """The subsequence of ``t`` retaining exactly the messages in ``ms``."""
     return tuple(m for m in t if m in ms)
-
-
-def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[_ScopeError]]:
-    """Thread create/destroy through ``f``: the namespace after it, and
-    every scope error in evaluation order.
-
-    Only weak sequences pass scope on from child to child; every other
-    combined fragment is a scope of its own, so the names its body creates
-    or destroys are restored after it. The errors are unknown-lifeline,
-    duplicate-create and destroy-absent, each with its location.
-    """
-    errors: list[_ScopeError] = []
-
-    def walk(f: Fragment, ns: Namespace) -> Namespace:
-        match f:
-            case Basic(messages=msgs):
-                for (sender, _, receiver), loc in zip(msgs, f.message_locs):
-                    if sender not in ns:
-                        errors.append(UnknownLifelineError(sender, loc))
-                    if receiver not in ns and receiver != sender:
-                        errors.append(UnknownLifelineError(receiver, loc))
-            case WeakSeq(children=parts):
-                for part in parts:
-                    ns = walk(part, ns)
-            case Create(name=n):
-                if n in ns:
-                    errors.append(DuplicateCreateError(n, f.loc))
-                return ns | {n}
-            case Destroy(name=n):
-                if n not in ns:
-                    errors.append(DestroyAbsentError(n, f.loc))
-                return ns - {n}
-            case _:
-                for part in children(f):
-                    walk(part, ns)
-        return ns
-
-    return walk(f, frozenset(ns)), errors
 
 
 def _class_key(t: Trace) -> tuple:

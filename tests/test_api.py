@@ -3,6 +3,7 @@ serves on first use, importing the CLI loads nothing it does not run, and
 the runtime imports only the standard library."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -26,22 +27,39 @@ def test_every_listed_name_resolves():
 
 
 def test_every_public_name_is_listed():
-    # The oracle's names are served by the module __getattr__, whether or not
-    # an earlier test has loaded the oracle.
+    # Every public name is served from one table by the module __getattr__,
+    # whether or not an earlier test has loaded its module.
+    for name in seqtrace.__all__:
+        module = importlib.import_module(f"seqtrace.{seqtrace._MODULE_OF[name]}")
+        value = getattr(module, name)
+        assert seqtrace.__getattr__(name) is value, name
+        assert getattr(seqtrace, name) is value, name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == module.__name__, name
+    for name in ("oracle_strong", "scope", "_contrast"):
+        with pytest.raises(AttributeError):
+            seqtrace.__getattr__(name)
+    # The submodules, which importing the package once bound, are served too.
+    assert seqtrace.__getattr__("semantics") is importlib.import_module("seqtrace.semantics")
     bound = {name for name, value in vars(seqtrace).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    served = set(seqtrace._ORACLE_NAMES)
-    assert all(seqtrace.__getattr__(name) is getattr(seqtrace.oracle, name) for name in served)
-    with pytest.raises(AttributeError):
-        seqtrace.__getattr__("oracle_strong")
-    assert bound | served == set(seqtrace.__all__)
+    assert bound == set(seqtrace._MODULE_OF) == set(seqtrace.__all__)
 
 
 def test_the_cli_starts_without_dataclasses_or_the_oracle():
     # -S leaves out site-packages and its .pth hooks, which may import anything.
+    # `check` loads neither the evaluator nor the conformance checks, and
+    # `traces` loads the evaluator but not the oracle.
+    diagram = SRC.parent / "diagrams" / "nested.sd"
     probe = (
         "import sys, seqtrace.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'seqtrace.oracle'} & set(sys.modules)))\n"
+        "watched = {'dataclasses', 'inspect', 'seqtrace.conformance', 'seqtrace.oracle',\n"
+        "           'seqtrace.semantics'}\n"
+        "print(sorted(watched & set(sys.modules)))\n"
+        f"seqtrace.cli.main(['check', {str(diagram)!r}])\n"
+        "print(sorted(watched & set(sys.modules)))\n"
+        f"seqtrace.cli.main(['traces', {str(diagram)!r}, '--count'])\n"
+        "print(sorted(watched & set(sys.modules)))\n"
         "from seqtrace import GeneratorConfig\n"
         "print(GeneratorConfig.__module__)\n"
     )
@@ -49,7 +67,9 @@ def test_the_cli_starts_without_dataclasses_or_the_oracle():
         [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nseqtrace.oracle\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "[]\n[]\n6\n['seqtrace.semantics']\nseqtrace.oracle\n", ""
+    )
 
 
 def test_removed_names_stay_gone():

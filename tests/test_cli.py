@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqtrace import cli
+from seqtrace import semantics
 from seqtrace.cli import main
 
 M1_LINES = [
@@ -141,7 +141,7 @@ class TestTraces:
             yield ["A.m1.B"]
             raise MemoryError
 
-        monkeypatch.setattr(cli, "_rendered_windows", exhausted)
+        monkeypatch.setattr(semantics, "_rendered_windows", exhausted)
         code, out, err = run(capsys, "traces", str(diagrams_dir / "weak_order.sd"))
         assert (code, out, err) == (2, "A.m1.B\n", "error: out of memory\n")
 
@@ -476,7 +476,7 @@ class TestTheorem:
         def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "theorem1_diff", exhausted)
+        monkeypatch.setattr(semantics, "theorem1_diff", exhausted)
         code, out, err = run(
             capsys, "theorem", str(diagrams_dir / "loop_pair.sd"), "--depth", "30000"
         )

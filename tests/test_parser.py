@@ -264,6 +264,15 @@ REJECTED_CORPUS = {
 }
 
 
+# An alt of 200 five-message chains, one message a line, shaped as the
+# benchmark's ingest diagram; neighbouring lines have different senders.
+_INGEST_SHAPED = "".join(f"lifeline {n}\n" for n in "ABCDEFG") + "alt {\n" + "  --\n".join(
+    "".join(f"    {'ABCDEFG'[(b + j) % 7]} -> {'ABCDEFG'[(b + j + 1) % 7]} : m{b}x{j}\n"
+            for j in range(5))
+    for b in range(200)
+) + "}\n"
+
+
 class TestLocations:
     def test_corpus(self, diagrams_dir):
         files = sorted(diagrams_dir.glob("**/*.sd"))
@@ -278,6 +287,19 @@ class TestLocations:
                 parse(source)
             assert str(err.value) == rejected
             assert _text_at(source, err.value.loc).startswith("->")
+
+    @pytest.mark.parametrize("source", [
+        _INGEST_SHAPED,
+        "lifeline A\nlifeline B\nA -> B : m\nB -> A : n",  # no newline at the end
+        "lifeline A\r\nlifeline B\r\nA -> B : m\r\n  B -> A : n\r\nA -> A : o\r\n",
+        "lifeline A\nlifeline B\nA -> B : m # note\n B -> A : n#\nA -> A : o # last",
+        "lifeline A\nlifeline B\nloop { A -> B : m\n  B -> A : n }\npar {  B -> A : o\n}\n",
+        "lifeline A\nlifeline B\nA -> B : m  B -> A : n\nA -> A : o B -> B : p # q\n",
+        "lifeline A\nlifeline B\nA -> B : m\n\n  # c\n B -> A : n\n \t\nA -> A : o\n",
+    ], ids=["ingest-shaped", "no-final-newline", "crlf", "comment-after", "after-brace",
+            "two-on-a-line", "blank-and-comment-lines"])
+    def test_message_lines(self, source):
+        _assert_locations_point_at_source(source)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_generated_fragments(self, seed):

@@ -1,5 +1,7 @@
-"""The scripts in scripts/ run clean and report what they promise."""
+"""The scripts in scripts/ run clean and report what they promise, and the
+benchmark's traced mode finds every function it wraps."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -56,3 +58,19 @@ def test_cli_corpus_keeps_the_exit_contract():
     *runs, summary = proc.stdout.splitlines()
     assert {line.split()[0] for line in runs} <= {"0", "1", "2"}
     assert summary == f"runs: {len(runs)}, contract breaches: 0"
+
+
+def test_traced_benchmark_finds_every_wrapped_name():
+    # The traced mode wraps functions by module attribute; it is not run here,
+    # so a name moved out of its module would otherwise go unnoticed.
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        sys.path[:] = saved
+    assert tracing.WRAPPED
+    for module, name, _ in tracing.WRAPPED:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
