@@ -13,7 +13,12 @@ conform in all three modes on every pair, with the second diagram's
 `traces` output as the log; and conform in all three modes of every
 diagram against each hand-written log in diagrams/ (`*.log`, with repeated
 lines, comments, blank lines, tabs, ε, CRLF line ends and a malformed
-token). The commands run in process
+token). Then it runs `--help` of seqtrace and of each command, the
+usage errors (no command, an unknown one, `conform` without `--mode`, a
+bad `--mode`, `--max-loop -1`, `--max-traces 0`, `--depth x`), and lines
+that only argparse reads (an abbreviated option, an `--opt=value` form,
+`--`, a repeated option), with COLUMNS=80 so that help wraps the same
+everywhere. The commands run in process
 through `seqtrace.cli.main`; an exception that escapes it is reported the
 way the interpreter would, as a traceback on stderr and exit code 1. The
 script runs in its own checkout and names every file relative to it, so no
@@ -47,6 +52,23 @@ PER_FILE = (
     *(("theorem", "--depth", k) for k in ("0", "2", "3", "6")),
 )
 MODES = ("required", "exhaust", "forbid")
+DIAGRAM = str(Path("diagrams", "nested.sd"))
+ARGUMENTS = (
+    ("--help",),
+    *((command, "--help") for command in ("parse", "check", "traces", "refine", "conform",
+                                          "theorem")),
+    (),
+    ("bogus", DIAGRAM),
+    ("conform", DIAGRAM, DIAGRAM),
+    ("conform", DIAGRAM, DIAGRAM, "--mode", "bogus"),
+    ("traces", DIAGRAM, "--max-loop", "-1"),
+    ("traces", DIAGRAM, "--max-traces", "0"),
+    ("theorem", DIAGRAM, "--depth", "x"),
+    ("traces", DIAGRAM, "--max-l", "3"),
+    ("traces", DIAGRAM, "--max-loop=3"),
+    ("check", "--", DIAGRAM),
+    ("traces", DIAGRAM, "--max-loop", "1", "--max-loop", "3"),
+)
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -71,6 +93,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.parse_args()
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     names = [str(f) for f in sorted(Path("diagrams").glob("*.sd")) + sorted(
         Path("diagrams", "invalid").glob("*.sd"))]
     hand_logs = [str(f) for f in sorted(Path("diagrams").glob("*.log"))]
@@ -104,6 +127,8 @@ def main() -> int:
                 for mode in MODES:
                     argv = ["conform", a, log, "--mode", mode]
                     report(argv, argv)
+    for argv in ARGUMENTS:
+        report(list(argv), list(argv))
     print(f"runs: {runs}, contract breaches: {breaches}")
     return 1 if breaches else 0
 

@@ -13,14 +13,21 @@ of lines (see ``semantics._contrast``), not one per line.
 The evaluator and the conformance checks load inside the commands that
 run them, once the diagrams are valid, so ``parse`` and ``check`` never
 load them.
+
+The commands and their options are declared once, in ``COMMANDS``. A
+well-formed command line (a known command, exactly its files, and each
+option spelled out in full, at most once, with a valid value) is read
+directly from that table. Every other line, ``--help`` and every usage
+error included, goes to argparse, which is imported and built from the
+same table only then, so help, usage and errors read as argparse prints
+them.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, TextIO
 
 from seqtrace.ast import (
@@ -34,13 +41,16 @@ from seqtrace.errors import DiagramError
 from seqtrace.parser import ParsedDiagram, dump_diagram, parse, validate
 
 if TYPE_CHECKING:
+    import argparse
+
     from seqtrace.conformance import Verdict
     from seqtrace.semantics import EvalLimits
 
 
 def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -48,19 +58,6 @@ def _read(path: str) -> str:
     # A leading byte-order mark is dropped after decoding: utf-8-sig would
     # count a decode error's offset from past the mark.
     return text.removeprefix("\ufeff")
-
-
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than ``low``."""
-
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    convert.__name__ = "int"  # argparse names the type in "invalid int value"
-    return convert
 
 
 def _validate(diagram: ParsedDiagram, out: TextIO, prefix: str = "") -> bool:
@@ -72,7 +69,7 @@ def _validate(diagram: ParsedDiagram, out: TextIO, prefix: str = "") -> bool:
     return not errors
 
 
-def _limits(args: argparse.Namespace) -> EvalLimits:
+def _limits(args: SimpleNamespace) -> EvalLimits:
     from seqtrace.semantics import EvalLimits
 
     return EvalLimits(loop_bound=args.max_loop, max_traces=args.max_traces)
@@ -83,17 +80,17 @@ def _note_bound(limits: EvalLimits) -> None:
     print(f"note: loop bound {limits.loop_bound}", file=sys.stderr)
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: SimpleNamespace) -> int:
     diagram = parse(_read(args.file))
     sys.stdout.write(dump_diagram(diagram))
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     return 0 if _validate(parse(_read(args.file)), sys.stdout) else 1
 
 
-def _cmd_traces(args: argparse.Namespace) -> int:
+def _cmd_traces(args: SimpleNamespace) -> int:
     diagram = parse(_read(args.file))
     if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
@@ -119,7 +116,7 @@ def _print_verdict(verdict: Verdict, ok_word: str, fail_word: str, tag: bool) ->
     return 1
 
 
-def _cmd_refine(args: argparse.Namespace) -> int:
+def _cmd_refine(args: SimpleNamespace) -> int:
     left = parse(_read(args.file_a))
     right = parse(_read(args.file_b))
     ok_a = _validate(left, sys.stderr, f"{args.file_a}:")
@@ -133,7 +130,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     return _print_verdict(refines(left, right, limits), "REFINES", "FAILS", tag=False)
 
 
-def _cmd_conform(args: argparse.Namespace) -> int:
+def _cmd_conform(args: SimpleNamespace) -> int:
     diagram = parse(_read(args.file))
     if not _validate(diagram, sys.stderr, f"{args.file}:"):
         return 2
@@ -146,7 +143,7 @@ def _cmd_conform(args: argparse.Namespace) -> int:
     return _print_verdict(verdict, "HOLDS", "FAILS", tag=True)
 
 
-def _cmd_theorem(args: argparse.Namespace) -> int:
+def _cmd_theorem(args: SimpleNamespace) -> int:
     diagram = parse(_read(args.file))
     if not isinstance(diagram.root, Loop):
         raise DiagramError(f"{args.file}: the diagram's root is not a loop fragment; "
@@ -168,54 +165,112 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
     return 1
 
 
+# An option is (name, dest, bound or choices, default, metavar, help). Its
+# value is ASCII digits at or above an int bound, or one of a tuple of
+# choices; with None in that place it is a flag and takes no value. An
+# option whose default is None is required.
+_MAX_LOOP = ("--max-loop", "max_loop", 0, DEFAULT_LOOP_BOUND, "K",
+             "loop unrolling bound (default %(default)s)")
+_MAX_TRACES = ("--max-traces", "max_traces", 1, DEFAULT_MAX_TRACES, "M",
+               "hard cap on trace-set size (default %(default)s)")
+
+# command: (handler, file arguments, options, help)
+COMMANDS = {
+    "parse": (_cmd_parse, ("file",), (), "Print a stable AST dump of a diagram file"),
+    "check": (_cmd_check, ("file",), (), "Validate lifeline scoping; print diagnostics"),
+    "traces": (_cmd_traces, ("file",), (
+        _MAX_LOOP, _MAX_TRACES,
+        ("--count", "count", None, False, None, "print only the number of traces"),
+    ), "Enumerate the diagram's traces, sorted"),
+    "refine": (_cmd_refine, ("file_a", "file_b"), (_MAX_LOOP, _MAX_TRACES),
+               "Check that A's traces are a subset of B's"),
+    "conform": (_cmd_conform, ("file", "log"), (
+        _MAX_LOOP, _MAX_TRACES,
+        ("--mode", "mode", tuple(m.value for m in ConformanceMode), None, None, None),
+    ), "Compare diagram traces against a trace log"),
+    "theorem": (_cmd_theorem, ("file",), (
+        _MAX_TRACES,
+        ("--depth", "max_loop", 0, None, "K", None),
+    ), "Check the bounded loop-unrolling identity"),
+}
+
+
+def _value(kind: int | tuple[str, ...], word: str) -> int | str | None:
+    """``word`` as the value of an option of ``kind``, a bound or choices,
+    or None for any other word, which only argparse reads."""
+    if isinstance(kind, tuple):
+        return word if word in kind else None
+    # Whatever -X int_max_str_digits says, int() reads 640 digits.
+    if word.isascii() and word.isdigit() and len(word) <= 640 and int(word) >= kind:
+        return int(word)
+    return None
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse reads from a well-formed command line, or None for any
+    other line, which only argparse reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, names, options, _ = COMMANDS[argv[0]]
+    unseen = {option[0]: option for option in options}
+    values = {"command": argv[0], "func": func, **{o[1]: o[3] for o in options}}
+    files = []
+    words = iter(argv[1:])
+    for word in words:
+        if word not in unseen:
+            if word.startswith("-"):  # an option argparse reads another way, or none
+                return None
+            files.append(word)
+            continue
+        _, dest, kind, _, _, _ = unseen.pop(word)
+        values[dest] = True if kind is None else _value(kind, next(words, ""))
+        if values[dest] is None:
+            return None
+    if len(files) != len(names) or any(o[3] is None for o in unseen.values()):
+        return None
+    return SimpleNamespace(**values, **dict(zip(names, files)))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``, for the lines ``_read_argv``
+    leaves: it prints help, usage and errors."""
+    import argparse
+
+    def at_least(low: int):
+        def convert(text: str) -> int:
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            return value
+
+        convert.__name__ = "int"  # argparse names the type in "invalid int value"
+        return convert
+
     parser = argparse.ArgumentParser(
         prog="seqtrace",
         description="Parse asynchronous sequence diagrams and reason about their traces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--max-loop", type=_int_at_least(0), default=DEFAULT_LOOP_BOUND,
-                       metavar="K", help="loop unrolling bound (default %(default)s)")
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--max-traces", type=_int_at_least(1), default=DEFAULT_MAX_TRACES,
-                     metavar="M", help="hard cap on trace-set size (default %(default)s)")
-    limits = [bound, cap]
-
-    p = sub.add_parser("parse", help="Print a stable AST dump of a diagram file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("check", help="Validate lifeline scoping; print diagnostics")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("traces", parents=limits, help="Enumerate the diagram's traces, sorted")
-    p.add_argument("file")
-    p.add_argument("--count", action="store_true", help="print only the number of traces")
-    p.set_defaults(func=_cmd_traces)
-
-    p = sub.add_parser("refine", parents=limits, help="Check that A's traces are a subset of B's")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("conform", parents=limits, help="Compare diagram traces against a trace log")
-    p.add_argument("file")
-    p.add_argument("log")
-    p.add_argument("--mode", required=True, choices=[m.value for m in ConformanceMode])
-    p.set_defaults(func=_cmd_conform)
-
-    p = sub.add_parser("theorem", parents=[cap], help="Check the bounded loop-unrolling identity")
-    p.add_argument("file")
-    p.add_argument("--depth", type=_int_at_least(0), required=True, metavar="K", dest="max_loop")
-    p.set_defaults(func=_cmd_theorem)
-
+    for command, (func, names, options, summary) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in names:
+            p.add_argument(name)
+        for name, dest, kind, default, metavar, text in options:
+            if kind is None:
+                how = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind, "metavar": metavar}
+            else:
+                how = {"type": at_least(kind), "metavar": metavar}
+            p.add_argument(name, dest=dest, default=default, required=default is None,
+                           help=text, **how)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     if hasattr(sys.stdout, "reconfigure"):  # logs are read as UTF-8, and listings are logs
         sys.stdout.reconfigure(encoding="utf-8")
     try:

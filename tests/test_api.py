@@ -49,12 +49,13 @@ def test_every_public_name_is_listed():
 def test_the_cli_starts_without_dataclasses_or_the_oracle():
     # -S leaves out site-packages and its .pth hooks, which may import anything.
     # `check` loads neither the evaluator nor the conformance checks, and
-    # `traces` loads the evaluator but not the oracle.
+    # `traces` loads the evaluator but not the oracle. A well-formed command
+    # line is read without argparse, and files without pathlib.
     diagram = SRC.parent / "diagrams" / "nested.sd"
     probe = (
         "import sys, seqtrace.cli\n"
         "watched = {'dataclasses', 'inspect', 'seqtrace.conformance', 'seqtrace.oracle',\n"
-        "           'seqtrace.semantics'}\n"
+        "           'seqtrace.semantics', 'argparse', 'gettext', 'locale', 'pathlib'}\n"
         "print(sorted(watched & set(sys.modules)))\n"
         f"seqtrace.cli.main(['check', {str(diagram)!r}])\n"
         "print(sorted(watched & set(sys.modules)))\n"
@@ -70,6 +71,12 @@ def test_the_cli_starts_without_dataclasses_or_the_oracle():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "[]\n[]\n6\n['seqtrace.semantics']\nseqtrace.oracle\n", ""
     )
+    # Help still comes from argparse.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "seqtrace", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: seqtrace "), proc.stderr
 
 
 def test_removed_names_stay_gone():

@@ -581,6 +581,13 @@ class TestUnreadableInput:
         assert not out
         assert "invalid UTF-8" in err
 
+    def test_a_file_name_is_opened_as_given(self, capsys, diagrams_dir):
+        # A trailing slash names a directory, as open(2) reads it.
+        name = f"{diagrams_dir / 'weak_order.sd'}/"
+        assert run(capsys, "check", name) == (2, "", f"error: cannot read {name}: Not a directory\n")
+        assert run(capsys, "check", "") == (
+            2, "", "error: cannot read : No such file or directory\n")
+
 
 BOM = b"\xef\xbb\xbf"
 
