@@ -238,20 +238,20 @@ class Loop(_Value):
         self._freeze(body, loc)
 
 
-class Create(_Value):
+class _Lifecycle(_Value):
+    """Base of ``Create`` and ``Destroy``: a lifeline name, checked."""
+
+    def __init__(self, name: str, loc: Loc | None = None) -> None:
+        _check_name(name)
+        self._freeze(name, loc)
+
+
+class Create(_Lifecycle):
     """Bring a fresh lifeline name into scope. Not a communication event."""
 
-    def __init__(self, name: str, loc: Loc | None = None) -> None:
-        _check_name(name)
-        self._freeze(name, loc)
 
-
-class Destroy(_Value):
+class Destroy(_Lifecycle):
     """Remove a lifeline name from scope. Not a communication event."""
-
-    def __init__(self, name: str, loc: Loc | None = None) -> None:
-        _check_name(name)
-        self._freeze(name, loc)
 
 
 class Skip(_Value):
@@ -261,22 +261,21 @@ class Skip(_Value):
         self._freeze(loc)
 
 
-class Consider(_Value):
+class _Filter(_Value):
+    """Base of ``Consider`` and ``Ignore``: a message alphabet and a body."""
+
+    def __init__(
+        self, alphabet: frozenset[Message], body: "Fragment", loc: Loc | None = None
+    ) -> None:
+        self._freeze(alphabet, body, loc)
+
+
+class Consider(_Filter):
     """Keep only the listed messages in every trace of the body."""
 
-    def __init__(
-        self, alphabet: frozenset[Message], body: "Fragment", loc: Loc | None = None
-    ) -> None:
-        self._freeze(alphabet, body, loc)
 
-
-class Ignore(_Value):
+class Ignore(_Filter):
     """Drop the listed messages from every trace of the body."""
-
-    def __init__(
-        self, alphabet: frozenset[Message], body: "Fragment", loc: Loc | None = None
-    ) -> None:
-        self._freeze(alphabet, body, loc)
 
 
 Fragment = (

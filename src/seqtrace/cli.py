@@ -6,13 +6,17 @@ a checked property fails (with witnesses on stdout), 2 on usage, parse,
 validation, or evaluation errors (diagnostics on stderr), 2 when memory
 runs out, 2 when the reader of stdout goes away before the output ends,
 and 2 when stdout cannot be written. Machine-readable output goes to
-stdout only, as UTF-8 whatever the locale, and is deterministic: traces
-print sorted, streamed as they are enumerated, one write per sorted window
-of lines (see ``semantics._contrast``), not one per line.
+stdout only, as UTF-8 whatever the locale, and is deterministic: the
+traces of ``traces`` and the differences of ``theorem`` print sorted,
+streamed as they are enumerated, one write per sorted window of lines (see
+``semantics._contrast``), not one per line.
 
-The evaluator and the conformance checks load inside the commands that
-run them, once the diagrams are valid, so ``parse`` and ``check`` never
-load them.
+The four commands that evaluate (traces, refine, conform, theorem) load
+their diagrams through ``_load``: every file is parsed, then each diagram
+is scope-checked, and any finding, printed as ``file:line:col: code:
+message``, ends the command with exit 2. The evaluator and the
+conformance checks load inside those commands only after that, so
+``parse`` and ``check`` never load them.
 
 The commands and their options are declared once, in ``COMMANDS``. A
 well-formed command line (a known command, exactly its files, and each
@@ -69,6 +73,25 @@ def _validate(diagram: ParsedDiagram, out: TextIO, prefix: str = "") -> bool:
     return not errors
 
 
+class _Invalid(Exception):
+    """A command's diagrams have scope errors, printed already: exit 2."""
+
+
+def _load(args: SimpleNamespace, *names: str, loop: bool = False) -> list[ParsedDiagram]:
+    """The diagrams of the files that ``args`` holds under ``names``, every
+    one parsed before any is scope-checked. Each finding is printed to
+    stderr as ``file:line:col: code: message``, and any raises _Invalid. A
+    ``loop`` diagram's root must be a loop, which is checked in between."""
+    paths = [getattr(args, name) for name in names]
+    diagrams = [parse(_read(path)) for path in paths]
+    if loop and not isinstance(diagrams[0].root, Loop):
+        raise DiagramError(f"{paths[0]}: the diagram's root is not a loop fragment; "
+                           "the unrolling identity only applies to loops")
+    if not all([_validate(d, sys.stderr, f"{path}:") for path, d in zip(paths, diagrams)]):
+        raise _Invalid
+    return diagrams
+
+
 def _limits(args: SimpleNamespace) -> EvalLimits:
     from seqtrace.semantics import EvalLimits
 
@@ -91,9 +114,7 @@ def _cmd_check(args: SimpleNamespace) -> int:
 
 
 def _cmd_traces(args: SimpleNamespace) -> int:
-    diagram = parse(_read(args.file))
-    if not _validate(diagram, sys.stderr, f"{args.file}:"):
-        return 2
+    (diagram,) = _load(args, "file")
     from seqtrace.semantics import _rendered_windows, count_traces
 
     limits = _limits(args)
@@ -105,63 +126,50 @@ def _cmd_traces(args: SimpleNamespace) -> int:
     return 0
 
 
-def _print_verdict(verdict: Verdict, ok_word: str, fail_word: str, tag: bool) -> int:
+def _print_verdict(verdict: Verdict, ok_word: str) -> int:
     if verdict.holds:
         print(ok_word)
         return 0
-    print(fail_word)
-    prefix = f"{verdict.side}: " if tag else ""
+    print("FAILS")
+    # refine lists its witnesses bare, conform names the side they come from.
+    prefix = "" if verdict.side == "left" else f"{verdict.side}: "
     for witness in verdict.witnesses:
         print(prefix + render_trace(witness))
     return 1
 
 
 def _cmd_refine(args: SimpleNamespace) -> int:
-    left = parse(_read(args.file_a))
-    right = parse(_read(args.file_b))
-    ok_a = _validate(left, sys.stderr, f"{args.file_a}:")
-    ok_b = _validate(right, sys.stderr, f"{args.file_b}:")
-    if not (ok_a and ok_b):
-        return 2
+    left, right = _load(args, "file_a", "file_b")
     from seqtrace.conformance import refines
 
     limits = _limits(args)
     _note_bound(limits)
-    return _print_verdict(refines(left, right, limits), "REFINES", "FAILS", tag=False)
+    return _print_verdict(refines(left, right, limits), "REFINES")
 
 
 def _cmd_conform(args: SimpleNamespace) -> int:
-    diagram = parse(_read(args.file))
-    if not _validate(diagram, sys.stderr, f"{args.file}:"):
-        return 2
+    (diagram,) = _load(args, "file")
     from seqtrace.conformance import conform, parse_trace_log
 
     log = parse_trace_log(_read(args.log))
     limits = _limits(args)
     _note_bound(limits)
     verdict = conform(diagram, log, ConformanceMode(args.mode), limits)
-    return _print_verdict(verdict, "HOLDS", "FAILS", tag=True)
+    return _print_verdict(verdict, "HOLDS")
 
 
 def _cmd_theorem(args: SimpleNamespace) -> int:
-    diagram = parse(_read(args.file))
-    if not isinstance(diagram.root, Loop):
-        raise DiagramError(f"{args.file}: the diagram's root is not a loop fragment; "
-                           "the unrolling identity only applies to loops")
-    if not _validate(diagram, sys.stderr, f"{args.file}:"):
-        return 2
-    from seqtrace.semantics import theorem1_diff
+    (diagram,) = _load(args, "file", loop=True)
+    from seqtrace.semantics import _theorem1_contrasts
 
-    limits = _limits(args)
-    loop_only, unrolled_only = theorem1_diff(diagram.root, diagram.initial_namespace, limits)
-    if not (loop_only or unrolled_only):
+    sides = _theorem1_contrasts(diagram.root, diagram.initial_namespace, _limits(args))
+    if not any(total for total, _ in sides):
         print("EQUAL")
         return 0
     print("UNEQUAL")
-    for line in sorted(f"loop-only: {render_trace(t)}" for t in loop_only):
-        print(line)
-    for line in sorted(f"unrolled-only: {render_trace(t)}" for t in unrolled_only):
-        print(line)
+    for tag, (_, windows) in zip(("loop-only", "unrolled-only"), sides):
+        for window in windows:
+            sys.stdout.write("".join(f"{tag}: {line}\n" for line in window))
     return 1
 
 
@@ -277,6 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe is met here, not at exit
         return code
+    except _Invalid:
+        return 2
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,7 +73,6 @@ from seqtrace.ast import (
     Destroy,
     Fragment,
     Ignore,
-    Loc,
     Loop,
     Message,
     Namespace,
@@ -570,11 +569,6 @@ def _merge(streams: list[Iterator[list[str]]]) -> Iterator[list[str]]:
         advance(i)
 
 
-def _located(exc: TraceSetOverflowError, loc: Loc | None) -> TraceSetOverflowError:
-    """``exc``, or its copy at ``loc`` if it has no location of its own."""
-    return exc if exc.loc is not None or loc is None else TraceSetOverflowError(exc.limit, loc)
-
-
 def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
     """The trace set of a scope-checked fragment, by class: held whole but
     for the filters and a ``par`` whose operands share a lifeline, which
@@ -618,7 +612,9 @@ def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
                 words = _eval(body, limits).words()
                 return _Classes(mx, loose={filter_trace(kept, t) for t in words})
     except TraceSetOverflowError as exc:
-        raise _located(exc, f.loc) from None
+        if exc.loc is None and f.loc is not None:
+            exc = TraceSetOverflowError(exc.limit, f.loc)
+        raise exc from None
     raise TypeError(f"not a fragment: {f!r}")
 
 
@@ -634,7 +630,11 @@ def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple
     found it, every later copy repeats copy 1. If it does not, copy 2 has a
     scope error: the first statement of copy 1 that names a lifeline whose
     presence copy 1 changed meets it changed in copy 2. So the first error
-    of the k-fold sequence is always in its first two copies."""
+    of the k-fold sequence is always in its first two copies.
+
+    The unrolled side cannot overflow where the loop side did not: the loop
+    side evaluates the same body first, and its closure holds every class
+    of every power up to k, so it passes the cap first."""
     limits = limits or EvalLimits()
     k, mx = limits.loop_bound, limits.max_traces
     closure = _checked_eval(loop, ns, limits)[0]
@@ -642,12 +642,9 @@ def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple
     if errors:
         raise errors[0]
     unrolled = _Classes(mx, [()])
-    try:
-        once = _eval(loop.body, limits) if k else None
-        for power in itertools.accumulate(itertools.repeat(once, k), lambda p, b: _seq([p, b], mx)):
-            unrolled.merge(power)
-    except TraceSetOverflowError as exc:
-        raise _located(exc, loop.loc) from None
+    once = _eval(loop.body, limits) if k else None
+    for power in itertools.accumulate(itertools.repeat(once, k), lambda p, b: _seq([p, b], mx)):
+        unrolled.merge(power)
     return closure, unrolled
 
 
@@ -674,6 +671,12 @@ def theorem1_diff(
     The sides are compared by class key, and only the traces that one side
     lacks are listed.
     """
+    return tuple(frozenset(map(_read_trace, itertools.chain.from_iterable(windows)))
+                 for _, windows in _theorem1_contrasts(loop, ns, limits))
+
+
+def _theorem1_contrasts(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
+    """``_contrast`` of the loop side against the unrolled side, and back:
+    what ``theorem1_diff`` lists, as sorted windows of rendered lines."""
     left, right = _theorem1(loop, ns, limits)
-    return tuple(frozenset(map(_read_trace, itertools.chain.from_iterable(_contrast(a, b)[1])))
-                 for a, b in ((left, right), (right, left)))
+    return _contrast(left, right), _contrast(right, left)

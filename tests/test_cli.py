@@ -2,12 +2,14 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -434,6 +436,33 @@ class TestRenderedOrder:
             1, stdout("FAILS", "log: S.a.1.c"))
 
 
+def independent_loop(n):
+    """A loop over a consider keeping ``n`` pairwise-independent messages
+    with dotted labels, which the body orders only through the relays the
+    filter erases: at depth 1 the loop side has all n! orders of them and
+    the unrolled side one."""
+    kept = [f"P{i} -> Q{i} : k.{i}" for i in range(n)]
+    body = [kept[0]]
+    for i in range(1, n):
+        body += [f"Q{i - 1} -> P{i} : r", kept[i]]
+    return "".join([
+        *(f"lifeline {x}{i}\n" for i in range(n) for x in "PQ"),
+        "loop {\n", f"  consider [{', '.join(kept)}] {{\n",
+        *(f"    {m}\n" for m in body), "  }\n}\n",
+    ])
+
+
+# filtered_loop.sd at depths 1 to 3: only the one-round traces differ, since
+# two rounds in weak sequence weave the kept messages as the loop does. The
+# dotted label sorts S.a.b.c before S.a.c.
+FILTERED_LOOP_ONLY = (
+    "S.a.b.c T.t.d U.u.e", "S.a.b.c U.u.e T.t.d", "S.a.c U.u.e T.t.d",
+    "T.t.d S.a.b.c U.u.e", "T.t.d S.a.c U.u.e", "T.t.d U.u.e S.a.b.c",
+    "T.t.d U.u.e S.a.c", "U.u.e S.a.b.c T.t.d", "U.u.e S.a.c T.t.d",
+    "U.u.e T.t.d S.a.c",
+)
+
+
 class TestTheorem:
     def test_loop_file_equal(self, capsys, diagrams_dir):
         code, out, _ = run(
@@ -476,7 +505,7 @@ class TestTheorem:
         def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setattr(semantics, "theorem1_diff", exhausted)
+        monkeypatch.setattr(semantics, "_theorem1_contrasts", exhausted)
         code, out, err = run(
             capsys, "theorem", str(diagrams_dir / "loop_pair.sd"), "--depth", "30000"
         )
@@ -516,6 +545,52 @@ class TestTheorem:
         code, out, err = run(capsys, "theorem", str(diagram), "--depth", "2")
         assert (code, out, err) == (1, "UNEQUAL\nloop-only: C.c.D A.a.B\n", "")
 
+    @pytest.mark.parametrize("depth", ["1", "2", "3"])
+    def test_unequal_two_classes_in_rendered_order(self, capsys, diagrams_dir, depth):
+        code, out, err = run(
+            capsys, "theorem", str(diagrams_dir / "filtered_loop.sd"), "--depth", depth
+        )
+        assert (code, out, err) == (
+            1, stdout("UNEQUAL", *(f"loop-only: {t}" for t in FILTERED_LOOP_ONLY)), "")
+
+    def test_unequal_eight_independent_messages(self, capsys, tmp_path):
+        diagram = tmp_path / "eight.sd"
+        diagram.write_text(independent_loop(8))
+        code, out, err = run(capsys, "theorem", str(diagram), "--depth", "1")
+        assert (code, err) == (1, "")
+        assert out.count("\n") == 40_320  # UNEQUAL and 8! - 1 loop-only lines
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "36eaf8ca98fcdbe571a7b2468e9e1db3680a3c05ad87ef60bc2fc67756376be6")
+
+    def test_unequal_listing_is_not_held(self, tmp_path):
+        # The differences are written a window at a time, never held whole.
+        diagram = tmp_path / "eight.sd"
+        diagram.write_text(independent_loop(8))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["theorem", str(diagram), "--depth", "1"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 1
+        assert peak < 8 * 2**20
+
+    def test_closed_pipe_exits_2_without_traceback(self, tmp_path):
+        # 40,320 lines: far more than a pipe buffers.
+        diagram = tmp_path / "eight.sd"
+        diagram.write_text(independent_loop(8))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqtrace", "theorem", str(diagram), "--depth", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"UNEQUAL\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err
 
 class TestRoundTripCorpus:
     def test_traces_feed_back_as_exhaustive_log(self, capsys, tmp_path, corpus_files):

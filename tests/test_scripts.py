@@ -60,6 +60,16 @@ def test_cli_corpus_keeps_the_exit_contract():
     assert summary == f"runs: {len(runs)}, contract breaches: 0"
 
 
+def test_code_lines_totals_its_rows():
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    _, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert sorted(r[0] for r in rows) == sorted(
+        p.name for p in (ROOT / "src" / "seqtrace").glob("*.py"))
+    assert total[0] == "total"
+    assert [int(n) for n in total[1:]] == [sum(int(r[i]) for r in rows) for i in (1, 2)]
+    assert all(0 < int(r[2]) <= int(r[1]) for r in rows)
+
 def test_traced_benchmark_finds_every_wrapped_name():
     # The traced mode wraps functions by module attribute; it is not run here,
     # so a name moved out of its module would otherwise go unnoticed.
