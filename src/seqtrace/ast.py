@@ -2,17 +2,19 @@
 the conformance modes.
 
 Everything here is immutable and hashable, so values can be shared freely
-(including across threads) and dropped into sets without ceremony.
+(including across threads) and dropped into sets without ceremony. A
+message and a location are named tuples; a fragment is a frozen
+``_Value``, compared on its fields but its locations.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
-from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
-# The shapes of a lifeline name and of a message label. The validators below,
+# The shapes of a lifeline name and of a message label. The checks below,
 # the diagram scanner and the line reader all match these, so they agree.
 NAME = r"[A-Za-z][A-Za-z0-9_]*"
 LABEL = r"[A-Za-z0-9_.]+"
@@ -27,11 +29,7 @@ def is_valid_name(name: str) -> bool:
     return bool(_NAME_RE.fullmatch(name))
 
 
-def is_valid_label(label: str) -> bool:
-    return bool(_LABEL_RE.fullmatch(label))
-
-
-class Loc(tuple):
+class Loc(namedtuple("Loc", "line column")):
     """1-based line/column of a token in diagram source text.
 
     A location is the tuple ``(line, column)``, so equality, hashing and
@@ -40,29 +38,18 @@ class Loc(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, line: int, column: int) -> "Loc":
-        return tuple.__new__(cls, (line, column))
-
-    def __getnewargs__(self) -> tuple[int, int]:  # for pickle and copy
-        return tuple(self)
-
-    line = property(itemgetter(0))
-    column = property(itemgetter(1))
-
-    def __repr__(self) -> str:
-        return f"Loc(line={self[0]!r}, column={self[1]!r})"
-
     def __str__(self) -> str:
         return f"{self[0]}:{self[1]}"
 
 
-class Message(tuple):
+class Message(namedtuple("Message", "sender label receiver")):
     """One atomic communication event: who sends, what, who receives.
 
     A message is the tuple ``(sender, label, receiver)``, so equality,
     hashing and order are a tuple's: two arrows drawn in different places
     with the same fields denote the same symbol of the trace alphabet.
-    Sender and receiver may coincide (a message to self).
+    Sender and receiver may coincide (a message to self). Its fields are
+    checked wherever it is built, ``_make`` and ``_replace`` included.
     """
 
     __slots__ = ()
@@ -72,19 +59,13 @@ class Message(tuple):
             raise ValueError(f"invalid sender name: {sender!r}")
         if not is_valid_name(receiver):
             raise ValueError(f"invalid receiver name: {receiver!r}")
-        if not is_valid_label(label):
+        if not _LABEL_RE.fullmatch(label):
             raise ValueError(f"invalid message label: {label!r}")
         return tuple.__new__(cls, (sender, label, receiver))
 
-    def __getnewargs__(self) -> tuple[str, str, str]:  # for pickle and copy
-        return tuple(self)
-
-    sender = property(itemgetter(0))
-    label = property(itemgetter(1))
-    receiver = property(itemgetter(2))
-
-    def __repr__(self) -> str:
-        return f"Message(sender={self[0]!r}, label={self[1]!r}, receiver={self[2]!r})"
+    @classmethod
+    def _make(cls, fields: Iterable[str]) -> "Message":
+        return cls(*fields)
 
     def __str__(self) -> str:
         return f"{self[0]}.{self[1]}.{self[2]}"
@@ -136,11 +117,6 @@ def _read_trace(line: str) -> Trace | None:
     if not tokens or None in matches:
         return None
     return tuple(map(_message, map(re.Match.groups, matches)))
-
-
-def _check_name(name: str) -> None:
-    if not is_valid_name(name):
-        raise ValueError(f"invalid lifeline name: {name!r}")
 
 
 class _Value:
@@ -242,7 +218,8 @@ class _Lifecycle(_Value):
     """Base of ``Create`` and ``Destroy``: a lifeline name, checked."""
 
     def __init__(self, name: str, loc: Loc | None = None) -> None:
-        _check_name(name)
+        if not is_valid_name(name):
+            raise ValueError(f"invalid lifeline name: {name!r}")
         self._freeze(name, loc)
 
 

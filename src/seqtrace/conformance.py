@@ -41,7 +41,7 @@ from seqtrace.errors import LogParseError
 # ``validate`` lives with the parser and stays bound here, where callers such
 # as perfbench/tracing.py look it up.
 from seqtrace.parser import ParsedDiagram, validate
-from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast
+from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast, _eval
 
 MAX_WITNESSES = 10
 
@@ -117,21 +117,27 @@ def refines(
     """Does every trace of ``a`` appear among the traces of ``b``?
 
     Plain trace-set inclusion under identical evaluation limits; witnesses
-    are traces of ``a`` that ``b`` cannot exhibit.
+    are traces of ``a`` that ``b`` cannot exhibit. The first scope error of
+    ``a``, then of ``b``, is raised before either is evaluated.
     """
     limits = limits or EvalLimits()
-    left = _checked_eval(a.root, a.initial_namespace, limits)[0]
-    right = _checked_eval(b.root, b.initial_namespace, limits)[0]
+    if errors := validate(a) or validate(b):
+        raise errors[0]
+    left, right = _eval(a.root, limits), _eval(b.root, limits)
     return _verdict("left", *_contrast(left, right), limits)
 
 
 def conform(
     d: ParsedDiagram,
     log: TraceSet,
-    mode: ConformanceMode,
+    mode: ConformanceMode | str,
     limits: EvalLimits | None = None,
 ) -> Verdict:
-    """Check the selected relation between diagram traces and logged traces."""
+    """Check the selected relation between diagram traces and logged traces.
+
+    ``mode`` is a ``ConformanceMode`` or its value; anything else raises
+    ValueError."""
+    mode = ConformanceMode(mode)
     limits = limits or EvalLimits()
     diagram = _checked_eval(d.root, d.initial_namespace, limits)[0]
     # The log's own size is a cap it cannot pass: no verdict overflows on it.

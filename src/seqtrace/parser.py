@@ -199,17 +199,12 @@ class _Parser:
             raise _unexpected(tok, "a statement")
         word, loc = tok[1], _loc(tok)
         if word not in KEYWORDS:  # a run of message statements is one basic
-            tokens, messages, locs = self.tokens, [], []
-            while True:
-                if tok[0] == "MSG":
-                    self.pos += 1
-                    messages.append(tok[4])
-                elif tok[0] == "WORD" and tok[1] not in KEYWORDS:
-                    messages.append(self.message())  # its fields on more than one line
-                else:
-                    return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
+            messages, locs = [], []
+            while tok[0] == "MSG" or tok[0] == "WORD" and tok[1] not in KEYWORDS:
                 locs.append(_loc(tok))
-                tok = tokens[self.pos]
+                messages.append(self.message())
+                tok = self.tokens[self.pos]
+            return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
         if word == "lifeline":
             raise ParseError("lifeline declarations are only allowed at the top level", loc)
         self.pos += 1

@@ -10,6 +10,8 @@ from seqtrace import (
     LogParseError,
     Message,
     ParsedDiagram,
+    TraceSetOverflowError,
+    UnknownLifelineError,
     conform,
     denote,
     generate_fragments,
@@ -177,6 +179,20 @@ class TestRefines:
         assert [render_trace(w) for w in verdict.witnesses] == witnesses
         assert verdict.total == len(witnesses)
 
+    def test_scope_errors_of_both_come_before_evaluation(self, diagrams_dir):
+        # loop_pair.sd overflows the cap of 50, yet the other side's scope error wins.
+        loop_pair = parse((diagrams_dir / "loop_pair.sd").read_text())
+        out_of_scope = parse("lifeline A\nA -> Z : m\n")
+        limits = EvalLimits(loop_bound=3, max_traces=50)
+        with pytest.raises(TraceSetOverflowError):
+            refines(loop_pair, loop_pair, limits)
+        for a, b in ((loop_pair, out_of_scope), (out_of_scope, loop_pair)):
+            with pytest.raises(UnknownLifelineError) as err:
+                refines(a, b, limits)
+            assert str(err.value.loc) == "2:1"
+        with pytest.raises(UnknownLifelineError, match="'Z'"):
+            refines(out_of_scope, parse("A -> Y : m\n"))
+
 
 class TestTraceLog:
     def test_round_trip_through_render(self):
@@ -329,6 +345,16 @@ class TestConform:
         assert rendered == sorted(rendered)
         assert len(rendered) == 3  # all diagram traces, under the cap of 10
         assert verdict.total == 3
+
+    @pytest.mark.parametrize("mode", ConformanceMode)
+    def test_mode_may_be_its_value(self, mode):
+        log = self.log_of({next(iter(self.traces))})
+        assert conform(self.diagram, log, mode.value) == conform(self.diagram, log, mode)
+
+    @pytest.mark.parametrize("mode", [None, 42, "exhaustive", "REQUIRED"])
+    def test_a_bad_mode_raises(self, mode):
+        with pytest.raises(ValueError):
+            conform(self.diagram, frozenset(), mode)
 
     def test_log_is_not_held_to_the_trace_cap(self):
         # The cap bounds the diagram's traces; a log past it is still read whole.

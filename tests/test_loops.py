@@ -9,6 +9,7 @@ from seqtrace import (
     Basic,
     Create,
     Destroy,
+    DiagramError,
     EvalLimits,
     GeneratorConfig,
     Loop,
@@ -155,3 +156,19 @@ class TestUnrollingIdentity:
         )
         for body in generate_fragments(cfg, 25):
             assert identity_holds(body, cfg.lifeline_pool, k), body
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_unrolled_side_has_no_trace_the_loop_side_lacks(self, k):
+        # Weak sequencing closes every power of two or more copies, and the
+        # loop also closes the body itself, so the identity can fail only on
+        # the loop side, as for a filtered body.
+        cfg = GeneratorConfig(seed=k, include_filters=True, include_lifecycle=True)
+        checked = 0
+        for body in generate_fragments(cfg, 150):
+            try:  # an overflow, or copies of a body that clash in scope
+                unrolled_only = theorem1_diff(Loop(body), cfg.lifeline_pool, EvalLimits(k, 2000))[1]
+            except DiagramError:
+                continue
+            assert not unrolled_only, body
+            checked += 1
+        assert checked > 100

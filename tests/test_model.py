@@ -76,6 +76,15 @@ class TestMessage:
         with pytest.raises(AttributeError):
             m.note = "x"
 
+    def test_make_and_replace_check_fields(self):
+        m = M("A", "m", "B")
+        assert m._replace(label="n") == M("A", "n", "B")
+        assert type(M._make(("A", "m", "B"))) is M
+        with pytest.raises(ValueError):
+            m._replace(label="")
+        with pytest.raises(ValueError):
+            M._make(("", "m", "B"))
+
     @pytest.mark.parametrize("value", [
         M("A", "req.v2", "B"),
         (M("A", "m1", "B"), M("B", "m2", "A")),  # a trace

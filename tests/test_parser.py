@@ -296,8 +296,10 @@ class TestLocations:
         "lifeline A\nlifeline B\nloop { A -> B : m\n  B -> A : n }\npar {  B -> A : o\n}\n",
         "lifeline A\nlifeline B\nA -> B : m  B -> A : n\nA -> A : o B -> B : p # q\n",
         "lifeline A\nlifeline B\nA -> B : m\n\n  # c\n B -> A : n\n \t\nA -> A : o\n",
+        # One basic at 3:1, 4:1 and 6:1: the middle message's fields span two lines.
+        "lifeline A\nlifeline B\nA -> B : m1\nA ->\n  B : m2 # note\nB -> A : m3\n",
     ], ids=["ingest-shaped", "no-final-newline", "crlf", "comment-after", "after-brace",
-            "two-on-a-line", "blank-and-comment-lines"])
+            "two-on-a-line", "blank-and-comment-lines", "split-among-one-line"])
     def test_message_lines(self, source):
         _assert_locations_point_at_source(source)
 
