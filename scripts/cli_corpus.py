@@ -8,7 +8,9 @@ Each line holds the exit code, digests of stdout and stderr, and the argv:
 
 The matrix covers every diagram in diagrams/ and diagrams/invalid/: parse,
 check, traces --max-loop 3 (with and without --count), traces --max-traces
-5|50 and theorem --depth 0|2|3|6 on each; refine on every ordered pair;
+5|50, theorem --depth 0|2|3|6, and, at the integer edge, theorem --depth
+2**63 and traces --max-loop 2**63, each with --max-traces 50, on each;
+refine on every ordered pair;
 conform in all three modes on every pair, with the second diagram's
 `traces` output as the log; and conform in all three modes of every
 diagram against each hand-written log in diagrams/ (`*.log`, with repeated
@@ -50,6 +52,9 @@ PER_FILE = (
     ("traces", "--max-traces", "5"),
     ("traces", "--max-traces", "50"),
     *(("theorem", "--depth", k) for k in ("0", "2", "3", "6")),
+    # One past the largest machine integer: no bound may be held as one.
+    ("theorem", "--depth", str(2**63), "--max-traces", "50"),
+    ("traces", "--max-loop", str(2**63), "--max-traces", "50"),
 )
 MODES = ("required", "exhaust", "forbid")
 DIAGRAM = str(Path("diagrams", "nested.sd"))

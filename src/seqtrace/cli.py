@@ -14,9 +14,10 @@ streamed as they are enumerated, one write per sorted window of lines (see
 The four commands that evaluate (traces, refine, conform, theorem) load
 their diagrams through ``_load``: every file is parsed, then each diagram
 is scope-checked, and any finding, printed as ``file:line:col: code:
-message``, ends the command with exit 2. The evaluator and the
-conformance checks load inside those commands only after that, so
-``parse`` and ``check`` never load them.
+message``, ends the command with exit 2. ``refine``, which loads two
+files, names the file of a parse or evaluation error the same way. The
+evaluator and the conformance checks load inside those commands only
+after that, so ``parse`` and ``check`` never load them.
 
 The commands and their options are declared once, in ``COMMANDS``. A
 well-formed command line (a known command, exactly its files, and each
@@ -41,7 +42,7 @@ from seqtrace.ast import (
     Loop,
     render_trace,
 )
-from seqtrace.errors import DiagramError
+from seqtrace.errors import DiagramError, ParseError, TraceSetOverflowError
 from seqtrace.parser import ParsedDiagram, dump_diagram, parse, validate
 
 if TYPE_CHECKING:
@@ -81,9 +82,17 @@ def _load(args: SimpleNamespace, *names: str, loop: bool = False) -> list[Parsed
     """The diagrams of the files that ``args`` holds under ``names``, every
     one parsed before any is scope-checked. Each finding is printed to
     stderr as ``file:line:col: code: message``, and any raises _Invalid. A
-    ``loop`` diagram's root must be a loop, which is checked in between."""
+    parse error names its file as well when there are two. A ``loop``
+    diagram's root must be a loop, which is checked in between."""
     paths = [getattr(args, name) for name in names]
-    diagrams = [parse(_read(path)) for path in paths]
+    diagrams = []
+    for path in paths:
+        try:
+            diagrams.append(parse(_read(path)))
+        except ParseError as exc:
+            if len(paths) > 1:  # ``file:line:col: message``
+                raise DiagramError(f"{path}:{exc}") from None
+            raise
     if loop and not isinstance(diagrams[0].root, Loop):
         raise DiagramError(f"{paths[0]}: the diagram's root is not a loop fragment; "
                            "the unrolling identity only applies to loops")
@@ -115,13 +124,14 @@ def _cmd_check(args: SimpleNamespace) -> int:
 
 def _cmd_traces(args: SimpleNamespace) -> int:
     (diagram,) = _load(args, "file")
-    from seqtrace.semantics import _rendered_windows, count_traces
+    from seqtrace.semantics import _Classes, _contrast, _eval
 
-    limits = _limits(args)
+    # ``_load`` has checked the scope: the diagram is evaluated once, as is.
+    classes = _eval(diagram.root, _limits(args))
     if args.count:
-        print(count_traces(diagram.root, diagram.initial_namespace, limits))
+        print(classes.total)
         return 0
-    for window in _rendered_windows(diagram.root, diagram.initial_namespace, limits):
+    for window in _contrast(classes, _Classes(classes.max_traces))[1]:
         sys.stdout.write("\n".join(window) + "\n")
     return 0
 
@@ -144,7 +154,12 @@ def _cmd_refine(args: SimpleNamespace) -> int:
 
     limits = _limits(args)
     _note_bound(limits)
-    return _print_verdict(refines(left, right, limits), "REFINES")
+    try:
+        verdict = refines(left, right, limits)
+    except TraceSetOverflowError as exc:  # name the file of the side that overflowed
+        path = args.file_a if exc.diagram is left else args.file_b
+        raise DiagramError(f"{path}:{exc}") from None
+    return _print_verdict(verdict, "REFINES")
 
 
 def _cmd_conform(args: SimpleNamespace) -> int:

@@ -37,7 +37,7 @@ from seqtrace.ast import (
     _Value,
     render_trace,
 )
-from seqtrace.errors import LogParseError
+from seqtrace.errors import LogParseError, TraceSetOverflowError
 # ``validate`` lives with the parser and stays bound here, where callers such
 # as perfbench/tracing.py look it up.
 from seqtrace.parser import ParsedDiagram, validate
@@ -118,13 +118,20 @@ def refines(
 
     Plain trace-set inclusion under identical evaluation limits; witnesses
     are traces of ``a`` that ``b`` cannot exhibit. The first scope error of
-    ``a``, then of ``b``, is raised before either is evaluated.
+    ``a``, then of ``b``, is raised before either is evaluated; an overflow
+    raised while evaluating one of them carries it as ``diagram``.
     """
     limits = limits or EvalLimits()
     if errors := validate(a) or validate(b):
         raise errors[0]
-    left, right = _eval(a.root, limits), _eval(b.root, limits)
-    return _verdict("left", *_contrast(left, right), limits)
+    sides = []
+    for d in (a, b):
+        try:
+            sides.append(_eval(d.root, limits))
+        except TraceSetOverflowError as exc:
+            exc.diagram = d
+            raise
+    return _verdict("left", *_contrast(*sides), limits)
 
 
 def conform(

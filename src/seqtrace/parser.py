@@ -277,6 +277,8 @@ def _sequence(parts: list[Fragment]) -> Fragment | None:
     """Merge each run of adjacent basics into one, at the first one's location
     and with every message's own, then sequence what is left: None for no
     parts, and a single part stands alone."""
+    if len(parts) < 2:  # as every one-statement operand is
+        return parts[0] if parts else None
     seq: list[Fragment] = []
     for is_basic, run in itertools.groupby(parts, lambda part: isinstance(part, Basic)):
         run = list(run)
@@ -284,9 +286,7 @@ def _sequence(parts: list[Fragment]) -> Fragment | None:
             run = [Basic(tuple(m for b in run for m in b.messages), loc=run[0].loc,
                          message_locs=tuple(loc for b in run for loc in b.message_locs))]
         seq.extend(run)
-    if len(seq) < 2:
-        return seq[0] if seq else None
-    return WeakSeq(tuple(seq), loc=seq[0].loc)
+    return seq[0] if len(seq) == 1 else WeakSeq(tuple(seq), loc=seq[0].loc)
 
 
 def parse(source: str) -> ParsedDiagram:

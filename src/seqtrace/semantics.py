@@ -73,6 +73,7 @@ from seqtrace.ast import (
     Destroy,
     Fragment,
     Ignore,
+    Loc,
     Loop,
     Message,
     Namespace,
@@ -188,9 +189,13 @@ def _above(steps: Callable[[int], list[tuple[int, int]]],
         layers.append(after)
 
 
-def _class_size(t: Trace, max_traces: int) -> int:
-    """The number of traces in ``t``'s class, raising past ``max_traces``."""
-    return sum(_above(_order(t), max_traces)[-1].values())
+def _class_size(t: Trace, max_traces: int, loc: Loc | None = None) -> int:
+    """The number of traces in ``t``'s class, raising at ``loc`` past
+    ``max_traces``."""
+    try:
+        return sum(_above(_order(t), max_traces)[-1].values())
+    except TraceSetOverflowError:
+        raise TraceSetOverflowError(max_traces, loc) from None
 
 
 def _extensions(ms: Sequence[Message], units: Sequence, join: Callable,
@@ -385,13 +390,14 @@ class _Classes:
         self.total += sum(map(len, self.loose.values()))
         _cap(self.total, max_traces)
 
-    def add(self, rep: Trace) -> bool:
-        """Add ``rep``'s class whole; whether it was new."""
+    def add(self, rep: Trace, loc: Loc | None = None) -> bool:
+        """Add ``rep``'s class whole; whether it was new. A class that alone
+        passes the cap raises at ``loc``, a total that passes it unlocated."""
         key = _key(rep)
         if key in self.reps:
             return False
         # A chain is keyed by itself, and it is a class of one.
-        self._put(key, rep, 1 if key is rep else _class_size(rep, self.max_traces))
+        self._put(key, rep, 1 if key is rep else _class_size(rep, self.max_traces, loc))
         return True
 
     def merge(self, other: _Classes) -> None:
@@ -475,17 +481,10 @@ def rendered_traces(
     f: Fragment, ns: Iterable[str], limits: EvalLimits | None = None
 ) -> Iterator[str]:
     """``sorted(render_trace(t) for t in denote(f, ns, limits).traces)`` as an
-    iterator, with the same errors, raised before the first line."""
-    return itertools.chain.from_iterable(_rendered_windows(f, ns, limits))
-
-
-def _rendered_windows(
-    f: Fragment, ns: Iterable[str], limits: EvalLimits | None
-) -> Iterator[list[str]]:
-    """The lines of ``rendered_traces`` in sorted windows: ``_contrast``'s
-    listing against no traces."""
+    iterator, with the same errors, raised before the first line: the lines
+    of ``_contrast``'s listing against no traces."""
     s = _checked_eval(f, ns, limits)[0]
-    return _contrast(s, _Classes(s.max_traces))[1]
+    return itertools.chain.from_iterable(_contrast(s, _Classes(s.max_traces))[1])
 
 
 def _contrast(left: _Classes, right: _Classes) -> tuple[int, Iterator[list[str]]]:
@@ -585,7 +584,10 @@ def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
             case Alt(branches=branches):
                 out = _Classes(mx)
                 for b in branches:
-                    out.merge(_eval(b, limits))
+                    if isinstance(b, Basic):  # one class, added in place
+                        out.add(b.messages, b.loc)
+                    else:
+                        out.merge(_eval(b, limits))
                 return out
             case Par(operands=operands):
                 sets = [_eval(op, limits) for op in operands]
@@ -634,7 +636,15 @@ def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple
 
     The unrolled side cannot overflow where the loop side did not: the loop
     side evaluates the same body first, and its closure holds every class
-    of every power up to k, so it passes the cap first."""
+    of every power up to k, so it passes the cap first.
+
+    The powers stop at the first that adds no trace, whatever k is. Weak
+    sequencing with the body distributes over union, so if power n + 1 adds
+    nothing, neither does power n + 2: a trace of power n + 1 in an earlier
+    power i >= 1 sequences into power i + 1, and the empty trace into the
+    weak closure of the body. Power n + 1 holds the empty trace only if the
+    body does, and then power 2 holds that closure, or, at n = 0, the body
+    is the empty trace alone."""
     limits = limits or EvalLimits()
     k, mx = limits.loop_bound, limits.max_traces
     closure = _checked_eval(loop, ns, limits)[0]
@@ -642,9 +652,14 @@ def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple
     if errors:
         raise errors[0]
     unrolled = _Classes(mx, [()])
-    once = _eval(loop.body, limits) if k else None
-    for power in itertools.accumulate(itertools.repeat(once, k), lambda p, b: _seq([p, b], mx)):
+    once = power = _eval(loop.body, limits) if k else None
+    for n in range(k):
+        if n:
+            power = _seq([power, once], mx)
+        held = unrolled.total
         unrolled.merge(power)
+        if unrolled.total == held:  # a fixpoint: no later power adds a trace
+            break
     return closure, unrolled
 
 

@@ -16,7 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqtrace import semantics
+from seqtrace import (
+    EvalLimits,
+    TraceSetOverflowError,
+    count_traces,
+    parse,
+    parser,
+    semantics,
+)
 from seqtrace.cli import main
 
 M1_LINES = [
@@ -139,11 +146,11 @@ class TestTraces:
     def test_out_of_memory_while_listing_exits_2_without_traceback(
         self, capsys, diagrams_dir, monkeypatch
     ):
-        def exhausted(*args):
+        def exhausted():
             yield ["A.m1.B"]
             raise MemoryError
 
-        monkeypatch.setattr(semantics, "_rendered_windows", exhausted)
+        monkeypatch.setattr(semantics, "_contrast", lambda left, right: (1, exhausted()))
         code, out, err = run(capsys, "traces", str(diagrams_dir / "weak_order.sd"))
         assert (code, out, err) == (2, "A.m1.B\n", "error: out of memory\n")
 
@@ -181,6 +188,27 @@ class TestTraces:
         code, out, err = run(capsys, "traces", str(single), "--max-loop", "9", "--max-traces", "5")
         assert (code, out) == (2, "")
         assert err == "error: 2:1: trace set exceeds the cap of 5 traces\n"
+
+    @pytest.mark.parametrize("cap, loc", [(5, "10:3"), (6, "7:1")])
+    def test_overflow_of_a_branch_or_of_the_alt(self, capsys, diagrams_dir, cap, loc):
+        # The second branch is a class of six on its own, the alt has seven.
+        path = diagrams_dir / "wide_branch.sd"
+        diagram = parse(path.read_text())
+        with pytest.raises(TraceSetOverflowError) as exc:
+            count_traces(diagram.root, diagram.initial_namespace, EvalLimits(max_traces=cap))
+        assert str(exc.value.loc) == loc
+        want = (2, "", f"error: {loc}: trace set exceeds the cap of {cap} traces\n")
+        for count in ([], ["--count"]):
+            assert run(capsys, "traces", str(path), "--max-traces", str(cap), *count) == want
+
+    def test_one_scope_walk_per_run(self, capsys, diagrams_dir, monkeypatch):
+        walks = []
+        scope = parser.scope
+        monkeypatch.setattr(parser, "scope", lambda *args: walks.append(1) or scope(*args))
+        for count in ([], ["--count"]):
+            walks.clear()
+            assert run(capsys, "traces", str(diagrams_dir / "nested.sd"), *count)[0] == 0
+            assert len(walks) == 1
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "traces", str(tmp_path / "nope.sd"))
@@ -318,8 +346,22 @@ class TestRefine:
         assert (code, out) == (2, "")
         assert err == (
             "note: loop bound 2\n"
-            "error: 9:3: trace set exceeds the cap of 5 traces\n"
+            f"error: {f}:9:3: trace set exceeds the cap of 5 traces\n"
         )
+
+    def test_overflow_names_its_file_in_either_order(self, capsys, diagrams_dir):
+        small, large = str(diagrams_dir / "weak_order.sd"), str(diagrams_dir / "loop_pair.sd")
+        want = (2, "", "note: loop bound 2\n"
+                f"error: {large}:9:3: trace set exceeds the cap of 5 traces\n")
+        assert run(capsys, "refine", small, large, "--max-traces", "5") == want
+        assert run(capsys, "refine", large, small, "--max-traces", "5") == want
+
+    def test_parse_error_names_its_file(self, capsys, tmp_path, single):
+        bad = tmp_path / "bad.sd"
+        bad.write_text("lifeline A\nA -> : m\n")
+        want = (2, "", f"error: {bad}:2:6: expected lifeline name, found ':'\n")
+        assert run(capsys, "refine", str(bad), single) == want
+        assert run(capsys, "refine", single, str(bad)) == want
 
 
 class TestConform:
@@ -520,6 +562,17 @@ class TestTheorem:
         code, out, err = run(capsys, "theorem", str(diagram), "--depth", "2000")
         assert (code, out, err) == (0, "EQUAL\n", "")
         assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("depth", [10**6, 2**63])
+    def test_any_depth_stops_at_the_fixpoint(self, capsys, diagrams_dir, depth):
+        # Every power of the idle body is the empty trace; a depth past any
+        # machine integer is read as any other.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "theorem", str(diagrams_dir / "idle_worker.sd"), "--depth", str(depth)
+        )
+        assert (code, out, err) == (0, "EQUAL\n", "")
+        assert time.perf_counter() - start < 1
 
     def test_unrolled_scope_error_names_the_second_copy(self, capsys, tmp_path):
         # One round of the loop is in scope; two copies in sequence create B

@@ -193,6 +193,16 @@ class TestRefines:
         with pytest.raises(UnknownLifelineError, match="'Z'"):
             refines(out_of_scope, parse("A -> Y : m\n"))
 
+    def test_an_evaluation_error_carries_its_diagram(self, diagrams_dir):
+        # Either order: the side that overflows is named, not the first one.
+        loop_pair = parse((diagrams_dir / "loop_pair.sd").read_text())
+        weak_order = parse(WEAK_ORDER)
+        for a, b in ((loop_pair, weak_order), (weak_order, loop_pair)):
+            with pytest.raises(TraceSetOverflowError) as err:
+                refines(a, b, EvalLimits(max_traces=5))
+            assert err.value.diagram is loop_pair
+            assert str(err.value.loc) == "9:3"
+
 
 class TestTraceLog:
     def test_round_trip_through_render(self):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqtrace import (
+    Alt,
     Basic,
+    Consider,
     Create,
     Destroy,
     DiagramError,
@@ -14,6 +16,7 @@ from seqtrace import (
     GeneratorConfig,
     Loop,
     Message,
+    Skip,
     TraceSetOverflowError,
     WeakSeq,
     concat_sets,
@@ -133,6 +136,32 @@ class TestUnrollingIdentity:
             (Create("P"), Basic((M("S", "run", "P"),)), Destroy("P"))
         )
         assert identity_holds(body, {"S"}, 3)
+
+    @pytest.mark.parametrize("k", [10**6, 2**63])
+    def test_any_depth_stops_at_the_fixpoint(self, k):
+        # Every power of the body is the empty trace, at any depth.
+        body = WeakSeq((Create("B"), Destroy("B")))
+        start = time.perf_counter()
+        assert theorem1_diff(Loop(body), {"A"}, EvalLimits(loop_bound=k)) == (set(), set())
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_unrolled_side_is_the_alt_of_its_powers(self, k):
+        # Stopping at the first power that adds nothing must not lose a
+        # later one, also where the body has the empty trace and words that
+        # are not weakly closed.
+        filtered = Consider(frozenset({M("A", "a", "B"), M("C", "c", "D")}), Alt((
+            Skip(), Basic((M("A", "a", "B"), M("C", "c", "D"), M("A", "b", "D"))))))
+        cfg = GeneratorConfig(max_depth=2, max_messages_per_basic=2, seed=k,
+                              include_filters=True, include_lifecycle=False)
+        for body in [filtered, *generate_fragments(cfg, 40)]:
+            powers = [body] + [WeakSeq((body,) * n) for n in range(2, k + 1)]
+            limits = EvalLimits(loop_bound=k, max_traces=5000)
+            try:
+                want = denote(Alt((Skip(), *powers)), NS, limits).traces
+            except TraceSetOverflowError:
+                continue
+            assert theorem1_sides(Loop(body), NS, limits)[1] == want, body
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_loop_side_is_the_loop_at_the_one_bound(self, k):
