@@ -17,7 +17,9 @@ is scope-checked, and any finding, printed as ``file:line:col: code:
 message``, ends the command with exit 2. ``refine``, which loads two
 files, names the file of a parse or evaluation error the same way. The
 evaluator and the conformance checks load inside those commands only
-after that, so ``parse`` and ``check`` never load them.
+after that, so ``parse`` and ``check`` never load them. ``traces``,
+``refine`` and ``conform`` then evaluate what ``_load`` has checked, so each
+diagram's scope is walked once.
 
 The commands and their options are declared once, in ``COMMANDS``. A
 well-formed command line (a known command, exactly its files, and each
@@ -150,12 +152,12 @@ def _print_verdict(verdict: Verdict, ok_word: str) -> int:
 
 def _cmd_refine(args: SimpleNamespace) -> int:
     left, right = _load(args, "file_a", "file_b")
-    from seqtrace.conformance import refines
+    from seqtrace.conformance import _refines
 
     limits = _limits(args)
     _note_bound(limits)
     try:
-        verdict = refines(left, right, limits)
+        verdict = _refines(left, right, limits)
     except TraceSetOverflowError as exc:  # name the file of the side that overflowed
         path = args.file_a if exc.diagram is left else args.file_b
         raise DiagramError(f"{path}:{exc}") from None
@@ -164,12 +166,12 @@ def _cmd_refine(args: SimpleNamespace) -> int:
 
 def _cmd_conform(args: SimpleNamespace) -> int:
     (diagram,) = _load(args, "file")
-    from seqtrace.conformance import conform, parse_trace_log
+    from seqtrace.conformance import _conform, parse_trace_log
 
     log = parse_trace_log(_read(args.log))
     limits = _limits(args)
     _note_bound(limits)
-    verdict = conform(diagram, log, ConformanceMode(args.mode), limits)
+    verdict = _conform(diagram, log, ConformanceMode(args.mode), limits)
     return _print_verdict(verdict, "HOLDS")
 
 

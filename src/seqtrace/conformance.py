@@ -41,7 +41,7 @@ from seqtrace.errors import LogParseError, TraceSetOverflowError
 # ``validate`` lives with the parser and stays bound here, where callers such
 # as perfbench/tracing.py look it up.
 from seqtrace.parser import ParsedDiagram, validate
-from seqtrace.semantics import EvalLimits, _checked_eval, _Classes, _contrast, _eval
+from seqtrace.semantics import EvalLimits, _Classes, _contrast, _eval
 
 MAX_WITNESSES = 10
 
@@ -124,6 +124,11 @@ def refines(
     limits = limits or EvalLimits()
     if errors := validate(a) or validate(b):
         raise errors[0]
+    return _refines(a, b, limits)
+
+
+def _refines(a: ParsedDiagram, b: ParsedDiagram, limits: EvalLimits) -> Verdict:
+    """``refines`` of two diagrams whose scope is checked."""
     sides = []
     for d in (a, b):
         try:
@@ -146,7 +151,16 @@ def conform(
     ValueError."""
     mode = ConformanceMode(mode)
     limits = limits or EvalLimits()
-    diagram = _checked_eval(d.root, d.initial_namespace, limits)[0]
+    if errors := validate(d):
+        raise errors[0]
+    return _conform(d, log, mode, limits)
+
+
+def _conform(
+    d: ParsedDiagram, log: TraceSet, mode: ConformanceMode, limits: EvalLimits
+) -> Verdict:
+    """``conform`` of a diagram whose scope is checked."""
+    diagram = _eval(d.root, limits)
     # The log's own size is a cap it cannot pass: no verdict overflows on it.
     system = _Classes(len(log), loose=log)
     if mode is ConformanceMode.REQUIRED:

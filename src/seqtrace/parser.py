@@ -304,32 +304,34 @@ def scope(f: Fragment, ns: Iterable[str]) -> tuple[Namespace, list[_ScopeError]]
     duplicate-create and destroy-absent, each with its location.
     """
     errors: list[_ScopeError] = []
+    return _walk(f, frozenset(ns), errors), errors
 
-    def walk(f: Fragment, ns: Namespace) -> Namespace:
-        match f:
-            case Basic(messages=msgs):
-                for (sender, _, receiver), loc in zip(msgs, f.message_locs):
-                    if sender not in ns:
-                        errors.append(UnknownLifelineError(sender, loc))
-                    if receiver not in ns and receiver != sender:
-                        errors.append(UnknownLifelineError(receiver, loc))
-            case WeakSeq(children=parts):
-                for part in parts:
-                    ns = walk(part, ns)
-            case Create(name=n):
-                if n in ns:
-                    errors.append(DuplicateCreateError(n, f.loc))
-                return ns | {n}
-            case Destroy(name=n):
-                if n not in ns:
-                    errors.append(DestroyAbsentError(n, f.loc))
-                return ns - {n}
-            case _:
-                for part in children(f):
-                    walk(part, ns)
-        return ns
 
-    return walk(f, frozenset(ns)), errors
+def _walk(f: Fragment, ns: Namespace, errors: list[_ScopeError]) -> Namespace:
+    """``scope`` of ``f`` from ``ns``, adding its errors to ``errors``. It is
+    not a closure: a closure that calls itself is a reference cycle."""
+    match f:
+        case Basic(messages=msgs):
+            for (sender, _, receiver), loc in zip(msgs, f.message_locs):
+                if sender not in ns:
+                    errors.append(UnknownLifelineError(sender, loc))
+                if receiver not in ns and receiver != sender:
+                    errors.append(UnknownLifelineError(receiver, loc))
+        case WeakSeq(children=parts):
+            for part in parts:
+                ns = _walk(part, ns, errors)
+        case Create(name=n):
+            if n in ns:
+                errors.append(DuplicateCreateError(n, f.loc))
+            return ns | {n}
+        case Destroy(name=n):
+            if n not in ns:
+                errors.append(DestroyAbsentError(n, f.loc))
+            return ns - {n}
+        case _:
+            for part in children(f):
+                _walk(part, ns, errors)
+    return ns
 
 
 def validate(d: ParsedDiagram) -> list[_ScopeError]:

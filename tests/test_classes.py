@@ -369,6 +369,18 @@ def test_line_blocks_at_the_edges_of_a_block(rep, blocks):
     assert assert_lines_are_the_sorted_class(rep, sum(blocks)) == blocks
 
 
+def test_listing_through_a_downset_with_one_successor_past_a_block():
+    # Every trace starts with A -> B : go, which both chains wait for, so the
+    # empty downset's one successor has C(12, 6) = 924 completions, more than
+    # a block: it holds no suffix list, and counts as more than a block.
+    go = Message("A", "go", "B")
+    a = tuple(Message("A", f"a{i}", "C") for i in range(6))
+    b = tuple(Message("B", f"b{i}", "D") for i in range(6))
+    words = {(go,) + w for w in merges([a, b])}
+    assert len(words) == math.comb(12, 6) > _BLOCK
+    assert list(rendered_traces(Basic((go,) + a + b), "ABCD")) == sorted(map(render_trace, words))
+
+
 def test_a_streamed_listing_holds_no_class_whole():
     # Holding all 48,620 lines would take about 8.9 MB.
     root = Par(tuple(map(Basic, chains(9, 9))))

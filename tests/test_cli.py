@@ -201,15 +201,6 @@ class TestTraces:
         for count in ([], ["--count"]):
             assert run(capsys, "traces", str(path), "--max-traces", str(cap), *count) == want
 
-    def test_one_scope_walk_per_run(self, capsys, diagrams_dir, monkeypatch):
-        walks = []
-        scope = parser.scope
-        monkeypatch.setattr(parser, "scope", lambda *args: walks.append(1) or scope(*args))
-        for count in ([], ["--count"]):
-            walks.clear()
-            assert run(capsys, "traces", str(diagrams_dir / "nested.sd"), *count)[0] == 0
-            assert len(walks) == 1
-
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "traces", str(tmp_path / "nope.sd"))
         assert code == 2
@@ -430,6 +421,25 @@ class TestConform:
             "note: loop bound 2\n"
             "error: 9:3: trace set exceeds the cap of 5 traces\n"
         )
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["traces", "nested.sd"], 1),
+    (["traces", "nested.sd", "--count"], 1),
+    (["refine", "nested.sd", "alt_choice.sd"], 2),
+    (["refine", "weak_order.sd", "weak_order.sd"], 2),
+    *((["conform", "weak_order.sd", "weak_order.log", "--mode", mode], 1)
+      for mode in ("required", "exhaust", "forbid")),
+])
+def test_one_scope_walk_per_diagram(capsys, diagrams_dir, monkeypatch, argv, walks):
+    # _load checks each diagram, and the verdict evaluates what it checked.
+    seen = []
+    scope = parser.scope
+    for module in (parser, semantics):  # the evaluator binds scope too
+        monkeypatch.setattr(module, "scope", lambda *args: seen.append(1) or scope(*args))
+    argv = [str(diagrams_dir / a) if a.endswith((".sd", ".log")) else a for a in argv]
+    assert run(capsys, *argv)[0] in (0, 1)
+    assert len(seen) == walks
 
 
 # dotted_order.sd's traces in rendered-line order, which a dotted label sets

@@ -366,6 +366,15 @@ class TestConform:
         with pytest.raises(ValueError):
             conform(self.diagram, frozenset(), mode)
 
+    @pytest.mark.parametrize("mode", ConformanceMode)
+    def test_a_scope_error_comes_before_evaluation(self, diagrams_dir, mode):
+        # The loop overflows the cap of 5, yet the scope error after it wins.
+        text = (diagrams_dir / "loop_pair.sd").read_text() + "A -> Z : m\n"
+        with pytest.raises(UnknownLifelineError, match="'Z'"):
+            conform(parse(text), frozenset(), mode, EvalLimits(max_traces=5))
+        with pytest.raises(ValueError):  # the mode is read first
+            conform(parse(text), frozenset(), "bogus")
+
     def test_log_is_not_held_to_the_trace_cap(self):
         # The cap bounds the diagram's traces; a log past it is still read whole.
         foreign = {(M("Z", f"x{i}", "Z"),) for i in range(10)}
