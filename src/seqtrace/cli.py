@@ -19,7 +19,8 @@ files, names the file of a parse or evaluation error the same way. The
 evaluator and the conformance checks load inside those commands only
 after that, so ``parse`` and ``check`` never load them. ``traces``,
 ``refine`` and ``conform`` then evaluate what ``_load`` has checked, so each
-diagram's scope is walked once.
+diagram's scope is walked once; ``theorem`` walks only the unrolled side's
+two copies of the loop body again, at a depth above 1.
 
 The commands and their options are declared once, in ``COMMANDS``. A
 well-formed command line (a known command, exactly its files, and each

@@ -448,12 +448,22 @@ def _apart(sets: list[_Classes]) -> bool:
     return True
 
 
+def _scoped(f: Fragment, ns: Iterable[str]) -> Namespace:
+    """``f``'s outgoing namespace; its first scope error is raised. No frame
+    keeps the error, which would make a cycle with its traceback."""
+    namespace_out, errors = scope(f, ns)
+    if errors:
+        try:
+            raise errors[0]
+        finally:
+            del errors
+    return namespace_out
+
+
 def _checked_eval(f: Fragment, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
     """``f``'s classes and its outgoing namespace; the first scope error is
     raised before any trace is computed."""
-    namespace_out, errors = scope(f, ns)
-    if errors:
-        raise errors[0]
+    namespace_out = _scoped(f, ns)
     return _eval(f, limits or EvalLimits()), namespace_out
 
 
@@ -620,9 +630,10 @@ def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
     raise TypeError(f"not a fragment: {f!r}")
 
 
-def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
-    """Both sides of the unrolling identity at k = ``limits.loop_bound``, each
-    scope-checked and then evaluated, the loop side first. The unrolled side,
+def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits) -> tuple:
+    """Both sides of the unrolling identity at k = ``limits.loop_bound``, of a
+    loop whose scope is checked: the loop side is evaluated first, then the
+    unrolled side is scope-checked and evaluated. The unrolled side,
     ``alt`` over skip and the 1..k-fold weak sequences of the body at the
     loop's location, is built one power at a time: ``n`` copies are ``n - 1``
     copies sequenced with one more.
@@ -645,12 +656,10 @@ def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple
     weak closure of the body. Power n + 1 holds the empty trace only if the
     body does, and then power 2 holds that closure, or, at n = 0, the body
     is the empty trace alone."""
-    limits = limits or EvalLimits()
     k, mx = limits.loop_bound, limits.max_traces
-    closure = _checked_eval(loop, ns, limits)[0]
-    errors = scope(WeakSeq((loop.body,) * 2), ns)[1] if k > 1 else ()
-    if errors:
-        raise errors[0]
+    closure = _eval(loop, limits)
+    if k > 1:
+        _scoped(WeakSeq((loop.body,) * 2), ns)
     unrolled = _Classes(mx, [()])
     once = power = _eval(loop.body, limits) if k else None
     for n in range(k):
@@ -673,6 +682,8 @@ def theorem1_sides(
     self-compositions of its body. Each side is evaluated on its own under
     ``limits``, so nested loops are unrolled to the same bound k.
     """
+    limits = limits or EvalLimits()
+    _scoped(loop, ns)
     left, right = _theorem1(loop, ns, limits)
     return left.words(), right.words()
 
@@ -686,12 +697,15 @@ def theorem1_diff(
     The sides are compared by class key, and only the traces that one side
     lacks are listed.
     """
+    limits = limits or EvalLimits()
+    _scoped(loop, ns)
     return tuple(frozenset(map(_read_trace, itertools.chain.from_iterable(windows)))
                  for _, windows in _theorem1_contrasts(loop, ns, limits))
 
 
-def _theorem1_contrasts(loop: Loop, ns: Iterable[str], limits: EvalLimits | None) -> tuple:
-    """``_contrast`` of the loop side against the unrolled side, and back:
-    what ``theorem1_diff`` lists, as sorted windows of rendered lines."""
+def _theorem1_contrasts(loop: Loop, ns: Iterable[str], limits: EvalLimits) -> tuple:
+    """``_contrast`` of the loop side against the unrolled side, and back, of
+    a loop whose scope is checked: what ``theorem1_diff`` lists, as sorted
+    windows of rendered lines."""
     left, right = _theorem1(loop, ns, limits)
     return _contrast(left, right), _contrast(right, left)

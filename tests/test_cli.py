@@ -430,6 +430,9 @@ class TestConform:
     (["refine", "weak_order.sd", "weak_order.sd"], 2),
     *((["conform", "weak_order.sd", "weak_order.log", "--mode", mode], 1)
       for mode in ("required", "exhaust", "forbid")),
+    # theorem walks the unrolled side's two copies of the body as well.
+    (["theorem", "loop_pair.sd", "--depth", "2"], 2),
+    (["theorem", "loop_pair.sd", "--depth", "1"], 1),
 ])
 def test_one_scope_walk_per_diagram(capsys, diagrams_dir, monkeypatch, argv, walks):
     # _load checks each diagram, and the verdict evaluates what it checked.

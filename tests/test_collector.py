@@ -17,7 +17,7 @@ from seqtrace.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 # What gc.collect() may reclaim after one command, whatever its input size.
-CYCLES = 64
+CYCLES = 0
 
 
 def reclaimed(argv):
@@ -45,6 +45,14 @@ def commands(d, *, loops=()):
             yield ["conform", str(path), str(log), "--mode", mode]
     for path in loops:
         yield ["theorem", str(path), "--depth", "2"]
+
+
+def test_a_theorem_scope_error_leaves_no_cycles(capsys, diagrams_dir):
+    # Two copies of the body create P twice: the error raised must not be
+    # held by the frame that raises it, which its traceback holds.
+    argv = ["theorem", str(diagrams_dir / "worker_scoped.sd"), "--depth", "2"]
+    assert reclaimed(argv) == (0, 2)
+    assert "create of lifeline 'P'" in capsys.readouterr().err
 
 
 def test_the_corpus_leaves_no_cycles(capsys, corpus_files):
@@ -117,9 +125,13 @@ def probe(tmp_path, *argv):
 
 
 def test_the_program_runs_without_the_collector(tmp_path, diagrams_dir):
+    # The program ends with os._exit after the exit handlers, which still
+    # write last, and keeps each exit code.
     assert probe(tmp_path, "-c", "pass") == (0, "collector: True")
-    check = ["-m", "seqtrace", "check", str(diagrams_dir / "weak_order.sd")]
-    assert probe(tmp_path, *check) == (0, "collector: False")
+    invalid = str(diagrams_dir / "invalid" / "loop_scope.sd")
+    for code, argv in [(0, ["check", str(diagrams_dir / "weak_order.sd")]),
+                       (1, ["check", invalid]), (2, ["traces", invalid])]:
+        assert probe(tmp_path, "-m", "seqtrace", *argv) == (code, "collector: False")
 
 
 def test_the_installed_script_is_the_program():
