@@ -5,10 +5,12 @@ uniform: 0 when the command succeeds / the checked property holds, 1 when
 a checked property fails (with witnesses on stdout), 2 on usage, parse,
 validation, or evaluation errors (diagnostics on stderr), 2 when memory
 runs out, 2 when the reader of stdout goes away before the output ends,
-and 2 when stdout cannot be written. Machine-readable output goes to
-stdout only, as UTF-8 whatever the locale, and is deterministic: the
-traces of ``traces`` and the differences of ``theorem`` print sorted,
-streamed as they are enumerated, one write per sorted window of lines (see
+and 2 when stdout cannot be written, or was closed before the program
+started and the command has output to write; a closed stderr drops the
+diagnostics. Machine-readable output goes to stdout only, as UTF-8
+whatever the locale, and is deterministic: the traces of ``traces`` and
+the differences of ``theorem`` print sorted, streamed as they are
+enumerated, one write per sorted window of lines (see
 ``semantics._contrast``), not one per line.
 
 The four commands that evaluate (traces, refine, conform, theorem) load
@@ -33,10 +35,11 @@ them.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, Callable
 
 from seqtrace.ast import (
     DEFAULT_LOOP_BOUND,
@@ -68,12 +71,27 @@ def _read(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _validate(diagram: ParsedDiagram, out: TextIO, prefix: str = "") -> bool:
-    """Print each scope error of ``diagram`` to ``out`` as ``prefix`` and
-    ``line:col: code: message``; True when there are none."""
+def _out(text: str) -> None:
+    """Write ``text`` to stdout. A stream whose descriptor was closed at
+    start-up is None: writing to stdout then fails as writing to a closed
+    descriptor does."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.write(text)
+
+
+def _err(text: str) -> None:
+    """Write ``text`` to stderr, or drop it if stderr is closed (None)."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+
+
+def _validate(diagram: ParsedDiagram, write: Callable[[str], None], prefix: str = "") -> bool:
+    """``write`` each scope error of ``diagram`` as ``prefix`` and
+    ``line:col: code: message`` on a line; True when there are none."""
     errors = validate(diagram)
     for e in errors:
-        print(f"{prefix}{e.loc}: {e.code}: {e.message}", file=out)
+        write(f"{prefix}{e.loc}: {e.code}: {e.message}\n")
     return not errors
 
 
@@ -99,7 +117,7 @@ def _load(args: SimpleNamespace, *names: str, loop: bool = False) -> list[Parsed
     if loop and not isinstance(diagrams[0].root, Loop):
         raise DiagramError(f"{paths[0]}: the diagram's root is not a loop fragment; "
                            "the unrolling identity only applies to loops")
-    if not all([_validate(d, sys.stderr, f"{path}:") for path, d in zip(paths, diagrams)]):
+    if not all([_validate(d, _err, f"{path}:") for path, d in zip(paths, diagrams)]):
         raise _Invalid
     return diagrams
 
@@ -112,17 +130,17 @@ def _limits(args: SimpleNamespace) -> EvalLimits:
 
 def _note_bound(limits: EvalLimits) -> None:
     # Verdicts are only meaningful relative to the unrolling bound.
-    print(f"note: loop bound {limits.loop_bound}", file=sys.stderr)
+    _err(f"note: loop bound {limits.loop_bound}\n")
 
 
 def _cmd_parse(args: SimpleNamespace) -> int:
     diagram = parse(_read(args.file))
-    sys.stdout.write(dump_diagram(diagram))
+    _out(dump_diagram(diagram))
     return 0
 
 
 def _cmd_check(args: SimpleNamespace) -> int:
-    return 0 if _validate(parse(_read(args.file)), sys.stdout) else 1
+    return 0 if _validate(parse(_read(args.file)), _out) else 1
 
 
 def _cmd_traces(args: SimpleNamespace) -> int:
@@ -132,22 +150,22 @@ def _cmd_traces(args: SimpleNamespace) -> int:
     # ``_load`` has checked the scope: the diagram is evaluated once, as is.
     classes = _eval(diagram.root, _limits(args))
     if args.count:
-        print(classes.total)
+        _out(f"{classes.total}\n")
         return 0
     for window in _contrast(classes, _Classes(classes.max_traces))[1]:
-        sys.stdout.write("\n".join(window) + "\n")
+        _out("\n".join(window) + "\n")
     return 0
 
 
 def _print_verdict(verdict: Verdict, ok_word: str) -> int:
     if verdict.holds:
-        print(ok_word)
+        _out(f"{ok_word}\n")
         return 0
-    print("FAILS")
+    _out("FAILS\n")
     # refine lists its witnesses bare, conform names the side they come from.
     prefix = "" if verdict.side == "left" else f"{verdict.side}: "
     for witness in verdict.witnesses:
-        print(prefix + render_trace(witness))
+        _out(f"{prefix}{render_trace(witness)}\n")
     return 1
 
 
@@ -182,12 +200,12 @@ def _cmd_theorem(args: SimpleNamespace) -> int:
 
     sides = _theorem1_contrasts(diagram.root, diagram.initial_namespace, _limits(args))
     if not any(total for total, _ in sides):
-        print("EQUAL")
+        _out("EQUAL\n")
         return 0
-    print("UNEQUAL")
+    _out("UNEQUAL\n")
     for tag, (_, windows) in zip(("loop-only", "unrolled-only"), sides):
         for window in windows:
-            sys.stdout.write("".join(f"{tag}: {line}\n" for line in window))
+            _out("".join(f"{tag}: {line}\n" for line in window))
     return 1
 
 
@@ -301,15 +319,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(encoding="utf-8")
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe is met here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe is met here, not at exit
         return code
     except _Invalid:
         return 2
     except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _err(f"error: {exc}\n")
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _err("error: out of memory\n")
         return 2
     except OSError as exc:
         # Only writing output raises it here. A closed pipe means the reader
@@ -317,8 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         # device so that the interpreter's final flush of what is still
         # buffered cannot raise again.
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+            _err(f"error: cannot write output: {exc.strerror or exc}\n")
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2

@@ -27,16 +27,19 @@ their words in part, as the words of each class they hold. A ``par`` of
 operands on pairwise disjoint lifelines is their weak sequence, since every
 message of one operand commutes with every message of the others.
 
-One walk sizes, caps and lists a whole class: ``_above`` visits the
-downsets of its occurrence order (``_order``) layer by layer, counting the
-prefixes that reach each one and checking the cap on every layer, so a
-class past the cap raises before it is listed; the last layer holds the
-class size. ``_extensions`` lists the class in rendered-line order from
-the same walk, in blocks: one pass from the top layer down builds the
-suffixes of each downset with at most ``_BLOCK`` completions, counted by
-its successors' suffixes. A downset is then either a block root, whose
-block is a prefix followed by its suffixes, or walked through; no count is
-kept per downset. A trace is spelled by concatenating one unit per
+A class is sized by its components (``_class_size``): messages on
+lifelines that no message connects commute, so a class is the shuffle of
+its components' classes, and its size the multinomial placing their
+messages times each component's size. A chain has one trace; a walk sizes
+any other component: ``_above`` visits the downsets of its occurrence
+order (``_order``) layer by layer, counting the prefixes that reach each
+one and checking the cap on every layer; the last layer holds the size. A
+class past the cap raises before it is listed. ``_extensions`` lists a
+class in rendered-line order from the walk of its whole order, in blocks:
+one pass from the top layer down builds the suffixes of each downset with
+at most ``_BLOCK`` completions, counted by its successors' suffixes. A
+downset is then either a block root, whose block is a prefix followed by
+its suffixes, or walked through; no count is kept per downset. A trace is spelled by concatenating one unit per
 occurrence: ``weak`` spells tuples, a listing its rendered lines. Every
 ordered listing is ``_contrast``'s one merge of those lines, in sorted
 windows: ``traces`` writes each window at once, ``rendered_traces`` chains
@@ -60,6 +63,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -140,7 +144,7 @@ def _order(ms: Sequence[Message]) -> Callable[[int], list[tuple[int, int]]]:
     """
     msgs = tuple(ms)
     n = len(msgs)
-    token = [str(m) for m in msgs].__getitem__
+    token = list(map(".".join, msgs)).__getitem__  # str(m) of each message m
     # Transitive reduction of the occurrence order: occurrences on one
     # lifeline form a chain, so an occurrence waits only for the previous
     # occurrence on each of its (at most two) lifelines.
@@ -148,7 +152,7 @@ def _order(ms: Sequence[Message]) -> Callable[[int], list[tuple[int, int]]]:
     succs: list[list[int]] = [[] for _ in range(n)]
     last_on: dict[str, int] = {}
     for i, (sender, _, receiver) in enumerate(msgs):
-        for j in {last_on[name] for name in (sender, receiver) if name in last_on}:
+        for j in {last_on.get(sender, i), last_on.get(receiver, i)} - {i}:
             waits[i] |= 1 << j
             succs[j].append(i)
         last_on[sender] = last_on[receiver] = i
@@ -159,11 +163,19 @@ def _order(ms: Sequence[Message]) -> Callable[[int], list[tuple[int, int]]]:
         if d in up:
             return up[d]
         out = up[d] = []
-        for r in ready_of[d]:
+        ready = ready_of[d]
+        for r in ready:
             e = d | 1 << r
             if e not in ready_of:
-                ready_of[e] = sorted([x for x in ready_of[d] if x != r] + [
-                    s for s in succs[r] if e & waits[s] == waits[s]], key=token)
+                # The occurrences ready at d less r, and those r was the
+                # last to wait for.
+                after = ready.copy()
+                after.remove(r)
+                for s in succs[r]:
+                    if e & waits[s] == waits[s]:
+                        after.append(s)
+                after.sort(key=token)
+                ready_of[e] = after
             out.append((r, e))
         return out
 
@@ -189,11 +201,51 @@ def _above(steps: Callable[[int], list[tuple[int, int]]],
         layers.append(after)
 
 
+def _components(t: Trace) -> list[Sequence[Message]]:
+    """``t``'s messages grouped by connected lifelines, each group in ``t``'s
+    order: two lifelines are connected when messages join them, directly or
+    through others. A union-find over the distinct (sender, receiver) pairs,
+    which are few, finds the groups; one group is ``t`` itself."""
+    parent: dict[str, str] = {}  # every lifeline's but each group's root
+
+    def root(n: str) -> str:
+        while n in parent:
+            n = parent[n]
+        return n
+
+    pairs = {(s, r) for s, _, r in set(t)}
+    for s, r in pairs:
+        if (a := root(s)) != (b := root(r)):
+            parent[a] = b
+    # Each union gave one root a parent: the groups are the lifelines less those.
+    if len(set(itertools.chain.from_iterable(pairs))) - len(parent) < 2:
+        return [t]
+    groups: dict[str, list[Message]] = {}
+    for m in t:
+        groups.setdefault(root(m[0]), []).append(m)
+    return list(groups.values())
+
+
 def _class_size(t: Trace, max_traces: int, loc: Loc | None = None) -> int:
     """The number of traces in ``t``'s class, raising at ``loc`` past
-    ``max_traces``."""
+    ``max_traces``.
+
+    Messages on unconnected lifelines commute, so the class is the shuffle
+    of its components' classes: for components of n_1, .., n_c messages,
+    its size is the product over i of (n_1 + .. + n_i choose n_i) and the
+    size of component i. A chain has one trace; the walk of ``_above`` sizes
+    any other component, capped at what the product so far leaves. No
+    partial product exceeds the size, so each is checked against the cap.
+    """
     try:
-        return sum(_above(_order(t), max_traces)[-1].values())
+        size, placed = 1, 0
+        for part in _components(t):
+            placed += len(part)
+            size *= math.comb(placed, len(part))
+            if not all(map(shares_lifeline, part, part[1:])):
+                size *= sum(_above(_order(part), max_traces // size)[-1].values())
+            _cap(size, max_traces)
+        return size
     except TraceSetOverflowError:
         raise TraceSetOverflowError(max_traces, loc) from None
 

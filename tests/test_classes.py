@@ -31,6 +31,7 @@ from seqtrace import (
     EvalLimits,
     GeneratorConfig,
     Ignore,
+    Loc,
     Loop,
     Message,
     Par,
@@ -55,6 +56,7 @@ from seqtrace import (
     render_fragment,
     render_trace,
     rendered_traces,
+    semantics,
     theorem1_diff,
     theorem1_sides,
     weak,
@@ -311,18 +313,55 @@ def test_listing_past_the_block_size_equals_the_merges(lengths):
 
 
 def test_size_has_closed_forms_past_the_oracle(diagrams_dir):
-    # Counting and listing walk one order, so large classes are sized here
-    # against closed forms instead: 12!/(4!)^3 merges of three 4-message
-    # chains, and C(4n, 2n) for n rounds of loop_pair's body, whose A -> B
-    # and C -> D messages form two independent chains of 2n.
+    # Classes past the oracle are sized here against closed forms:
+    # 12!/(4!)^3 merges of three 4-message chains, and C(4n, 2n) for n
+    # rounds of loop_pair's body, whose A -> B and C -> D messages form two
+    # independent chains of 2n; both are shuffles of chains. After a first
+    # message that both chains of 2n wait for, the class is one component,
+    # which the walk sizes: C(4n, 2n) again.
     body = parse((diagrams_dir / "loop_pair.sd").read_text()).root.body.messages
+    go = Message("A", "go", "C")
     cases = [(sum(chains(4, 4, 4), ()), 34_650)] + [
-        (body * n, math.comb(4 * n, 2 * n)) for n in range(1, 5)]
+        (head + body * n, math.comb(4 * n, 2 * n)) for n in range(1, 5) for head in ((), (go,))]
     assert cases[-1][1] == 12_870
     for t, size in cases:
         assert _class_size(t, size) == size
         with pytest.raises(TraceSetOverflowError):
             _class_size(t, size - 1)
+
+
+def walks(monkeypatch):
+    """The messages of every occurrence order that ``semantics._order`` builds."""
+    walked = []
+    order = semantics._order
+    monkeypatch.setattr(semantics, "_order", lambda ms: (walked.append(tuple(ms)), order(ms))[1])
+    return walked
+
+
+def test_a_class_of_independent_chains_is_sized_without_a_walk(monkeypatch):
+    # 12 two-message chains on 24 lifelines: 24!/2^12 traces, past any walk.
+    t = tuple(m for i in range(12) for m in (
+        Message(f"L{2 * i}", "a", f"L{2 * i + 1}"), Message(f"L{2 * i + 1}", "b", f"L{2 * i}")))
+    walked = walks(monkeypatch)
+    size = math.factorial(24) // 2**12
+    assert _class_size(t, size) == size
+    loc = Loc(3, 5)
+    with pytest.raises(TraceSetOverflowError) as caught:
+        _class_size(t, size - 1, loc)
+    assert (caught.value.limit, caught.value.loc) == (size - 1, loc)
+    assert walked == []
+
+
+def test_only_a_component_that_is_no_chain_is_walked(monkeypatch):
+    # A -> B and B -> A are a chain; C -> D and E -> F commute, and D -> E
+    # waits for both, so that component has 2 traces of its own.
+    p, q, r = Message("C", "p", "D"), Message("E", "q", "F"), Message("D", "r", "E")
+    x, y = Message("A", "x", "B"), Message("B", "y", "A")
+    t = (p, x, q, y, r)
+    walked = walks(monkeypatch)
+    assert _class_size(t, 10**6) == math.comb(5, 2) * 2
+    assert walked == [(p, q, r)]
+    assert len(weak(t)) == len(oracle_weak(t)) == 20
 
 
 def test_listing_merges_classes_on_both_sides_of_the_block_size():

@@ -143,6 +143,39 @@ class TestTraces:
         want = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
         assert (proc.returncode, proc.stderr) == (2, want)
 
+    @pytest.mark.parametrize("argv,code,err", [
+        (["traces", "weak_order.sd"], 2, ""),
+        (["traces", "weak_order.sd", "--count"], 2, ""),
+        (["check", "weak_order.sd"], 0, None),  # nothing to write
+        (["check", "invalid/destroy_absent.sd"], 2, ""),
+        # The verdict FAILS, but cannot be written: exit 2, not 1.
+        (["refine", "weak_order.sd", "loop_pair.sd"], 2, "note: loop bound 2\n"),
+    ])
+    def test_closed_stdout_exits_2_without_traceback(self, diagrams_dir, argv, code, err):
+        # With descriptor 1 closed at start-up, sys.stdout is None.
+        env = dict(os.environ, PYTHONPATH=str(diagrams_dir.parent / "src"))
+        files = [str(diagrams_dir / a) if a.endswith(".sd") else a for a in argv[1:]]
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqtrace", argv[0], *files],
+            stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=lambda: os.close(1),
+        )
+        want = "" if err is None else f"{err}error: cannot write output: {os.strerror(errno.EBADF)}\n"
+        assert (proc.returncode, proc.stderr.decode()) == (code, want)
+
+    @pytest.mark.parametrize("argv,code,out", [
+        (["traces", "nosuch.sd"], 2, ""),
+        (["traces", "invalid/destroy_absent.sd"], 2, ""),
+        (["traces", "loop_pair.sd", "--max-traces", "5"], 2, ""),
+        (["refine", "weak_order.sd", "weak_order.sd"], 0, "REFINES\n"),
+    ])
+    def test_closed_stderr_drops_the_diagnostics(self, capsys, diagrams_dir, monkeypatch,
+                                                 argv, code, out):
+        # print(file=None) would write them to stdout.
+        monkeypatch.setattr(sys, "stderr", None)
+        files = [str(diagrams_dir / a) if a.endswith(".sd") else a for a in argv[1:]]
+        assert main([argv[0], *files]) == code
+        assert capsys.readouterr().out == out
+
     def test_out_of_memory_while_listing_exits_2_without_traceback(
         self, capsys, diagrams_dir, monkeypatch
     ):

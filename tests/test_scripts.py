@@ -27,6 +27,10 @@ def test_differential_fuzz_has_no_mismatch():
     proc = run_script("differential_fuzz.py", "--cases", "200")
     assert proc.returncode == 0, proc.stderr
     assert "total: 0 mismatches" in proc.stdout
+    # Counting reaches classes sized as the shuffle of several components.
+    count = re.search(r"count vs enumeration: +200 cases \((\d+) splitting a class\), "
+                      r"0 mismatches", proc.stdout)
+    assert count and int(count[1]) > 0
     # The listing line reaches classes larger than one completion block, and
     # listings that merge the streams of two or more classes.
     listing = re.search(r"listing vs sorted words: +200 cases \((\d+) past a block, "
