@@ -5,10 +5,11 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
 * weak sequencing vs. permutation filtering
 * trace interleaving vs. position-subset merging
 * parse(render(fragment)) vs. the fragment itself
-* counting by weak-equivalence class vs. listing every trace: a class is
-  sized as the shuffle of its components on unconnected lifelines, while
-  its listed words come from a walk of its whole order; the line counts
-  the cases that hold a class of more than one component
+* counting by weak-equivalence class vs. the word-level ``reference`` of
+  ``tests/reference.py``, which lists every trace with the public set
+  operators and never holds a class: a class is sized as the shuffle of
+  its components on unconnected lifelines; the line counts the cases that
+  hold a class of more than one component
 * the unrolling identity's sides compared by class key vs. as listed words
 * ``par`` over classes (operands on disjoint lifelines) vs. interleaving the
   operands' listed words
@@ -33,7 +34,10 @@ order rendered lines apart from message fields: ("A", "a", "B") sorts
 before ("A", "a.1", "B"), but the line "A.a.1.B" before "A.a.B". A listing
 or a witness list in message order would not match.
 
-    python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
+The oracles, the generator and ``reference`` are imported from
+``tests/reference.py``, which the script puts on its own path.
+
+    PYTHONPATH=src python3 scripts/differential_fuzz.py [--cases 2000] [--seed 7]
 """
 
 import argparse
@@ -41,14 +45,13 @@ import random
 import re
 import sys
 import time
+from pathlib import Path
 
 from seqtrace import (
     Alt,
     Basic,
     ConformanceMode,
-    DiagramError,
     EvalLimits,
-    GeneratorConfig,
     LogParseError,
     Loop,
     Message,
@@ -59,11 +62,8 @@ from seqtrace import (
     conform,
     count_traces,
     denote,
-    generate_fragments,
     interleave_sets,
     interleave_traces,
-    oracle_interleave,
-    oracle_weak,
     parse,
     parse_trace_log,
     refines,
@@ -78,6 +78,17 @@ from seqtrace.ast import EMPTY_TRACE_TOKEN
 from seqtrace.conformance import _parse_log_message
 from seqtrace.semantics import _BLOCK, _checked_eval, _components
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from reference import (  # noqa: E402
+    GeneratorConfig,
+    generate_fragments,
+    oracle_interleave,
+    oracle_weak,
+    outcome,
+    reference,
+)
+
 POOL = ("A", "B", "C", "D")
 # Log tokens: messages, one with a dotted label, and malformed ones.
 LOG_TOKENS = ("A.m1.B", "B.m2.A", "C.m.x.D", "A.m1.A", EMPTY_TRACE_TOKEN,
@@ -90,14 +101,6 @@ MESSAGE_STATEMENT = re.compile(r"(\w+) -> (\w+) : ([\w.]+)")
 
 def random_message(rng: random.Random) -> Message:
     return Message(rng.choice(POOL), f"m{rng.randint(1, 3)}", rng.choice(POOL))
-
-
-def outcome(evaluate):
-    """What evaluating gives: its result, or the error's type and message."""
-    try:
-        return evaluate()
-    except DiagramError as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 def read_log_by_token(text: str):
@@ -184,13 +187,15 @@ def main() -> int:
     count_bad = split = 0
     limits = EvalLimits(loop_bound=2, max_traces=1000)
     for frag in frags:
-        ns = cfg.lifeline_pool
-        counted = outcome(lambda: count_traces(frag, ns, limits))
-        listed = outcome(lambda: len(denote(frag, ns, limits).traces))
-        if counted != listed:
+        # Parsed back, every fragment has a location for an overflow to name.
+        d = parse(render_fragment(frag))
+        root, ns = d.root, d.initial_namespace
+        counted = outcome(lambda: count_traces(root, ns, limits))
+        words = outcome(lambda: reference(root, limits))
+        if counted != (words if isinstance(words, str) else len(words)):
             count_bad += 1
         if not isinstance(counted, str):
-            reps = _checked_eval(frag, ns, limits)[0].reps.values()
+            reps = _checked_eval(root, ns, limits)[0].reps.values()
             split += any(len(_components(rep)) > 1 for rep, _ in reps)
     print(f"count vs enumeration:         {len(frags)} cases ({split} splitting a class), "
           f"{count_bad} mismatches")

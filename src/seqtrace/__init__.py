@@ -6,8 +6,7 @@ or with recorded system traces (conformance).
 
 Each module loads on first use of one of its public names (PEP 562), so a
 program loads only what it runs: the CLI's ``parse`` and ``check`` never
-load the evaluator, and the CLI never loads the reference oracle and the
-fragment generator, which serve tests and scripts.
+load the evaluator.
 """
 
 __version__ = "0.1.0"
@@ -23,12 +22,8 @@ _NAMES = {
     "conformance": ("Verdict", "conform", "parse_trace_log", "refines"),
     "errors": (
         "DestroyAbsentError", "DiagramError", "DuplicateCreateError", "DuplicateLifelineError",
-        "EmptyBlockError", "InputTooLargeError", "LogParseError", "ParseError",
-        "TraceSetOverflowError", "UnknownLifelineError",
-    ),
-    "oracle": (
-        "GeneratorConfig", "generate_fragment", "generate_fragments", "oracle_interleave",
-        "oracle_weak",
+        "EmptyBlockError", "LogParseError", "ParseError", "TraceSetOverflowError",
+        "UnknownLifelineError",
     ),
     "parser": (
         "ParsedDiagram", "canonicalize", "dump_diagram", "parse", "render_fragment", "validate",

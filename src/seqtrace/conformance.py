@@ -41,7 +41,7 @@ from seqtrace.errors import LogParseError, TraceSetOverflowError
 # ``validate`` lives with the parser and stays bound here, where callers such
 # as perfbench/tracing.py look it up.
 from seqtrace.parser import ParsedDiagram, validate
-from seqtrace.semantics import EvalLimits, _Classes, _contrast, _eval
+from seqtrace.semantics import EvalLimits, _Classes, _contrast, _eval, _scoped
 
 MAX_WITNESSES = 10
 
@@ -122,8 +122,8 @@ def refines(
     raised while evaluating one of them carries it as ``diagram``.
     """
     limits = limits or EvalLimits()
-    if errors := validate(a) or validate(b):
-        raise errors[0]
+    for d in (a, b):
+        _scoped(d.root, d.initial_namespace)
     return _refines(a, b, limits)
 
 
@@ -151,8 +151,7 @@ def conform(
     ValueError."""
     mode = ConformanceMode(mode)
     limits = limits or EvalLimits()
-    if errors := validate(d):
-        raise errors[0]
+    _scoped(d.root, d.initial_namespace)
     return _conform(d, log, mode, limits)
 
 

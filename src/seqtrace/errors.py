@@ -75,15 +75,6 @@ class TraceSetOverflowError(DiagramError):
         self.limit = limit
 
 
-class InputTooLargeError(DiagramError):
-    """Input is beyond what a brute-force oracle will enumerate."""
-
-    def __init__(self, size: int, limit: int):
-        super().__init__(f"input of size {size} exceeds the oracle limit of {limit}")
-        self.size = size
-        self.limit = limit
-
-
 class LogParseError(DiagramError):
     """A trace-log line could not be parsed."""
 

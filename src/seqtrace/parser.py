@@ -22,9 +22,9 @@ statements stand alone; an empty diagram parses to skip.
 
 Lifeline scope is checked here too, before any trace is computed: ``scope``
 threads create and destroy through a fragment, and ``validate`` lists a
-diagram's scope errors. The evaluator calls ``scope`` before it evaluates,
-and ``render_fragment`` to find the lifelines a fragment needs declared, so
-checking a diagram never loads the evaluator.
+diagram's scope errors, so checking a diagram never loads the evaluator.
+The evaluator calls ``scope`` before it evaluates; ``render_fragment``
+calls it to find the lifelines a fragment needs declared.
 """
 
 from __future__ import annotations
@@ -400,24 +400,24 @@ def render_fragment(f: Fragment) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dump_into(f: Fragment, depth: int, lines: list[str]) -> None:
+    text = "  " * depth + type(f).__name__.lower()
+    if f.loc is not None:
+        text += f" @{f.loc}"
+    match f:
+        case Basic(messages=ms):
+            text += " " + " ".join(str(m) for m in ms)
+        case Create(name=n) | Destroy(name=n):
+            text += " " + n
+        case Consider(alphabet=al) | Ignore(alphabet=al):
+            text += " [" + ", ".join(str(m) for m in sorted(al)) + "]"
+    lines.append(text)
+    for part in children(f):
+        _dump_into(part, depth + 1, lines)
+
+
 def dump_diagram(d: ParsedDiagram) -> str:
     """A stable, indented AST dump: one node per line with location/payload."""
     lines = [("lifelines " + " ".join(sorted(d.initial_namespace))).rstrip()]
-
-    def walk(f: Fragment, depth: int) -> None:
-        text = "  " * depth + type(f).__name__.lower()
-        if f.loc is not None:
-            text += f" @{f.loc}"
-        match f:
-            case Basic(messages=ms):
-                text += " " + " ".join(str(m) for m in ms)
-            case Create(name=n) | Destroy(name=n):
-                text += " " + n
-            case Consider(alphabet=al) | Ignore(alphabet=al):
-                text += " [" + ", ".join(str(m) for m in sorted(al)) + "]"
-        lines.append(text)
-        for part in children(f):
-            walk(part, depth + 1)
-
-    walk(d.root, 0)
+    _dump_into(d.root, 0, lines)
     return "\n".join(lines) + "\n"

@@ -1,9 +1,16 @@
-"""Brute-force reference implementations and a random fragment generator.
+"""The word route: routes to trace sets that share no code with the class
+evaluator, for the tests and ``scripts/differential_fuzz.py``.
 
-The oracles deliberately take the dumbest correct route (enumerate, then
-filter) so they stay independent of the compositional evaluator they are
-used to cross-check. The generator produces well-formed fragments that are
-always scope-valid under an initial namespace equal to the configured pool.
+* ``oracle_weak`` and ``oracle_interleave`` take the dumbest correct route
+  (enumerate, then filter), so they stay independent of the operators they
+  are used to cross-check.
+* ``reference`` evaluates a fragment word by word with the public set
+  operators, where the evaluator holds weak-equivalence classes.
+* ``generate_fragments`` draws random well-formed fragments, always
+  scope-valid under an initial namespace equal to the configured pool.
+
+The tests import this module as ``reference``: pytest puts ``tests/`` on
+``sys.path``, and the fuzz puts it there itself.
 """
 
 from __future__ import annotations
@@ -11,13 +18,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
 
-from seqtrace.ast import (
+from seqtrace import (
     Alt,
     Basic,
     Consider,
     Create,
     Destroy,
+    DiagramError,
     Fragment,
     Ignore,
     Loop,
@@ -27,14 +36,29 @@ from seqtrace.ast import (
     Skip,
     Trace,
     TraceSet,
+    TraceSetOverflowError,
     WeakSeq,
-    is_valid_name,
+    concat_sets,
+    filter_trace,
+    interleave_sets,
+    kleene_bounded,
     shares_lifeline,
+    weak,
+    weak_over_set,
 )
-from seqtrace.errors import InputTooLargeError
+from seqtrace.ast import is_valid_name
 
 ORACLE_WEAK_LIMIT = 8
 ORACLE_INTERLEAVE_LIMIT = 12
+
+
+class InputTooLargeError(DiagramError):
+    """Input is beyond what a brute-force oracle will enumerate."""
+
+    def __init__(self, size: int, limit: int):
+        super().__init__(f"input of size {size} exceeds the oracle limit of {limit}")
+        self.size = size
+        self.limit = limit
 
 
 def oracle_weak(ms, limit: int = ORACLE_WEAK_LIMIT) -> TraceSet:
@@ -77,6 +101,54 @@ def oracle_interleave(x: Trace, y: Trace, limit: int = ORACLE_INTERLEAVE_LIMIT) 
                 merged[slot] = next(rest)
         out.add(tuple(merged))  # type: ignore[arg-type]
     return frozenset(out)
+
+
+def reference(f, limits):
+    """Word-level evaluation: every weak sequence and loop lists its words
+    and weaves each of them. An overflow takes the innermost located
+    fragment's location, as ``denote``'s does."""
+    mx = limits.max_traces
+    try:
+        match f:
+            case Basic(messages=msgs):
+                return weak(msgs, mx)
+            case WeakSeq(children=parts):
+                sets = [reference(p, limits) for p in parts]
+                return weak_over_set(reduce(lambda u, v: concat_sets(u, v, mx), sets), mx)
+            case Alt(branches=branches):
+                out = set()
+                for b in branches:
+                    out |= reference(b, limits)
+                    if len(out) > mx:
+                        raise TraceSetOverflowError(mx)
+                return frozenset(out)
+            case Par(operands=operands):
+                sets = [reference(op, limits) for op in operands]
+                return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
+            case Loop(body=body):
+                closed = kleene_bounded(reference(body, limits), limits.loop_bound, mx)
+                return weak_over_set(closed, mx)
+            case Create() | Destroy() | Skip():
+                return frozenset({()})
+            case Consider(alphabet=alphabet, body=body):
+                return frozenset(filter_trace(alphabet, t) for t in reference(body, limits))
+            case Ignore(alphabet=alphabet, body=body):
+                return frozenset(
+                    tuple(m for m in t if m not in alphabet) for t in reference(body, limits)
+                )
+    except TraceSetOverflowError as exc:
+        if exc.loc is not None or f.loc is None:
+            raise
+        raise TraceSetOverflowError(exc.limit, f.loc) from None
+    raise TypeError(f)
+
+
+def outcome(evaluate):
+    """What evaluating gives: its result, or the error's type and message."""
+    try:
+        return evaluate()
+    except DiagramError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,14 @@ from pathlib import Path
 from seqtrace import (
     Consider,
     EvalLimits,
-    GeneratorConfig,
     Ignore,
     Loop,
     Message,
     canonicalize,
     denote,
     filter_trace,
-    generate_fragments,
     interleave_traces,
     message_alphabet,
-    oracle_interleave,
-    oracle_weak,
     parse,
     render_fragment,
     theorem1_diff,
@@ -33,6 +29,8 @@ from seqtrace import (
     weak,
 )
 from seqtrace.cli import main
+
+from reference import GeneratorConfig, generate_fragments, oracle_interleave, oracle_weak
 
 M = Message
 DIAGRAMS = Path(__file__).resolve().parents[1] / "diagrams"

@@ -49,27 +49,29 @@ def test_every_public_name_is_listed():
 def test_the_cli_starts_without_dataclasses_or_the_oracle():
     # -S leaves out site-packages and its .pth hooks, which may import anything.
     # `check` loads neither the evaluator nor the conformance checks, and
-    # `traces` loads the evaluator but not the oracle. A well-formed command
-    # line is read without argparse, and files without pathlib.
+    # `traces` loads the evaluator but not the conformance checks. A
+    # well-formed command line is read without argparse, and files without
+    # pathlib.
     diagram = SRC.parent / "diagrams" / "nested.sd"
     probe = (
         "import sys, seqtrace.cli\n"
-        "watched = {'dataclasses', 'inspect', 'seqtrace.conformance', 'seqtrace.oracle',\n"
+        "watched = {'dataclasses', 'inspect', 'seqtrace.conformance',\n"
         "           'seqtrace.semantics', 'argparse', 'gettext', 'locale', 'pathlib'}\n"
         "print(sorted(watched & set(sys.modules)))\n"
         f"seqtrace.cli.main(['check', {str(diagram)!r}])\n"
         "print(sorted(watched & set(sys.modules)))\n"
         f"seqtrace.cli.main(['traces', {str(diagram)!r}, '--count'])\n"
         "print(sorted(watched & set(sys.modules)))\n"
-        "from seqtrace import GeneratorConfig\n"
-        "print(GeneratorConfig.__module__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('seqtrace')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=60,
     )
+    loaded = ["seqtrace", "seqtrace.ast", "seqtrace.cli", "seqtrace.errors", "seqtrace.parser",
+              "seqtrace.semantics"]
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, "[]\n[]\n6\n['seqtrace.semantics']\nseqtrace.oracle\n", ""
+        0, f"[]\n[]\n6\n['seqtrace.semantics']\n{loaded}\n", ""
     )
     # Help still comes from argparse.
     proc = subprocess.run(
@@ -80,10 +82,15 @@ def test_the_cli_starts_without_dataclasses_or_the_oracle():
 
 
 def test_removed_names_stay_gone():
-    for name in ("TraceLog", "Witness", "theorem1_check", "peers", "Diagnostic", "namespace_of"):
+    # The oracles and the fragment generator live in tests/reference.py.
+    for name in ("TraceLog", "Witness", "theorem1_check", "peers", "Diagnostic", "namespace_of",
+                 "GeneratorConfig", "InputTooLargeError", "generate_fragment",
+                 "generate_fragments", "oracle_interleave", "oracle_weak", "oracle"):
         assert not hasattr(seqtrace, name), name
         assert name not in seqtrace.__all__
     assert not hasattr(seqtrace.ast, "peers")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("seqtrace.oracle")
 
 
 def test_the_runtime_imports_only_the_standard_library():
@@ -97,3 +104,27 @@ def test_the_runtime_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert "seqtrace" in imported
     assert imported - sys.stdlib_module_names - {"seqtrace"} == set()
+
+
+def test_the_program_reaches_every_runtime_module():
+    # Every import statement, at module level or inside a function, followed
+    # from the program's entry points: a module that it never reaches serves
+    # only tests and scripts, which have modules of their own.
+    package = SRC / "seqtrace"
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+
+    def imported(module):
+        for node in ast.walk(ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                yield node.module
+
+    reached, todo = set(), ["__main__", "cli"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(name.split(".", 1)[1] for name in imported(module)
+                        if name.startswith("seqtrace."))
+    assert reached == modules

@@ -5,9 +5,10 @@ keyed by its per-lifeline projections and, held whole, sized by counting
 the linear extensions of its occurrence order; the filters, and a ``par``
 whose operands share a lifeline, hold the classes of their words in part.
 Each result here is checked by a route that lists words instead: ``weak``,
-the permutation oracle, a word-level evaluator written below from the
-public set operators, the listed sides of the unrolling identity, and set
-operations on listed trace sets for the refinement and conformance verdicts.
+the permutation oracle, the word-level evaluator ``reference`` built from
+the public set operators, the listed sides of the unrolling identity, and
+set operations on listed trace sets for the refinement and conformance
+verdicts.
 """
 
 import itertools
@@ -25,32 +26,19 @@ from seqtrace import (
     Basic,
     ConformanceMode,
     Consider,
-    Create,
-    Destroy,
-    DiagramError,
     EvalLimits,
-    GeneratorConfig,
-    Ignore,
     Loc,
     Loop,
     Message,
     Par,
     ParsedDiagram,
-    Skip,
     TraceSetOverflowError,
     Verdict,
     WeakSeq,
-    concat_sets,
     conform,
     count_traces,
     denote,
-    filter_trace,
-    generate_fragments,
-    interleave_sets,
-    kleene_bounded,
     message_alphabet,
-    oracle_interleave,
-    oracle_weak,
     parse,
     refines,
     render_fragment,
@@ -60,7 +48,6 @@ from seqtrace import (
     theorem1_diff,
     theorem1_sides,
     weak,
-    weak_over_set,
 )
 from seqtrace.semantics import (
     _BLOCK,
@@ -72,6 +59,15 @@ from seqtrace.semantics import (
     _eval,
     _extensions,
     scope,
+)
+
+from reference import (
+    GeneratorConfig,
+    generate_fragments,
+    oracle_interleave,
+    oracle_weak,
+    outcome,
+    reference,
 )
 
 names = st.sampled_from(("A", "B", "C", "D"))
@@ -91,53 +87,6 @@ class TestClassOfATrace:
         key = _class_key(t)
         same_key = {u for u in itertools.permutations(t) if _class_key(u) == key}
         assert same_key == weak(t)
-
-
-def reference(f, limits):
-    """Word-level evaluation: every weak sequence and loop lists its words
-    and weaves each of them. An overflow takes the innermost located
-    fragment's location, as ``denote``'s does."""
-    mx = limits.max_traces
-    try:
-        match f:
-            case Basic(messages=msgs):
-                return weak(msgs, mx)
-            case WeakSeq(children=parts):
-                sets = [reference(p, limits) for p in parts]
-                return weak_over_set(reduce(lambda u, v: concat_sets(u, v, mx), sets), mx)
-            case Alt(branches=branches):
-                out = set()
-                for b in branches:
-                    out |= reference(b, limits)
-                    if len(out) > mx:
-                        raise TraceSetOverflowError(mx)
-                return frozenset(out)
-            case Par(operands=operands):
-                sets = [reference(op, limits) for op in operands]
-                return reduce(lambda u, v: interleave_sets(u, v, mx), sets)
-            case Loop(body=body):
-                closed = kleene_bounded(reference(body, limits), limits.loop_bound, mx)
-                return weak_over_set(closed, mx)
-            case Create() | Destroy() | Skip():
-                return frozenset({()})
-            case Consider(alphabet=alphabet, body=body):
-                return frozenset(filter_trace(alphabet, t) for t in reference(body, limits))
-            case Ignore(alphabet=alphabet, body=body):
-                return frozenset(
-                    tuple(m for m in t if m not in alphabet) for t in reference(body, limits)
-                )
-    except TraceSetOverflowError as exc:
-        if exc.loc is not None or f.loc is None:
-            raise
-        raise TraceSetOverflowError(exc.limit, f.loc) from None
-    raise TypeError(f)
-
-
-def outcome(evaluate):
-    try:
-        return evaluate()
-    except DiagramError as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 @cache

@@ -11,7 +11,18 @@ from pathlib import Path
 import pytest
 
 import seqtrace.__main__
-from seqtrace import Loop, parse
+from seqtrace import (
+    DiagramError,
+    Loop,
+    UnknownLifelineError,
+    conform,
+    count_traces,
+    denote,
+    parse,
+    refines,
+    rendered_traces,
+    theorem1_diff,
+)
 from seqtrace.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,18 +31,28 @@ ROOT = Path(__file__).resolve().parents[1]
 CYCLES = 0
 
 
-def reclaimed(argv):
-    """The objects that gc.collect() reclaims after ``main(argv)`` runs with
-    the collector paused, and the command's exit code."""
+def collected(call):
+    """The objects that gc.collect() reclaims after ``call()`` runs with the
+    collector paused, and what the call returns, or the type of the
+    ``DiagramError`` that it raises."""
     was = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        code = main(argv)
-        return gc.collect(), code
+        try:
+            result = call()
+        except DiagramError as exc:
+            result = type(exc)
+        return gc.collect(), result
     finally:
         if was:
             gc.enable()
+
+
+def reclaimed(argv):
+    """``collected`` of ``main(argv)``: the objects reclaimed, and the
+    command's exit code."""
+    return collected(lambda: main(argv))
 
 
 def commands(d, *, loops=()):
@@ -55,10 +76,28 @@ def test_a_theorem_scope_error_leaves_no_cycles(capsys, diagrams_dir):
     assert "create of lifeline 'P'" in capsys.readouterr().err
 
 
+def test_a_library_scope_error_leaves_no_cycles(diagrams_dir):
+    # Each call raises the first scope error of a loop, and no frame of the
+    # call may hold it.
+    d = parse((diagrams_dir / "invalid" / "loop_scope.sd").read_text())
+    root, ns = d.root, d.initial_namespace
+    calls = {
+        "denote": lambda: denote(root, ns),
+        "count_traces": lambda: count_traces(root, ns),
+        "rendered_traces": lambda: list(rendered_traces(root, ns)),
+        "theorem1_diff": lambda: theorem1_diff(root, ns),
+        "refines": lambda: refines(d, d),
+        "conform": lambda: conform(d, frozenset(), "required"),
+    }
+    found = {name: collected(call) for name, call in calls.items()}
+    assert found == dict.fromkeys(calls, (0, UnknownLifelineError))
+
+
 def test_the_corpus_leaves_no_cycles(capsys, corpus_files):
     loops = [p for p in corpus_files if parse(p.read_text()).root.__class__ is Loop]
     overflow = ["traces", str(ROOT / "diagrams" / "loop_pair.sd"), "--max-traces", "5"]
-    for argv in [*commands(corpus_files, loops=loops), overflow]:
+    reads = [[command, str(path)] for path in corpus_files for command in ("parse", "check")]
+    for argv in [*reads, *commands(corpus_files, loops=loops), overflow]:
         found, code = reclaimed(argv)
         assert code in (0, 1, 2)
         assert found <= CYCLES, argv

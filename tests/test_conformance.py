@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from seqtrace import (
     ConformanceMode,
     EvalLimits,
-    GeneratorConfig,
     LogParseError,
     Message,
     ParsedDiagram,
@@ -14,13 +13,14 @@ from seqtrace import (
     UnknownLifelineError,
     conform,
     denote,
-    generate_fragments,
     parse,
     parse_trace_log,
     refines,
     render_trace,
     validate,
 )
+
+from reference import GeneratorConfig, generate_fragments
 
 M = Message
 

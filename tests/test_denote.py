@@ -14,7 +14,6 @@ from seqtrace import (
     DestroyAbsentError,
     DuplicateCreateError,
     EvalLimits,
-    GeneratorConfig,
     Loop,
     Message,
     Par,
@@ -23,10 +22,11 @@ from seqtrace import (
     UnknownLifelineError,
     WeakSeq,
     denote,
-    generate_fragments,
     interleave_traces,
 )
 from seqtrace.semantics import scope
+
+from reference import GeneratorConfig, generate_fragments
 
 M = Message
 

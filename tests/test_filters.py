@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 from seqtrace import (
     Basic,
     Consider,
-    GeneratorConfig,
     Ignore,
     Message,
     denote,
     filter_trace,
-    generate_fragments,
     message_alphabet,
 )
+
+from reference import GeneratorConfig, generate_fragments
 
 M = Message
 

@@ -4,7 +4,9 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from seqtrace import Message, interleave_sets, interleave_traces, oracle_interleave
+from seqtrace import Message, interleave_sets, interleave_traces
+
+from reference import oracle_interleave
 
 M = Message
 

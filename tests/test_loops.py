@@ -13,7 +13,6 @@ from seqtrace import (
     Destroy,
     DiagramError,
     EvalLimits,
-    GeneratorConfig,
     Loop,
     Message,
     Skip,
@@ -22,11 +21,12 @@ from seqtrace import (
     concat_sets,
     count_traces,
     denote,
-    generate_fragments,
     kleene_bounded,
     theorem1_diff,
     theorem1_sides,
 )
+
+from reference import GeneratorConfig, generate_fragments
 
 M = Message
 

@@ -1,20 +1,23 @@
-"""The brute-force oracles and the random fragment generator."""
+"""The brute-force oracles and the random fragment generator of ``tests/reference.py``."""
 
 import pytest
 
 from seqtrace import (
     Basic,
-    GeneratorConfig,
-    InputTooLargeError,
     Message,
     ParsedDiagram,
     Skip,
     denote,
+    validate,
+)
+
+from reference import (
+    GeneratorConfig,
+    InputTooLargeError,
     generate_fragment,
     generate_fragments,
     oracle_interleave,
     oracle_weak,
-    validate,
 )
 
 M = Message

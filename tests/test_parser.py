@@ -11,7 +11,6 @@ from seqtrace import (
     DiagramError,
     DuplicateLifelineError,
     EmptyBlockError,
-    GeneratorConfig,
     Ignore,
     Loop,
     Message,
@@ -22,12 +21,13 @@ from seqtrace import (
     WeakSeq,
     canonicalize,
     dump_diagram,
-    generate_fragments,
     parse,
     render_fragment,
     validate,
 )
 from seqtrace.ast import Loc, children, rebuild
+
+from reference import GeneratorConfig, generate_fragments
 
 M = Message
 

@@ -12,11 +12,12 @@ from seqtrace import (
     Message,
     TraceSetOverflowError,
     count_traces,
-    oracle_weak,
     shares_lifeline,
     weak,
     weak_over_set,
 )
+
+from reference import oracle_weak
 
 M = Message
 
