@@ -11,8 +11,9 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   its components on unconnected lifelines; the line counts the cases that
   hold a class of more than one component
 * the unrolling identity's sides compared by class key vs. as listed words
-* ``par`` over classes (operands on disjoint lifelines) vs. interleaving the
-  operands' listed words
+* ``par`` over classes vs. interleaving the operands' listed words, the
+  second operand drawn over other lifelines (operands apart) in every other
+  case and over the first operand's own lifelines (shared) in the rest
 * refinement and conformance verdicts compared by class key vs. set
   operations on listed words
 * the streamed listing (rendered lines, each class in blocks from its
@@ -20,9 +21,9 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   sorting the rendered trace set (each class collected as message tuples),
   on loops whose classes pass the block size and on loops over an ``alt``,
   whose classes interleave; the line counts the cases of each kind
-* the diagram reader on rendered text, where each message statement on one
-  line is read in one step, vs. the same text with every message statement
-  split one token per line, which the reader takes token by token
+* the diagram reader on rendered text, where each run of one-line message
+  statements is read in one step, vs. the same text with every message
+  statement split one token per line, which the reader takes token by token
 * the log reader (each distinct line read once, its tokens matched in one
   pattern) vs. reading every line's tokens one by one with
   ``_parse_log_message``, on random logs with malformed tokens and with
@@ -213,11 +214,17 @@ def main() -> int:
     print(f"theorem classes vs words:     {len(frags)} cases, {theorem_bad} mismatches")
 
     par_bad = 0
-    # The second operand is drawn over other lifelines, but the names that
-    # both operands create can meet, which makes the par words.
+    # Every other second operand is drawn over other lifelines, where the
+    # operands are apart unless the names both create meet, and the rest
+    # over the first operand's own lifelines, where the par is words.
     apart_cfg = GeneratorConfig(max_depth=3, seed=args.seed + 1, lifeline_pool=("E", "F"),
                                 include_filters=True, include_lifecycle=True)
-    pairs = list(zip(frags, generate_fragments(apart_cfg, len(frags))))
+    shared_cfg = GeneratorConfig(max_depth=3, seed=args.seed + 2, lifeline_pool=cfg.lifeline_pool,
+                                 include_filters=True, include_lifecycle=True,
+                                 label_pool=cfg.label_pool)
+    apart = iter(generate_fragments(apart_cfg, (len(frags) + 1) // 2))
+    shared = iter(generate_fragments(shared_cfg, len(frags) // 2))
+    pairs = [(x, next(shared if i % 2 else apart)) for i, x in enumerate(frags)]
     ns = cfg.lifeline_pool + apart_cfg.lifeline_pool
     for x, y in pairs:
         by_class = outcome(lambda: denote(Par((x, y)), ns, limits).traces)

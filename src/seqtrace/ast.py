@@ -9,6 +9,7 @@ message and a location are named tuples; a fragment is a frozen
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import namedtuple
 from enum import Enum
@@ -71,11 +72,6 @@ class Message(namedtuple("Message", "sender label receiver")):
         return f"{self[0]}.{self[1]}.{self[2]}"
 
 
-def _message(fields: tuple[str, str, str]) -> Message:
-    """The message of ``fields`` already matched against NAME and LABEL."""
-    return tuple.__new__(Message, fields)
-
-
 # A trace is one possible history: a finite (possibly empty) message sequence.
 Trace = tuple[Message, ...]
 # Trace sets are deduplicated by construction.
@@ -116,7 +112,7 @@ def _read_trace(line: str) -> Trace | None:
     matches = list(map(_MESSAGE_RE.fullmatch, tokens))
     if not tokens or None in matches:
         return None
-    return tuple(map(_message, map(re.Match.groups, matches)))
+    return tuple(map(tuple.__new__, itertools.repeat(Message), map(re.Match.groups, matches)))
 
 
 class _Value:

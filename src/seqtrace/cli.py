@@ -315,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv) or build_parser().parse_args(argv)
-    if hasattr(sys.stdout, "reconfigure"):  # logs are read as UTF-8, and listings are logs
-        sys.stdout.reconfigure(encoding="utf-8")
+    stdout = sys.stdout  # logs are read as UTF-8, and listings are logs
+    found = (stdout.encoding, stdout.errors) if hasattr(stdout, "reconfigure") else None
+    if found:
+        stdout.reconfigure(encoding="utf-8")
     try:
         code = args.func(args)
         if sys.stdout is not None:
@@ -342,3 +344,6 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 2
+    finally:  # the caller's stream keeps its own encoding
+        if found and found != (stdout.encoding, stdout.errors):
+            stdout.reconfigure(encoding=found[0], errors=found[1])

@@ -50,7 +50,6 @@ from seqtrace.ast import (
     Par,
     Skip,
     WeakSeq,
-    _message,
     _Value,
     children,
     is_valid_name,
@@ -79,7 +78,9 @@ MAX_NESTING = 200
 # keywords) with the blanks, comment and newline (group 8) that end its
 # line, a word (shaped like a label), punctuation, any other character (an
 # error) or the end of the input. Every position matches, so the scan never
-# skips text, and a line holding one message is one match.
+# skips text. A line holding one message is one match, and ``_tokenize``
+# gathers the message matches that only blanks, newlines and comments part
+# into one run token, which the parser takes whole as one basic's messages.
 _NOT_KEYWORD = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b)"
 _TOKEN_RE = re.compile(
     rf"[ \t\r]*(?:(#[^\n]*)|(\n)|{_NOT_KEYWORD}({NAME})[ \t\r]*(->)[ \t\r]*"
@@ -98,25 +99,31 @@ class ParsedDiagram(_Value):
 def _tokenize(source: str) -> list[tuple]:
     """The tokens of ``source`` as ``(kind, text, line, column)`` tuples, the
     last of kind EOF. A word's kind is WORD, punctuation's is its own text.
-    A message statement on one line is one token of kind MSG, whose text and
-    place are its sender's, followed by its ``Message`` and the offset of
-    its sender in ``source``."""
+    A run of message statements, each on one line, with only blanks,
+    newlines and comments between them, is one token of kind MSG, whose text
+    and place are its first sender's, followed by the list of its
+    ``Message``s and the list of their ``Loc``s."""
     tokens = []
     append = tokens.append
+    new = tuple.__new__
     line, line_start = 1, -1  # line_start: the offset just before the line
+    messages = None  # the open run's messages, while no other token follows it
     for m in _TOKEN_RE.finditer(source):
         group = m.lastindex
         if group == 8 or group == 7:
-            fields, start = m.group(3, 7, 5), m.start(3)
-            append(("MSG", fields[0], line, start - line_start, _message(fields), start))
+            column = m.start(3) - line_start
+            if messages is None:
+                messages, locs = [], []
+                append(("MSG", m[3], line, column, messages, locs))
+            messages.append(new(Message, m.group(3, 7, 5)))
+            locs.append(new(Loc, (line, column)))
             if group == 8:
                 line += 1
                 line_start = m.start(8)
-        elif group == 9:
-            append(("WORD", m[9], line, m.start(9) - line_start))
-        elif group == 10:
-            text = m[10]
-            append((text, text, line, m.start(10) - line_start))
+        elif group == 9 or group == 10:
+            text = m[group]
+            append(("WORD" if group == 9 else text, text, line, m.start(group) - line_start))
+            messages = None
         elif group == 2:
             line += 1
             line_start = m.start(2)
@@ -131,14 +138,24 @@ def _tokenize(source: str) -> list[tuple]:
     return tokens
 
 
+def _rest(tok: tuple) -> list[tuple]:
+    """The run token ``tok`` without its first message, whose text and place
+    are its next sender's: no token if the run has one message."""
+    messages, locs = tok[4], tok[5]
+    return [("MSG", messages[1][0], *locs[1], messages[1:], locs[1:])] if len(messages) > 1 else []
+
+
 def _split(tok: tuple, source: str) -> list[tuple]:
-    """The five tokens that a MSG token of ``source`` spans, as the scan
-    reads them when they do not share one line: name, '->', name, ':',
-    label. The scan matches the statement again at its sender."""
-    _, _, line, column, _, start = tok
+    """The tokens that the first message of a run token of ``source`` spans,
+    as the scan reads them when they do not share one line (name, '->',
+    name, ':', label), then the rest of the run. The scan matches the
+    statement again at its sender, whose offset its line and column give."""
+    line, column = tok[2], tok[3]
+    start = sum(len(text) + 1 for text in source.split("\n")[:line - 1]) + column - 1
     m = _TOKEN_RE.match(source, start)
     shift = column - start
-    return [("WORD" if g % 2 else m[g], m[g], line, m.start(g) + shift) for g in range(3, 8)]
+    words = [("WORD" if g % 2 else m[g], m[g], line, m.start(g) + shift) for g in range(3, 8)]
+    return words + _rest(tok)
 
 
 def _loc(tok: tuple) -> Loc:
@@ -201,8 +218,13 @@ class _Parser:
         if word not in KEYWORDS:  # a run of message statements is one basic
             messages, locs = [], []
             while tok[0] == "MSG" or tok[0] == "WORD" and tok[1] not in KEYWORDS:
-                locs.append(_loc(tok))
-                messages.append(self.message())
+                if tok[0] == "MSG":  # a whole run at once
+                    messages += tok[4]
+                    locs += tok[5]
+                    self.pos += 1
+                else:
+                    locs.append(_loc(tok))
+                    messages.append(self.message())
                 tok = self.tokens[self.pos]
             return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
         if word == "lifeline":
@@ -220,12 +242,14 @@ class _Parser:
         return frag
 
     def message(self) -> Message:
-        """``NAME -> NAME : LABEL``: one MSG token, or else its tokens read
-        one at a time, which raises the error of the first bad one."""
+        """``NAME -> NAME : LABEL``: the first message of a run token, whose
+        rest becomes the current token, or else its tokens read one at a
+        time, which raises the error of the first bad one."""
         tok = self.tokens[self.pos]
         if tok[0] == "MSG":
             self.pos += 1
-            return tok[4]
+            self.tokens[self.pos:self.pos] = _rest(tok)
+            return tok[4][0]
         sender = self.name("lifeline name")[1]
         self.expect("->", "'->'")
         receiver = self.name("lifeline name")[1]

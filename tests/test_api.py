@@ -128,3 +128,12 @@ def test_the_program_reaches_every_runtime_module():
             todo.extend(name.split(".", 1)[1] for name in imported(module)
                         if name.startswith("seqtrace."))
     assert reached == modules
+
+
+def test_the_runtime_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax that a later version added, such as ``except*``.
+    for path in (SRC / "seqtrace").glob("*.py"):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -127,6 +127,20 @@ class TestTraces:
                            "--mode", "exhaust")
         assert witness == (1, "FAILS\nlog: ε\n".encode(), b"note: loop bound 2\n")
 
+    @pytest.mark.parametrize("argv", [["traces", "lifecycle_only.sd"],
+                                      ["traces", "invalid/loop_scope.sd"]])
+    def test_main_leaves_the_callers_stdout_as_it_found_it(self, diagrams_dir, monkeypatch,
+                                                            argv):
+        # main writes UTF-8 through the caller's stream, then gives the
+        # stream back its own encoding and error handler.
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding="latin-1", errors="backslashreplace")
+        monkeypatch.setattr(sys, "stdout", stream)
+        main([argv[0], str(diagrams_dir / argv[1])])
+        assert (stream.encoding, stream.errors) == ("latin-1", "backslashreplace")
+        stream.flush()
+        assert raw.getvalue() == ("ε\n".encode() if argv[1] == "lifecycle_only.sd" else b"")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [
         ["traces", "weak_order.sd"],

@@ -201,6 +201,17 @@ REJECTED = {
     "consider [A -> B : m,] { skip }": "1:22: expected lifeline name, found ']'",
     "create 9a": "1:8: invalid lifeline name: '9a'",
     "destroy loop": "1:9: keyword 'loop' cannot be used as a lifeline name",
+    # A run of message statements where the grammar wants one message or one
+    # word: the run's first message is read or split, and the rest follows.
+    "lifeline A\nlifeline B\nconsider [A -> B : m\nB -> A : n] { skip }":
+        "4:1: expected ']', found 'B'",
+    "lifeline\nA -> B : m\nB -> A : n": "2:3: expected a statement, found '->'",
+    "lifeline A\nlifeline B\ncreate\nA -> B : m\nB -> A : n":
+        "4:3: expected a statement, found '->'",
+    "lifeline A\nlifeline B\ndestroy\nA -> B : m\nB -> A : n":
+        "4:3: expected a statement, found '->'",
+    "lifeline A\nlifeline B\nA -> B :\nB -> A : n\nA -> B : o":  # a label wrapped onto a run
+        "4:3: expected a statement, found '->'",
 }
 
 
