@@ -15,7 +15,10 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   second operand drawn over other lifelines (operands apart) in every other
   case and over the first operand's own lifelines (shared) in the rest
 * refinement and conformance verdicts compared by class key vs. set
-  operations on listed words
+  operations on the words of ``reference``; each ``conform`` also runs on
+  its log written as text, with blanks from ``LOG_BLANKS`` and comments,
+  read by ``_log_lines``, where a line that spells a class of one trace is
+  never read
 * the streamed listing (rendered lines, each class in blocks from its
   shared completion blocks, the classes merged in sorted windows) vs.
   sorting the rendered trace set (each class collected as message tuples),
@@ -76,7 +79,7 @@ from seqtrace import (
     weak,
 )
 from seqtrace.ast import EMPTY_TRACE_TOKEN
-from seqtrace.conformance import _parse_log_message
+from seqtrace.conformance import _conform, _log_lines, _parse_log_message
 from seqtrace.semantics import _BLOCK, _checked_eval, _components
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -136,6 +139,13 @@ def random_log(rng: random.Random) -> str:
                 rng.choice(pool) for _ in range(rng.randint(0, 3)))
         lines.append(line + rng.choice(("", "", " # note", "#")))
     return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+def log_text(rng: random.Random, log) -> str:
+    """The traces of ``log`` written as a trace log: each line's tokens apart
+    by one blank of ``LOG_BLANKS``, some lines with a comment."""
+    return "".join(line.replace(" ", rng.choice(LOG_BLANKS)) + rng.choice(("", " # seen", "#"))
+                   + "\n" for line in sorted(map(render_trace, log)))
 
 
 def log_outcome(read, text: str):
@@ -236,22 +246,24 @@ def main() -> int:
 
     verdict_bad = 0
     ns = cfg.lifeline_pool
+    text_rng = random.Random(args.seed + 3)
     for x, y in zip(frags, frags[1:]):
         a, b = ParsedDiagram(ns, x), ParsedDiagram(ns, y)
-        left = outcome(lambda: denote(x, ns, limits).traces)
-        right = outcome(lambda: denote(y, ns, limits).traces)
+        left = outcome(lambda: reference(x, limits))
+        right = outcome(lambda: reference(y, limits))
         if isinstance(left, str) or isinstance(right, str):
             want = left if isinstance(left, str) else right
             verdict_bad += outcome(lambda: refines(a, b, limits)) != want
             continue
         # A log of half the traces of both sides covers some classes in part.
         log = frozenset(rng.sample(sorted(left | right, key=render_trace), len(left | right) // 2))
-        checks = [(refines(a, b, limits), left - right)] + [
-            (conform(a, log, mode, limits), found)
-            for mode, found in ((ConformanceMode.REQUIRED, left - log),
-                                (ConformanceMode.EXHAUSTIVE, log - left),
-                                (ConformanceMode.FORBIDDEN, left & log))
-        ]
+        text = log_text(text_rng, log)
+        checks = [(refines(a, b, limits), left - right)]
+        for mode, found in ((ConformanceMode.REQUIRED, left - log),
+                            (ConformanceMode.EXHAUSTIVE, log - left),
+                            (ConformanceMode.FORBIDDEN, left & log)):
+            checks += [(conform(a, log, mode, limits), found),
+                       (_conform(a, _log_lines(text), mode, limits), found)]
         verdict_bad += not all(agrees(v, found) for v, found in checks)
     print(f"verdicts classes vs words:    {len(frags) - 1} cases, {verdict_bad} mismatches")
 

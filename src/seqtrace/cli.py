@@ -185,12 +185,12 @@ def _cmd_refine(args: SimpleNamespace) -> int:
 
 def _cmd_conform(args: SimpleNamespace) -> int:
     (diagram,) = _load(args, "file")
-    from seqtrace.conformance import _conform, parse_trace_log
+    from seqtrace.conformance import _conform, _log_lines
 
-    log = parse_trace_log(_read(args.log))
+    lines = _log_lines(_read(args.log))
     limits = _limits(args)
     _note_bound(limits)
-    verdict = _conform(diagram, log, ConformanceMode(args.mode), limits)
+    verdict = _conform(diagram, lines, ConformanceMode(args.mode), limits)
     return _print_verdict(verdict, "HOLDS")
 
 

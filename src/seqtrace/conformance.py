@@ -15,20 +15,25 @@ Refinement and the three relations are decided on weak-equivalence classes
 without listing either side. A diagram is evaluated to its classes, each
 keyed by its per-lifeline projections; a class is held whole, with its
 size, or in part, as its words, where a filter or a ``par`` over a shared
-lifeline makes it so. The log's traces are grouped once by class, held in
-part. A class held whole covers every trace of its key, one held in part
-its own words. Each verdict carries the exact number of counterexamples,
-and its first ``MAX_WITNESSES`` in rendered order, read back from the
-lines of the classes as they are enumerated.
+lifeline makes it so. A log line that spells a class of one trace is that
+class, held whole, found by one string lookup and never read; the log's
+other traces are grouped once by class, held in part. A class held whole
+covers every trace of its key, one held in part its own words. Each
+verdict carries the exact number of counterexamples, and its first
+``MAX_WITNESSES`` in rendered order, read back from the lines of the
+classes as they are enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable
 
 from seqtrace.ast import (
     EMPTY_TRACE_TOKEN,
+    LABEL,
+    NAME,
     ConformanceMode,
     Message,
     Trace,
@@ -44,6 +49,11 @@ from seqtrace.parser import ParsedDiagram, validate
 from seqtrace.semantics import EvalLimits, _Classes, _contrast, _eval, _scoped
 
 MAX_WITNESSES = 10
+# A line as ``render_trace`` writes a trace: messages apart by one blank, or
+# a lone epsilon. It is compiled when a log is read, not when ``refine``
+# loads this module.
+_TOKEN = rf"{NAME}\.{LABEL}\.{NAME}"
+_RENDERED = rf"{_TOKEN}(?: {_TOKEN})*|{EMPTY_TRACE_TOKEN}"
 
 
 class Verdict(_Value):
@@ -75,22 +85,31 @@ def _parse_log_message(token: str, line_no: int) -> Message:
         raise LogParseError(f"malformed message {token!r}; {exc}", line_no) from exc
 
 
-def parse_trace_log(text: str) -> TraceSet:
-    """Parse a trace log into its set of traces: one trace per line, ended
-    only by a newline, messages as sender.label.receiver separated by blanks,
-    epsilon for the empty trace, ``#`` comments.
+def _log_lines(text: str) -> list[str]:
+    """The distinct traces of a trace log, in order of first occurrence, each
+    as ``render_trace`` writes it: one trace per line, ended only by a
+    newline, messages as sender.label.receiver separated by blanks, epsilon
+    for the empty trace, ``#`` comments. A line's comment is dropped and its
+    tokens are joined by one blank, so lines that differ only there are one.
 
-    Each distinct line is read once, in order of first occurrence, so an
-    error names the first bad line."""
-    traces: set[Trace] = set()
+    Each distinct line is matched whole once, in order of first occurrence,
+    so an error names the first bad line."""
+    rendered = re.compile(_RENDERED).fullmatch
+    lines: dict[str, None] = {}
     for raw in dict.fromkeys(text.split("\n")):
-        line = raw.split("#", 1)[0]
-        t = _read_trace(line)
-        if t is not None:
-            traces.add(t)
-        elif tokens := line.split():  # a blank line is no trace
-            _log_error(text, raw, tokens)
-    return frozenset(traces)
+        tokens = raw.split("#", 1)[0].split()
+        line = " ".join(tokens)
+        if tokens and line not in lines:
+            if not rendered(line):
+                _log_error(text, raw, tokens)
+            lines[line] = None
+    return list(lines)
+
+
+def parse_trace_log(text: str) -> TraceSet:
+    """Parse a trace log into its set of traces: the lines ``_log_lines``
+    reads, with its errors."""
+    return frozenset(map(_read_trace, _log_lines(text)))
 
 
 def _log_error(text: str, raw: str, tokens: list[str]) -> None:
@@ -152,21 +171,33 @@ def conform(
     mode = ConformanceMode(mode)
     limits = limits or EvalLimits()
     _scoped(d.root, d.initial_namespace)
-    return _conform(d, log, mode, limits)
+    return _conform(d, map(render_trace, log), mode, limits)
 
 
 def _conform(
-    d: ParsedDiagram, log: TraceSet, mode: ConformanceMode, limits: EvalLimits
+    d: ParsedDiagram, lines: Iterable[str], mode: ConformanceMode, limits: EvalLimits
 ) -> Verdict:
-    """``conform`` of a diagram whose scope is checked."""
+    """``conform`` of a diagram whose scope is checked, on the lines of a log
+    as ``render_trace`` writes them."""
     diagram = _eval(d.root, limits)
+    lines = set(lines)
+    # A line that spells a class of one trace is that class, held whole: only
+    # the other lines are read into traces and keyed. Only the classes as
+    # long as some line are rendered, n + 1 messages for a line of n blanks;
+    # an epsilon line is read.
+    blanks = {x.count(" ") for x in lines}
+    spelled = {render_trace(rep): (key, (rep, 1)) for key, (rep, size) in diagram.reps.items()
+               if size == 1 and len(rep) - 1 in blanks}
+    hits = spelled.keys() & lines
     # The log's own size is a cap it cannot pass: no verdict overflows on it.
-    system = _Classes(len(log), loose=log)
+    system = _Classes(len(lines), loose=map(_read_trace, lines - hits))
+    system.reps = dict(map(spelled.get, hits))
+    system.total += len(hits)
     if mode is ConformanceMode.REQUIRED:
         return _verdict("diagram", *_contrast(diagram, system), limits)
     total, unexplained = _contrast(system, diagram)
     if mode is ConformanceMode.EXHAUSTIVE:
         return _verdict("log", total, unexplained, limits)
     # The logged traces that the diagram has: the rest of the log.
-    both = sorted(set(map(render_trace, log)).difference(*unexplained))
+    both = sorted(lines.difference(*unexplained))
     return _verdict("both", len(both), [both], limits)

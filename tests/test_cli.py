@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from seqtrace import (
     EvalLimits,
     TraceSetOverflowError,
+    conformance,
     count_traces,
     parse,
     parser,
@@ -490,6 +492,42 @@ def test_one_scope_walk_per_diagram(capsys, diagrams_dir, monkeypatch, argv, wal
     argv = [str(diagrams_dir / a) if a.endswith((".sd", ".log")) else a for a in argv]
     assert run(capsys, *argv)[0] in (0, 1)
     assert len(seen) == walks
+
+
+def test_conform_reads_only_the_lines_the_diagram_does_not_spell(capsys, tmp_path, monkeypatch):
+    # An alt of 200 five-message walks, each message sent by the previous
+    # one's receiver: every walk is a class of one trace.
+    rng = random.Random(32)
+    names = [f"P{i}" for i in range(8)]
+    walks = []
+    for w in range(200):
+        cur, walk = rng.choice(names), []
+        for j in range(5):
+            nxt = rng.choice([n for n in names if n != cur])
+            walk.append((cur, f"w{w}s{j}", nxt))
+            cur = nxt
+        walks.append(walk)
+    diagram = tmp_path / "wide.sd"
+    diagram.write_text("".join(f"lifeline {n}\n" for n in names) + "alt {\n" + "\n--\n".join(
+        "\n".join(f"{s} -> {r} : {label}" for s, label, r in walk) for walk in walks) + "\n}\n")
+    lines = [" ".join(f"{s}.{label}.{r}" for s, label, r in walk) for walk in walks]
+    foreign = [lines[i].replace(f"w{i}s2", "foreign") for i in range(3)]
+    logged = lines * 3 + foreign * 2
+    rng.shuffle(logged)
+    log = tmp_path / "run.log"
+    log.write_text("".join(f"{line}\n" for line in logged))
+    seen = []
+    read = conformance._read_trace
+    monkeypatch.setattr(conformance, "_read_trace", lambda line: seen.append(line) or read(line))
+    for mode in ("required", "exhaust", "forbid"):
+        seen.clear()
+        code, out, _ = run(capsys, "conform", str(diagram), str(log), "--mode", mode)
+        assert code == (0 if mode == "required" else 1)
+        # Besides its witnesses, read back from their lines, a verdict reads
+        # the foreign lines only.
+        witnesses = [line.split(": ", 1)[1] for line in out.splitlines()[1:]]
+        assert len(seen) - len(witnesses) == 3
+        assert sorted(seen) == sorted(foreign + witnesses)
 
 
 # dotted_order.sd's traces in rendered-line order, which a dotted label sets

@@ -19,6 +19,7 @@ from seqtrace import (
     render_trace,
     validate,
 )
+from seqtrace.cli import main
 
 from reference import GeneratorConfig, generate_fragments
 
@@ -383,3 +384,43 @@ class TestConform:
         totals = {mode: conform(self.diagram, log, mode, limits).total for mode in ConformanceMode}
         assert totals == {ConformanceMode.REQUIRED: 0, ConformanceMode.EXHAUSTIVE: 10,
                           ConformanceMode.FORBIDDEN: 3}
+
+
+# Blanks that a re-spelled log puts between tokens, around a line and
+# before its comment.
+RESPELL_BLANKS = ("\t", "  ", "\x85", " \t ")
+
+
+def respelled(lines: list[str]) -> str:
+    """``lines`` as a log spelled otherwise: other blanks, leading and
+    trailing ones, comments, and the first line a second time."""
+    out = []
+    for i, line in enumerate(lines + lines[:1]):
+        blank = RESPELL_BLANKS[i % len(RESPELL_BLANKS)]
+        comment = f"{blank}# seen {i}" if i % 2 else ""
+        out.append(blank + blank.join(line.split(" ")) + comment)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name", ["weak_order", "loop_pair", "alt_choice"])
+@pytest.mark.parametrize("mode", [m.value for m in ConformanceMode])
+def test_a_log_spelled_otherwise_gives_the_same_verdict(capsys, tmp_path, diagrams_dir, name, mode):
+    # weak_order is one class of three traces, alt_choice two classes of
+    # one, and loop_pair both kinds: a line may spell a class of one or be
+    # read into a trace. Every other trace of the diagram is logged, with a
+    # foreign chain and a foreign class of two.
+    path = diagrams_dir / f"{name}.sd"
+    d = parse(path.read_text())
+    traces = sorted(map(render_trace, denote(d.root, d.initial_namespace).traces))
+    lines = traces[::2] + ["A.zz.B B.zz.A", "A.zz.B C.zz.D"]
+    runs = []
+    for i, text in enumerate(["".join(f"{line}\n" for line in lines), respelled(lines)]):
+        log = tmp_path / f"{i}.log"
+        log.write_text(text, encoding="utf-8")
+        code = main(["conform", str(path), str(log), "--mode", mode])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    if mode == "forbid":
+        witnesses = runs[0][1].splitlines()[1:]
+        assert witnesses == sorted(set(witnesses))
+        assert witnesses == [f"both: {t}" for t in traces[::2][:10]]
