@@ -26,7 +26,9 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   whose classes interleave; the line counts the cases of each kind
 * the diagram reader on rendered text, where each run of one-line message
   statements is read in one step, vs. the same text with every message
-  statement split one token per line, which the reader takes token by token
+  statement split one token per line, which the reader takes token by token;
+  the locations of both parses are checked against their text, and the
+  line counts the locations checked
 * the log reader (each distinct line read once, its tokens matched in one
   pattern) vs. reading every line's tokens one by one with
   ``_parse_log_message``, on random logs with malformed tokens and with
@@ -46,7 +48,6 @@ The oracles, the generator and ``reference`` are imported from
 
 import argparse
 import random
-import re
 import sys
 import time
 from pathlib import Path
@@ -87,10 +88,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference import (  # noqa: E402
     GeneratorConfig,
     generate_fragments,
+    misplaced_locations,
     oracle_interleave,
     oracle_weak,
     outcome,
     reference,
+    split_statements,
 )
 
 POOL = ("A", "B", "C", "D")
@@ -100,7 +103,6 @@ LOG_TOKENS = ("A.m1.B", "B.m2.A", "C.m.x.D", "A.m1.A", EMPTY_TRACE_TOKEN,
 # Blanks between log tokens: spaces, and characters that str.splitlines
 # takes for line ends but a log line does not.
 LOG_BLANKS = (" ", " ", " ", "\x0b", "\x0c", "\x85", "\u2028")
-MESSAGE_STATEMENT = re.compile(r"(\w+) -> (\w+) : ([\w.]+)")
 
 
 def random_message(rng: random.Random) -> Message:
@@ -295,16 +297,21 @@ def main() -> int:
     print(f"listing vs sorted words:      {args.cases} cases ({past} past a block, "
           f"{merged} merging class streams), {listing_bad} mismatches")
 
-    diagram_bad = 0
+    diagram_bad = located = 0
     for frag in frags:
         text = render_fragment(frag)
-        split = MESSAGE_STATEMENT.sub(r"\1\n->\n\2\n:\n\3", text)
-        diagram_bad += parse(text) != parse(split)
+        split = split_statements(text)
+        one_step, by_token = parse(text), parse(split)
+        checks = [misplaced_locations(text, one_step.root),
+                  misplaced_locations(split, by_token.root)]
+        located += sum(checked for checked, _ in checks)
+        diagram_bad += one_step != by_token or any(misplaced for _, misplaced in checks)
     log_bad = 0
     for _ in range(args.cases):
         text = random_log(rng)
         log_bad += log_outcome(parse_trace_log, text) != log_outcome(read_log_by_token, text)
-    print(f"readers one step vs tokens:   {len(frags)} diagrams, {diagram_bad} mismatches; "
+    print(f"readers one step vs tokens:   {len(frags)} diagrams ({located} locations checked), "
+          f"{diagram_bad} mismatches; "
           f"{args.cases} logs, {log_bad} mismatches")
 
     total_bad = (weak_bad + shuffle_bad + trip_bad + count_bad + theorem_bad + par_bad

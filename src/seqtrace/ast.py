@@ -9,7 +9,6 @@ message and a location are named tuples; a fragment is a frozen
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import namedtuple
 from enum import Enum
@@ -21,8 +20,6 @@ NAME = r"[A-Za-z][A-Za-z0-9_]*"
 LABEL = r"[A-Za-z0-9_.]+"
 _NAME_RE = re.compile(NAME)
 _LABEL_RE = re.compile(LABEL)
-# A message's rendered token, sender.label.receiver; a name has no dot.
-_MESSAGE_RE = re.compile(rf"({NAME})\.({LABEL})\.({NAME})")
 
 
 def is_valid_name(name: str) -> bool:
@@ -102,17 +99,16 @@ def render_trace(t: Trace) -> str:
     return " ".join(map(str, t)) or EMPTY_TRACE_TOKEN
 
 
-def _read_trace(line: str) -> Trace | None:
-    """The trace a line spells as ``render_trace`` writes it: blank-separated
+def _read_trace(line: str) -> Trace:
+    """The trace of a line that ``render_trace`` wrote, or that
+    ``conformance._log_lines`` matched whole: blank-separated
     ``sender.label.receiver`` tokens, or a lone epsilon for the empty trace.
-    None for a blank line or one with a token that is not a message."""
-    tokens = line.split()
-    if tokens == [EMPTY_TRACE_TOKEN]:
-        return ()
-    matches = list(map(_MESSAGE_RE.fullmatch, tokens))
-    if not tokens or None in matches:
-        return None
-    return tuple(map(tuple.__new__, itertools.repeat(Message), map(re.Match.groups, matches)))
+    Its tokens are not checked again. A name has no dot, so a token's first
+    and last dots part its fields; a label without a dot leaves three parts."""
+    return tuple([
+        tuple.__new__(Message, p if len(p) == 3 else (p[0], ".".join(p[1:-1]), p[-1]))
+        for token in line.split() if token != EMPTY_TRACE_TOKEN for p in (token.split("."),)
+    ])
 
 
 class _Value:

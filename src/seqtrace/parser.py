@@ -20,6 +20,13 @@ has exactly one operand. Consecutive message statements coalesce into one
 basic fragment; statement sequences become weak-sequence nodes and single
 statements stand alone; an empty diagram parses to skip.
 
+The scanner reads a message statement that stands on one line in one
+match. Where a name or label is due (after ``lifeline``, ``create``,
+``destroy``, ``->``, ``:``, ``[`` or ``,``) it yields the statement's five
+words; elsewhere it gathers a run of such statements into one MSG token.
+So a MSG token stands only where a statement may start, or where the parser
+reports an error at its sender, and each token's shape is decided once.
+
 Lifeline scope is checked here too, before any trace is computed: ``scope``
 threads create and destroy through a fragment, and ``validate`` lists a
 diagram's scope errors, so checking a diagram never loads the evaluator.
@@ -78,15 +85,18 @@ MAX_NESTING = 200
 # keywords) with the blanks, comment and newline (group 8) that end its
 # line, a word (shaped like a label), punctuation, any other character (an
 # error) or the end of the input. Every position matches, so the scan never
-# skips text. A line holding one message is one match, and ``_tokenize``
-# gathers the message matches that only blanks, newlines and comments part
-# into one run token, which the parser takes whole as one basic's messages.
+# skips text. A line holding one message is one match. ``_tokenize`` splits
+# it into its five words where a name or label is due, and else gathers the
+# message matches that only blanks, newlines and comments part into one run
+# token, which the parser takes whole as one basic's messages.
 _NOT_KEYWORD = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b)"
 _TOKEN_RE = re.compile(
     rf"[ \t\r]*(?:(#[^\n]*)|(\n)|{_NOT_KEYWORD}({NAME})[ \t\r]*(->)[ \t\r]*"
     rf"{_NOT_KEYWORD}({NAME})[ \t\r]*(:)[ \t\r]*({LABEL})[ \t\r]*(?:#[^\n]*)?(\n)?|({LABEL})"
     r"|(->|--|[{}\[\],:])|(.)|\Z)"
 )
+# The texts of the tokens after which a name or label is due.
+_NAME_DUE = frozenset({"lifeline", "create", "destroy", "->", ":", "[", ","})
 
 
 class ParsedDiagram(_Value):
@@ -99,10 +109,14 @@ class ParsedDiagram(_Value):
 def _tokenize(source: str) -> list[tuple]:
     """The tokens of ``source`` as ``(kind, text, line, column)`` tuples, the
     last of kind EOF. A word's kind is WORD, punctuation's is its own text.
-    A run of message statements, each on one line, with only blanks,
-    newlines and comments between them, is one token of kind MSG, whose text
-    and place are its first sender's, followed by the list of its
-    ``Message``s and the list of their ``Loc``s."""
+    A message statement on one line is five tokens where a name or label is
+    due, after a token spelled as one of ``_NAME_DUE``. Elsewhere a run of
+    such statements, with only blanks, newlines and comments between them,
+    is one token of kind MSG, whose text and place are its first sender's,
+    followed by the list of its ``Message``s and the list of their ``Loc``s.
+    So a MSG token stands where a statement may start, or where the parser
+    reports an error at its sender. A label spelled as one of those keywords
+    only makes the next statement read word by word, to the same result."""
     tokens = []
     append = tokens.append
     new = tuple.__new__
@@ -111,12 +125,17 @@ def _tokenize(source: str) -> list[tuple]:
     for m in _TOKEN_RE.finditer(source):
         group = m.lastindex
         if group == 8 or group == 7:
-            column = m.start(3) - line_start
-            if messages is None:
-                messages, locs = [], []
-                append(("MSG", m[3], line, column, messages, locs))
-            messages.append(new(Message, m.group(3, 7, 5)))
-            locs.append(new(Loc, (line, column)))
+            # A run is open only after a MSG token, where no name is due.
+            if messages is None and tokens and tokens[-1][1] in _NAME_DUE:
+                tokens.extend(("WORD" if g % 2 else m[g], m[g], line, m.start(g) - line_start)
+                              for g in range(3, 8))
+            else:
+                column = m.start(3) - line_start
+                if messages is None:
+                    messages, locs = [], []
+                    append(("MSG", m[3], line, column, messages, locs))
+                messages.append(new(Message, m.group(3, 7, 5)))
+                locs.append(new(Loc, (line, column)))
             if group == 8:
                 line += 1
                 line_start = m.start(8)
@@ -138,26 +157,6 @@ def _tokenize(source: str) -> list[tuple]:
     return tokens
 
 
-def _rest(tok: tuple) -> list[tuple]:
-    """The run token ``tok`` without its first message, whose text and place
-    are its next sender's: no token if the run has one message."""
-    messages, locs = tok[4], tok[5]
-    return [("MSG", messages[1][0], *locs[1], messages[1:], locs[1:])] if len(messages) > 1 else []
-
-
-def _split(tok: tuple, source: str) -> list[tuple]:
-    """The tokens that the first message of a run token of ``source`` spans,
-    as the scan reads them when they do not share one line (name, '->',
-    name, ':', label), then the rest of the run. The scan matches the
-    statement again at its sender, whose offset its line and column give."""
-    line, column = tok[2], tok[3]
-    start = sum(len(text) + 1 for text in source.split("\n")[:line - 1]) + column - 1
-    m = _TOKEN_RE.match(source, start)
-    shift = column - start
-    words = [("WORD" if g % 2 else m[g], m[g], line, m.start(g) + shift) for g in range(3, 8)]
-    return words + _rest(tok)
-
-
 def _loc(tok: tuple) -> Loc:
     """The location of a token, whose line and column are already ints."""
     return tuple.__new__(Loc, tok[2:4])
@@ -170,7 +169,6 @@ def _unexpected(tok: tuple, what: str) -> ParseError:
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0  # blocks open around the current token
@@ -180,9 +178,6 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.pos]
-        if tok[0] == "MSG" and kind == "WORD":  # a word wanted where a message starts
-            self.tokens[self.pos:self.pos + 1] = _split(tok, self.source)
-            tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise _unexpected(tok, what)
         self.pos += 1
@@ -211,6 +206,10 @@ class _Parser:
         return ParsedDiagram(frozenset(declared), _sequence(items) or Skip())
 
     def statement(self) -> Fragment:
+        """One statement; a run of message statements is one basic. A MSG
+        token stands only where a statement may start, so it is taken whole
+        here, or after a block keyword or ``]``, where ``block`` reports an
+        error at its sender; the other messages are read word by word."""
         tok = self.peek()
         if tok[0] not in ("MSG", "WORD"):
             raise _unexpected(tok, "a statement")
@@ -242,14 +241,10 @@ class _Parser:
         return frag
 
     def message(self) -> Message:
-        """``NAME -> NAME : LABEL``: the first message of a run token, whose
-        rest becomes the current token, or else its tokens read one at a
-        time, which raises the error of the first bad one."""
-        tok = self.tokens[self.pos]
-        if tok[0] == "MSG":
-            self.pos += 1
-            self.tokens[self.pos:self.pos] = _rest(tok)
-            return tok[4][0]
+        """``NAME -> NAME : LABEL`` read one word at a time, which raises the
+        error of the first bad one. No MSG token stands here: the scanner
+        splits a message statement after ``[`` and ``,``, and a statement
+        that starts with a MSG token is taken whole by ``statement``."""
         sender = self.name("lifeline name")[1]
         self.expect("->", "'->'")
         receiver = self.name("lifeline name")[1]

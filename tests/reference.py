@@ -8,6 +8,9 @@ evaluator, for the tests and ``scripts/differential_fuzz.py``.
   operators, where the evaluator holds weak-equivalence classes.
 * ``generate_fragments`` draws random well-formed fragments, always
   scope-valid under an initial namespace equal to the configured pool.
+* ``misplaced_locations`` checks a parsed fragment's locations against its
+  source text, without the parser, and ``split_statements`` writes each
+  message statement of rendered text one token per line.
 
 The tests import this module as ``reference``: pytest puts ``tests/`` on
 ``sys.path``, and the fuzz puts it there itself.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from functools import reduce
 
@@ -46,7 +50,7 @@ from seqtrace import (
     weak,
     weak_over_set,
 )
-from seqtrace.ast import is_valid_name
+from seqtrace.ast import children, is_valid_name
 
 ORACLE_WEAK_LIMIT = 8
 ORACLE_INTERLEAVE_LIMIT = 12
@@ -149,6 +153,36 @@ def outcome(evaluate):
         return evaluate()
     except DiagramError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+# A message statement as ``render_fragment`` writes it.
+_MESSAGE_STATEMENT = re.compile(r"(\w+) -> (\w+) : ([\w.]+)")
+
+
+def split_statements(text: str) -> str:
+    """Rendered ``text`` with every message statement split one token per line."""
+    return _MESSAGE_STATEMENT.sub(r"\1\n->\n\2\n:\n\3", text)
+
+
+def misplaced_locations(source: str, root: Fragment) -> tuple[int, list[tuple]]:
+    """Check the locations of ``root``, parsed from ``source``: each message
+    location starts with its sender, and each other located node but a weak
+    sequence starts with its keyword (a basic with its first sender). The
+    number of locations checked, and each (node or message, location) pair
+    whose text does not start so."""
+    claims = []
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        stack.extend(children(f))
+        if isinstance(f, Basic):
+            claims.append((f, f.loc, f.messages[0].sender))
+            claims += [(m, loc, m.sender) for m, loc in zip(f.messages, f.message_locs, strict=True)]
+        elif not isinstance(f, WeakSeq):
+            claims.append((f, f.loc, type(f).__name__.lower()))
+    lines = source.split("\n")
+    return len(claims), [(node, loc) for node, loc, word in claims
+                         if not lines[loc.line - 1][loc.column - 1:].startswith(word)]
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,29 @@ class TestTraceLog:
         assert err.value.line_no == 3
         assert str(err.value) == "line 3: the empty-trace marker must stand alone on its line"
 
+    # A log of one line that spells no trace: the error of a line with a
+    # token that is not a message, and no trace for a blank line.
+    NO_TRACE = {
+        "": frozenset(),
+        " \t": frozenset(),
+        "A.B": "line 1: malformed message 'A.B'; expected sender.label.receiver",
+        "A..B": "line 1: malformed message 'A..B'; invalid message label: ''",
+        "ε ε": "line 1: the empty-trace marker must stand alone on its line",
+        "ε A.m.B": "line 1: the empty-trace marker must stand alone on its line",
+        "A.m.B x": "line 1: malformed message 'x'; expected sender.label.receiver",
+    }
+
+    @pytest.mark.parametrize("line", list(NO_TRACE))
+    def test_a_line_of_no_trace_is_an_error_or_no_trace(self, line):
+        want = self.NO_TRACE[line]
+        if not isinstance(want, str):
+            assert parse_trace_log(line) == want
+            return
+        with pytest.raises(LogParseError) as err:
+            parse_trace_log(line)
+        assert err.value.line_no == 1
+        assert str(err.value) == want
+
     def test_repeated_bad_line_reports_its_first_line(self):
         with pytest.raises(LogParseError) as err:
             parse_trace_log("A.m.B\nA..B\nA.m.B\nA..B\n")

@@ -142,10 +142,6 @@ class TestReadTrace:
         assert _read_trace("ε") == ()
         assert _read_trace(" ε\t") == ()
 
-    @pytest.mark.parametrize("line", ["", " \t", "A.B", "A..B", "ε ε", "ε A.m.B", "A.m.B x"])
-    def test_a_line_of_no_trace_reads_as_none(self, line):
-        assert _read_trace(line) is None
-
 
 class TestSharesLifeline:
     def test_same_endpoints(self):

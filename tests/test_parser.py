@@ -27,7 +27,7 @@ from seqtrace import (
 )
 from seqtrace.ast import Loc, children, rebuild
 
-from reference import GeneratorConfig, generate_fragments
+from reference import GeneratorConfig, generate_fragments, misplaced_locations, split_statements
 
 M = Message
 
@@ -128,6 +128,9 @@ class TestParse:
         ("  A -> B : req.v2.x", (M("A", "req.v2.x", "B"),), (Loc(1, 3),)),  # dotted label
         ("A -> B : m # note\nB -> A : n", (M("A", "m", "B"), M("B", "n", "A")),
          (Loc(1, 1), Loc(2, 1))),  # the last bytes of the file, no newline
+        ("A -> B :\ncreate\nC -> D : m\nD -> C : n\n",  # a label spelled as a keyword
+         (M("A", "create", "B"), M("C", "m", "D"), M("D", "n", "C")),
+         (Loc(1, 1), Loc(3, 1), Loc(4, 1))),
     ])
     def test_one_line_messages(self, src, messages, locs):
         d = parse(src)
@@ -251,21 +254,8 @@ def _text_at(source: str, loc: Loc) -> str:
 
 
 def _assert_locations_point_at_source(source: str) -> None:
-    """Each message location starts with its sender, and each other located
-    node but a weak sequence starts with its keyword."""
-
-    def walk(f):
-        if isinstance(f, Basic):
-            assert _text_at(source, f.loc).startswith(f.messages[0].sender), (f, source)
-            for m, loc in zip(f.messages, f.message_locs, strict=True):
-                assert _text_at(source, loc).startswith(m.sender), (m, loc, source)
-        elif not isinstance(f, WeakSeq):
-            keyword = type(f).__name__.lower()
-            assert _text_at(source, f.loc).startswith(keyword), (f, source)
-        for part in children(f):
-            walk(part)
-
-    walk(parse(source).root)
+    checked, misplaced = misplaced_locations(source, parse(source).root)
+    assert checked and not misplaced, (misplaced, source)
 
 
 # Corpus diagrams that do not parse -> the text of their ParseError; every
@@ -309,8 +299,10 @@ class TestLocations:
         "lifeline A\nlifeline B\nA -> B : m\n\n  # c\n B -> A : n\n \t\nA -> A : o\n",
         # One basic at 3:1, 4:1 and 6:1: the middle message's fields span two lines.
         "lifeline A\nlifeline B\nA -> B : m1\nA ->\n  B : m2 # note\nB -> A : m3\n",
+        # One basic at 5:1, 7:1 and 8:1: the first label is spelled as a keyword.
+        "lifeline A\nlifeline B\nlifeline C\nlifeline D\nA -> B :\ncreate\nC -> D : m\nD -> C : n\n",
     ], ids=["ingest-shaped", "no-final-newline", "crlf", "comment-after", "after-brace",
-            "two-on-a-line", "blank-and-comment-lines", "split-among-one-line"])
+            "two-on-a-line", "blank-and-comment-lines", "split-among-one-line", "keyword-label"])
     def test_message_lines(self, source):
         _assert_locations_point_at_source(source)
 
@@ -320,7 +312,9 @@ class TestLocations:
             max_depth=4, seed=seed, include_filters=True, include_lifecycle=True
         )
         for frag in generate_fragments(cfg, 150):
-            _assert_locations_point_at_source(render_fragment(frag))
+            text = render_fragment(frag)
+            _assert_locations_point_at_source(text)
+            _assert_locations_point_at_source(split_statements(text))
 
 
 class TestRender:

@@ -36,6 +36,10 @@ def test_differential_fuzz_has_no_mismatch():
     listing = re.search(r"listing vs sorted words: +200 cases \((\d+) past a block, "
                         r"(\d+) merging class streams\), 0 mismatches", proc.stdout)
     assert listing and int(listing[1]) > 0 and int(listing[2]) > 0
+    # The readers line checks the locations of both parses against their text.
+    readers = re.search(r"readers one step vs tokens: +200 diagrams \((\d+) locations checked\), "
+                        r"0 mismatches", proc.stdout)
+    assert readers and int(readers[1]) > 0
 
 
 def test_loop_growth_matches_closed_form():
