@@ -10,7 +10,9 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   operators and never holds a class: a class is sized as the shuffle of
   its components on unconnected lifelines; the line counts the cases that
   hold a class of more than one component
-* the unrolling identity's sides compared by class key vs. as listed words
+* the unrolling identity's sides compared by class key vs. as listed words;
+  the fragments are in scope, so every scope error is one of the unrolled
+  side's second copy, and the line counts the cases that raise one
 * ``par`` over classes vs. interleaving the operands' listed words, the
   second operand drawn over other lifelines (operands apart) in every other
   case and over the first operand's own lifelines (shared) in the rest
@@ -56,12 +58,15 @@ from seqtrace import (
     Alt,
     Basic,
     ConformanceMode,
+    DestroyAbsentError,
+    DuplicateCreateError,
     EvalLimits,
     LogParseError,
     Loop,
     Message,
     Par,
     ParsedDiagram,
+    UnknownLifelineError,
     WeakSeq,
     canonicalize,
     conform,
@@ -103,6 +108,9 @@ LOG_TOKENS = ("A.m1.B", "B.m2.A", "C.m.x.D", "A.m1.A", EMPTY_TRACE_TOKEN,
 # Blanks between log tokens: spaces, and characters that str.splitlines
 # takes for line ends but a log line does not.
 LOG_BLANKS = (" ", " ", " ", "\x0b", "\x0c", "\x85", "\u2028")
+# How ``outcome`` spells a scope error.
+SCOPE_ERRORS = tuple(e.__name__ for e in (DestroyAbsentError, DuplicateCreateError,
+                                          UnknownLifelineError))
 
 
 def random_message(rng: random.Random) -> Message:
@@ -213,17 +221,19 @@ def main() -> int:
     print(f"count vs enumeration:         {len(frags)} cases ({split} splitting a class), "
           f"{count_bad} mismatches")
 
-    theorem_bad = 0
+    theorem_bad = unscoped = 0
     for frag in frags:
         ns = cfg.lifeline_pool
         by_class = outcome(lambda: theorem1_diff(Loop(frag), ns, limits))
+        unscoped += isinstance(by_class, str) and by_class.startswith(SCOPE_ERRORS)
         left_right = outcome(lambda: theorem1_sides(Loop(frag), ns, limits))
         if not isinstance(left_right, str):
             left, right = left_right
             left_right = (left - right, right - left)
         if by_class != left_right:
             theorem_bad += 1
-    print(f"theorem classes vs words:     {len(frags)} cases, {theorem_bad} mismatches")
+    print(f"theorem classes vs words:     {len(frags)} cases ({unscoped} out of scope "
+          f"in the unrolled copies), {theorem_bad} mismatches")
 
     par_bad = 0
     # Every other second operand is drawn over other lifelines, where the

@@ -21,8 +21,10 @@ files, names the file of a parse or evaluation error the same way. The
 evaluator and the conformance checks load inside those commands only
 after that, so ``parse`` and ``check`` never load them. ``traces``,
 ``refine`` and ``conform`` then evaluate what ``_load`` has checked, so each
-diagram's scope is walked once; ``theorem`` walks only the unrolled side's
-two copies of the loop body again, at a depth above 1.
+diagram's scope is walked once. ``theorem`` walks it once too, on the
+unrolled side (``parser._unrolled``): at a depth above 1, two copies of the
+loop body in sequence, whose findings hold the loop's own and print once
+each.
 
 The commands and their options are declared once, in ``COMMANDS``. A
 well-formed command line (a known command, exactly its files, and each
@@ -49,7 +51,7 @@ from seqtrace.ast import (
     render_trace,
 )
 from seqtrace.errors import DiagramError, ParseError, TraceSetOverflowError
-from seqtrace.parser import ParsedDiagram, dump_diagram, parse, validate
+from seqtrace.parser import ParsedDiagram, _unrolled, dump_diagram, parse, validate
 
 if TYPE_CHECKING:
     import argparse
@@ -87,11 +89,12 @@ def _err(text: str) -> None:
 
 
 def _validate(diagram: ParsedDiagram, write: Callable[[str], None], prefix: str = "") -> bool:
-    """``write`` each scope error of ``diagram`` as ``prefix`` and
-    ``line:col: code: message`` on a line; True when there are none."""
+    """``write`` each distinct scope error of ``diagram`` once, as ``prefix``
+    and ``line:col: code: message`` on a line; True when there are none.
+    Only the two copies of a loop body that ``theorem`` checks repeat one."""
     errors = validate(diagram)
-    for e in errors:
-        write(f"{prefix}{e.loc}: {e.code}: {e.message}\n")
+    for line in dict.fromkeys(f"{prefix}{e.loc}: {e.code}: {e.message}\n" for e in errors):
+        write(line)
     return not errors
 
 
@@ -104,7 +107,9 @@ def _load(args: SimpleNamespace, *names: str, loop: bool = False) -> list[Parsed
     one parsed before any is scope-checked. Each finding is printed to
     stderr as ``file:line:col: code: message``, and any raises _Invalid. A
     parse error names its file as well when there are two. A ``loop``
-    diagram's root must be a loop, which is checked in between."""
+    diagram's root must be a loop, which is checked in between, and what is
+    scope-checked of it is the unrolled side at ``args.max_loop``
+    (``parser._unrolled``), whose findings hold the loop's own."""
     paths = [getattr(args, name) for name in names]
     diagrams = []
     for path in paths:
@@ -117,7 +122,9 @@ def _load(args: SimpleNamespace, *names: str, loop: bool = False) -> list[Parsed
     if loop and not isinstance(diagrams[0].root, Loop):
         raise DiagramError(f"{paths[0]}: the diagram's root is not a loop fragment; "
                            "the unrolling identity only applies to loops")
-    if not all([_validate(d, _err, f"{path}:") for path, d in zip(paths, diagrams)]):
+    checked = [ParsedDiagram(d.initial_namespace, _unrolled(d.root, args.max_loop))
+               for d in diagrams] if loop else diagrams
+    if not all([_validate(d, _err, f"{path}:") for path, d in zip(paths, checked)]):
         raise _Invalid
     return diagrams
 
@@ -198,7 +205,7 @@ def _cmd_theorem(args: SimpleNamespace) -> int:
     (diagram,) = _load(args, "file", loop=True)
     from seqtrace.semantics import _theorem1_contrasts
 
-    sides = _theorem1_contrasts(diagram.root, diagram.initial_namespace, _limits(args))
+    sides = _theorem1_contrasts(diagram.root, _limits(args))
     if not any(total for total, _ in sides):
         _out("EQUAL\n")
         return 0

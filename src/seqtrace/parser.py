@@ -30,8 +30,9 @@ reports an error at its sender, and each token's shape is decided once.
 Lifeline scope is checked here too, before any trace is computed: ``scope``
 threads create and destroy through a fragment, and ``validate`` lists a
 diagram's scope errors, so checking a diagram never loads the evaluator.
-The evaluator calls ``scope`` before it evaluates; ``render_fragment``
-calls it to find the lifelines a fragment needs declared.
+The evaluator calls ``scope`` before it evaluates, on the unrolled side
+(``_unrolled``) for the unrolling identity; ``render_fragment`` calls it to
+find the lifelines a fragment needs declared.
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ class _Parser:
         self.expect("->", "'->'")
         receiver = self.name("lifeline name")[1]
         self.expect(":", "':'")
-        return Message(sender, self.expect("WORD", "message label")[1], receiver)
+        # ``name()`` has checked both names, and a WORD token is LABEL-shaped.
+        return tuple.__new__(Message, (sender, self.expect("WORD", "message label")[1], receiver))
 
     def block(self, keyword: str, loc: Loc) -> Fragment:
         """The rest of ``keyword [msgset] { stmts (-- stmts)* }`` at ``loc``;
@@ -362,6 +364,23 @@ def validate(d: ParsedDiagram) -> list[_ScopeError]:
     is the one evaluation would raise.
     """
     return scope(d.root, d.initial_namespace)[1]
+
+
+def _unrolled(loop: Loop, k: int) -> Fragment:
+    """The fragment whose scope findings are those of both sides of the
+    unrolling identity at ``k``: two copies of the loop's body in sequence
+    at k > 1, the loop itself otherwise.
+
+    The unrolled side is ``alt`` over skip and the 1..k-fold weak sequences
+    of the body, so its findings, each counted once, are those of the k-fold
+    sequence; at k <= 1 they are at most the loop's. Copy 1 has the loop's
+    own findings: both walk the body from the namespace they are given. Every later copy repeats copy 2, because a
+    copy's effect on the namespace is idempotent: it leaves each name that
+    it creates or destroys as its last such statement does, and every other
+    name as it found it. So copy 2 starts where copy 1 left off, and so does
+    every copy after it.
+    """
+    return WeakSeq((loop.body,) * 2, loc=loop.loc) if k > 1 else loop
 
 
 def canonicalize(f: Fragment) -> Fragment:

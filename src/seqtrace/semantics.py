@@ -54,8 +54,10 @@ explicit iteration bound carried in :class:`EvalLimits`. Every operation
 aborts with :class:`TraceSetOverflowError` instead of silently truncating
 when a trace set would exceed the configured cap. Before any trace is
 computed, ``parser.scope`` checks lifeline scope and the first error it
-finds is raised; it lives with the parser, so that checking a diagram does
-not load this module.
+finds is raised, with no exception: for the unrolling identity it checks
+the unrolled side, ``parser._unrolled``, whose findings hold the loop's
+own. It lives with the parser, so that checking a diagram does not load
+this module.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ from seqtrace.ast import (
     shares_lifeline,
 )
 from seqtrace.errors import TraceSetOverflowError
-from seqtrace.parser import scope
+from seqtrace.parser import _unrolled, scope
 
 
 class EvalLimits(_Value):
@@ -505,10 +507,7 @@ def _scoped(f: Fragment, ns: Iterable[str]) -> Namespace:
     keeps the error, which would make a cycle with its traceback."""
     namespace_out, errors = scope(f, ns)
     if errors:
-        try:
-            raise errors[0]
-        finally:
-            del errors
+        raise errors.pop(0)
     return namespace_out
 
 
@@ -682,20 +681,13 @@ def _eval(f: Fragment, limits: EvalLimits) -> _Classes:
     raise TypeError(f"not a fragment: {f!r}")
 
 
-def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits) -> tuple:
+def _theorem1(loop: Loop, limits: EvalLimits) -> tuple:
     """Both sides of the unrolling identity at k = ``limits.loop_bound``, of a
-    loop whose scope is checked: the loop side is evaluated first, then the
-    unrolled side is scope-checked and evaluated. The unrolled side,
+    loop whose unrolled side's scope is checked (``parser._unrolled``): the
+    loop side is evaluated first, then the unrolled side. The unrolled side,
     ``alt`` over skip and the 1..k-fold weak sequences of the body at the
     loop's location, is built one power at a time: ``n`` copies are ``n - 1``
     copies sequenced with one more.
-
-    The first scope error of the k-fold sequence is that of two copies.
-    Suppose copy 1 has no scope error. If copy 1 leaves the namespace as it
-    found it, every later copy repeats copy 1. If it does not, copy 2 has a
-    scope error: the first statement of copy 1 that names a lifeline whose
-    presence copy 1 changed meets it changed in copy 2. So the first error
-    of the k-fold sequence is always in its first two copies.
 
     The unrolled side cannot overflow where the loop side did not: the loop
     side evaluates the same body first, and its closure holds every class
@@ -710,8 +702,6 @@ def _theorem1(loop: Loop, ns: Iterable[str], limits: EvalLimits) -> tuple:
     is the empty trace alone."""
     k, mx = limits.loop_bound, limits.max_traces
     closure = _eval(loop, limits)
-    if k > 1:
-        _scoped(WeakSeq((loop.body,) * 2), ns)
     unrolled = _Classes(mx, [()])
     once = power = _eval(loop.body, limits) if k else None
     for n in range(k):
@@ -732,11 +722,13 @@ def theorem1_sides(
 
     Left: the loop. Right: the alternative over skip and the 1..k-fold weak
     self-compositions of its body. Each side is evaluated on its own under
-    ``limits``, so nested loops are unrolled to the same bound k.
+    ``limits``, so nested loops are unrolled to the same bound k. Before
+    either is, the first scope error of the unrolled side is raised: the
+    loop's own first, or else that of the body's second copy.
     """
     limits = limits or EvalLimits()
-    _scoped(loop, ns)
-    left, right = _theorem1(loop, ns, limits)
+    _scoped(_unrolled(loop, limits.loop_bound), ns)
+    left, right = _theorem1(loop, limits)
     return left.words(), right.words()
 
 
@@ -750,14 +742,14 @@ def theorem1_diff(
     lacks are listed.
     """
     limits = limits or EvalLimits()
-    _scoped(loop, ns)
+    _scoped(_unrolled(loop, limits.loop_bound), ns)
     return tuple(frozenset(map(_read_trace, itertools.chain.from_iterable(windows)))
-                 for _, windows in _theorem1_contrasts(loop, ns, limits))
+                 for _, windows in _theorem1_contrasts(loop, limits))
 
 
-def _theorem1_contrasts(loop: Loop, ns: Iterable[str], limits: EvalLimits) -> tuple:
+def _theorem1_contrasts(loop: Loop, limits: EvalLimits) -> tuple:
     """``_contrast`` of the loop side against the unrolled side, and back, of
-    a loop whose scope is checked: what ``theorem1_diff`` lists, as sorted
-    windows of rendered lines."""
-    left, right = _theorem1(loop, ns, limits)
+    a loop whose unrolled side's scope is checked: what ``theorem1_diff``
+    lists, as sorted windows of rendered lines."""
+    left, right = _theorem1(loop, limits)
     return _contrast(left, right), _contrast(right, left)

@@ -137,7 +137,7 @@ def test_theorem_diff_by_class_equals_the_listed_sides(seed, k, cap):
 @pytest.mark.parametrize("seed", range(3))
 def test_theorem_meets_the_first_scope_error_of_the_k_fold_sequence(seed):
     # The theorem checks scope on two copies of the body, not k: a copy that
-    # changes the namespace makes the next copy fail.
+    # changes the namespace makes the next copy fail. Scope comes first.
     failing = 0
     for d in generated(seed, 60):
         body, ns = d.root, d.initial_namespace
@@ -147,9 +147,9 @@ def test_theorem_meets_the_first_scope_error_of_the_k_fold_sequence(seed):
             limits = EvalLimits(loop_bound=k, max_traces=60)
 
             def k_fold():
-                count_traces(loop, ns, limits)  # the loop side comes first
-                if k > 1 and (errors := scope(WeakSeq((body,) * k), ns)[1]):
+                if errors := scope(WeakSeq((body,) * k) if k > 1 else loop, ns)[1]:
                     raise errors[0]
+                count_traces(loop, ns, limits)  # the loop side comes first
                 return theorem1_diff(loop, ns, limits)
 
             assert outcome(lambda: theorem1_diff(loop, ns, limits)) == outcome(k_fold)

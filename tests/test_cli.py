@@ -479,8 +479,8 @@ class TestConform:
     (["refine", "weak_order.sd", "weak_order.sd"], 2),
     *((["conform", "weak_order.sd", "weak_order.log", "--mode", mode], 1)
       for mode in ("required", "exhaust", "forbid")),
-    # theorem walks the unrolled side's two copies of the body as well.
-    (["theorem", "loop_pair.sd", "--depth", "2"], 2),
+    # theorem walks two copies of the body in place of the loop.
+    (["theorem", "loop_pair.sd", "--depth", "2"], 1),
     (["theorem", "loop_pair.sd", "--depth", "1"], 1),
 ])
 def test_one_scope_walk_per_diagram(capsys, diagrams_dir, monkeypatch, argv, walks):
@@ -679,7 +679,20 @@ class TestTheorem:
         diagram.write_text("lifeline A\nloop {\n  create B\n}\n")
         code, out, err = run(capsys, "theorem", str(diagram), "--depth", "3")
         assert (code, out) == (2, "")
-        assert err == "error: 3:3: create of lifeline 'B' which is already in scope\n"
+        assert err == (f"{diagram}:3:3: duplicate-create: "
+                       "create of lifeline 'B' which is already in scope\n")
+
+    @pytest.mark.parametrize("options", [("--depth", "2000"),
+                                         ("--depth", str(2**63), "--max-traces", "50")])
+    def test_unrolled_scope_error_comes_before_evaluation(self, capsys, diagrams_dir,
+                                                           monkeypatch, options):
+        # Two copies of worker_scoped.sd's body create P twice. That is found
+        # before anything is evaluated, so the loop side neither takes time at
+        # a large depth nor overflows first.
+        monkeypatch.setattr(semantics, "_eval", lambda *args: pytest.fail("evaluated"))
+        path = diagrams_dir / "worker_scoped.sd"
+        assert run(capsys, "theorem", str(path), *options) == (2, "", (
+            f"{path}:7:3: duplicate-create: create of lifeline 'P' which is already in scope\n"))
 
     def test_unequal_lists_the_witnesses(self, capsys, tmp_path):
         # The filtered body's word A.a.B C.c.D is not weakly closed: the loop

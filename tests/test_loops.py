@@ -12,6 +12,7 @@ from seqtrace import (
     Create,
     Destroy,
     DiagramError,
+    DuplicateCreateError,
     EvalLimits,
     Loop,
     Message,
@@ -22,6 +23,7 @@ from seqtrace import (
     count_traces,
     denote,
     kleene_bounded,
+    semantics,
     theorem1_diff,
     theorem1_sides,
 )
@@ -136,6 +138,18 @@ class TestUnrollingIdentity:
             (Create("P"), Basic((M("S", "run", "P"),)), Destroy("P"))
         )
         assert identity_holds(body, {"S"}, 3)
+
+    @pytest.mark.parametrize("theorem", [theorem1_diff, theorem1_sides])
+    def test_scope_is_walked_once_before_anything_is_evaluated(self, theorem, monkeypatch):
+        # Two copies of a body that creates P clash, which one walk finds.
+        walks = []
+        scope = semantics.scope
+        monkeypatch.setattr(semantics, "scope", lambda *args: walks.append(1) or scope(*args))
+        monkeypatch.setattr(semantics, "_eval", lambda *args: pytest.fail("evaluated"))
+        body = WeakSeq((Create("P"), Basic((M("S", "run", "P"),))))
+        with pytest.raises(DuplicateCreateError, match="'P'"):
+            theorem(Loop(body), {"S"}, EvalLimits(loop_bound=2))
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("k", [10**6, 2**63])
     def test_any_depth_stops_at_the_fixpoint(self, k):

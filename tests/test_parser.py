@@ -26,6 +26,7 @@ from seqtrace import (
     validate,
 )
 from seqtrace.ast import Loc, children, rebuild
+from seqtrace.parser import _unrolled, scope
 
 from reference import GeneratorConfig, generate_fragments, misplaced_locations, split_statements
 
@@ -136,6 +137,20 @@ class TestParse:
         d = parse(src)
         assert d.root == Basic(messages)
         assert (d.root.loc, d.root.message_locs) == (locs[0], locs)
+
+    def test_messages_read_word_by_word_are_not_checked_again(self, monkeypatch):
+        # name() has checked each name and the scanner has shaped each label
+        # as a LABEL, so Message's checking constructor is never called.
+        cfg = GeneratorConfig(max_depth=4, seed=3, include_filters=True, include_lifecycle=True)
+        texts = [render_fragment(f) for f in generate_fragments(cfg, 40)]
+        assert any("consider [" in t or "ignore [" in t for t in texts)
+        wants = [parse(t) for t in texts]
+        calls = []
+        new = Message.__new__
+        monkeypatch.setattr(Message, "__new__",
+                            lambda cls, *fields: calls.append(fields) or new(cls, *fields))
+        assert [parse(split_statements(t)) for t in texts] == wants
+        assert calls == []
 
     def test_one_line_messages_in_a_message_set(self):
         d = parse("consider [A -> B : m1, C -> D : m3] {\n  A -> B : m1\n}")
@@ -315,6 +330,41 @@ class TestLocations:
             text = render_fragment(frag)
             _assert_locations_point_at_source(text)
             _assert_locations_point_at_source(split_statements(text))
+
+
+def _distinct_findings(f, ns):
+    return list(dict.fromkeys((e.loc, e.code, e.message) for e in scope(f, ns)[1]))
+
+
+class TestUnrolledScope:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_copies_find_what_k_copies_find(self, seed):
+        # Each copy after the first repeats the second, so two copies of the
+        # body in sequence have the findings of k copies, each counted once.
+        # Dropping or repeating a create makes bodies that fail in copy 1.
+        cfg = GeneratorConfig(max_depth=4, seed=seed, include_filters=True, include_lifecycle=True)
+        ns = frozenset(cfg.lifeline_pool)
+        invalid = clashing = 0  # loops with findings; pairs of copies with more
+        for frag in generate_fragments(cfg, 60):
+            text = render_fragment(frag)
+            lines = text.splitlines(keepends=True)
+            texts = [text]
+            if creates := [i for i, line in enumerate(lines) if line.lstrip().startswith("create")]:
+                i = creates[0]
+                texts += ["".join(lines[:i] + lines[i + 1:]), "".join(lines[:i + 1] + lines[i:])]
+            for body in (parse(t).root for t in texts):
+                loop = Loop(body, loc=body.loc)
+                invalid += bool(_distinct_findings(loop, ns))
+                clashing += _distinct_findings(_unrolled(loop, 2), ns) != _distinct_findings(loop, ns)
+                for k in range(2, 6):
+                    assert (_distinct_findings(WeakSeq((body,) * k), ns)
+                            == _distinct_findings(_unrolled(loop, k), ns)), text
+        assert invalid >= 5 and clashing >= 5
+
+    def test_one_copy_is_the_loop(self):
+        loop = parse("lifeline A\nloop {\n  create B\n}\n").root
+        assert _unrolled(loop, 0) is _unrolled(loop, 1) is loop
+        assert _unrolled(loop, 2) == WeakSeq((loop.body, loop.body))
 
 
 class TestRender:

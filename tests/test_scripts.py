@@ -31,6 +31,10 @@ def test_differential_fuzz_has_no_mismatch():
     count = re.search(r"count vs enumeration: +200 cases \((\d+) splitting a class\), "
                       r"0 mismatches", proc.stdout)
     assert count and int(count[1]) > 0
+    # The theorem line reaches loops whose unrolled copies clash in scope.
+    theorem = re.search(r"theorem classes vs words: +200 cases \((\d+) out of scope in the "
+                        r"unrolled copies\), 0 mismatches", proc.stdout)
+    assert theorem and int(theorem[1]) > 0
     # The listing line reaches classes larger than one completion block, and
     # listings that merge the streams of two or more classes.
     listing = re.search(r"listing vs sorted words: +200 cases \((\d+) past a block, "
