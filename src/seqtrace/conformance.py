@@ -15,9 +15,12 @@ Refinement and the three relations are decided on weak-equivalence classes
 without listing either side. A diagram is evaluated to its classes, each
 keyed by its per-lifeline projections; a class is held whole, with its
 size, or in part, as its words, where a filter or a ``par`` over a shared
-lifeline makes it so. A log line that spells a class of one trace is that
-class, held whole, found by one string lookup and never read; the log's
-other traces are grouped once by class, held in part. A class held whole
+lifeline makes it so. A log is its distinct lines, each as ``render_trace``
+writes it, with the trace of each where it is known. A line that spells a
+class of one trace is that class, held whole, found by one string lookup
+and never read; the log's other traces are grouped once by class, held in
+part. So a logged line is read into a trace at most once, and a trace
+handed to ``conform`` never is. A class held whole
 covers every trace of its key, one held in part its own words. Each
 verdict carries the exact number of counterexamples, and its first
 ``MAX_WITNESSES`` in rendered order, read back from the lines of the
@@ -85,12 +88,14 @@ def _parse_log_message(token: str, line_no: int) -> Message:
         raise LogParseError(f"malformed message {token!r}; {exc}", line_no) from exc
 
 
-def _log_lines(text: str) -> list[str]:
+def _log_lines(text: str) -> dict[str, None]:
     """The distinct traces of a trace log, in order of first occurrence, each
     as ``render_trace`` writes it: one trace per line, ended only by a
     newline, messages as sender.label.receiver separated by blanks, epsilon
     for the empty trace, ``#`` comments. A line's comment is dropped and its
     tokens are joined by one blank, so lines that differ only there are one.
+    Each maps to None, as ``_conform`` takes a log whose traces are not yet
+    read: it reads each line at most once, and only where it needs the trace.
 
     Each distinct line is matched whole once, in order of first occurrence,
     so an error names the first bad line."""
@@ -103,7 +108,7 @@ def _log_lines(text: str) -> list[str]:
             if not rendered(line):
                 _log_error(text, raw, tokens)
             lines[line] = None
-    return list(lines)
+    return lines
 
 
 def parse_trace_log(text: str) -> TraceSet:
@@ -171,26 +176,29 @@ def conform(
     mode = ConformanceMode(mode)
     limits = limits or EvalLimits()
     _scoped(d.root, d.initial_namespace)
-    return _conform(d, map(render_trace, log), mode, limits)
+    return _conform(d, {render_trace(t): t for t in log}, mode, limits)
 
 
 def _conform(
-    d: ParsedDiagram, lines: Iterable[str], mode: ConformanceMode, limits: EvalLimits
+    d: ParsedDiagram, log: dict[str, Trace | None], mode: ConformanceMode, limits: EvalLimits
 ) -> Verdict:
-    """``conform`` of a diagram whose scope is checked, on the lines of a log
-    as ``render_trace`` writes them."""
+    """``conform`` of a diagram whose scope is checked, on a log that maps
+    each distinct line, as ``render_trace`` writes it, to its trace, or to
+    None where only the line is known (``_log_lines``). A line is read into
+    a trace at most once, and only where it maps to None."""
     diagram = _eval(d.root, limits)
-    lines = set(lines)
     # A line that spells a class of one trace is that class, held whole: only
-    # the other lines are read into traces and keyed. Only the classes as
-    # long as some line are rendered, n + 1 messages for a line of n blanks;
-    # an epsilon line is read.
-    blanks = {x.count(" ") for x in lines}
+    # the other lines are keyed, each as its trace, which is read from the
+    # line where it is None (the empty trace is a trace, though falsy). Only
+    # the classes as long as some line are rendered, n + 1 messages for a
+    # line of n blanks; an epsilon line is keyed as the others are.
+    blanks = {x.count(" ") for x in log}
     spelled = {render_trace(rep): (key, (rep, 1)) for key, (rep, size) in diagram.reps.items()
                if size == 1 and len(rep) - 1 in blanks}
-    hits = spelled.keys() & lines
+    hits = spelled.keys() & log.keys()
     # The log's own size is a cap it cannot pass: no verdict overflows on it.
-    system = _Classes(len(lines), loose=map(_read_trace, lines - hits))
+    system = _Classes(len(log), loose=(
+        _read_trace(x) if log[x] is None else log[x] for x in log.keys() - hits))
     system.reps = dict(map(spelled.get, hits))
     system.total += len(hits)
     if mode is ConformanceMode.REQUIRED:
@@ -199,5 +207,5 @@ def _conform(
     if mode is ConformanceMode.EXHAUSTIVE:
         return _verdict("log", total, unexplained, limits)
     # The logged traces that the diagram has: the rest of the log.
-    both = sorted(lines.difference(*unexplained))
+    both = sorted(set(log).difference(*unexplained))
     return _verdict("both", len(both), [both], limits)

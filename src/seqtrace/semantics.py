@@ -219,7 +219,9 @@ def _components(t: Trace) -> list[Sequence[Message]]:
     for s, r in pairs:
         if (a := root(s)) != (b := root(r)):
             parent[a] = b
-    # Each union gave one root a parent: the groups are the lifelines less those.
+    # Each union gave one root a parent: the groups are the lifelines less
+    # those. One group skips the grouping pass: a loop whose every class is
+    # one group, walked next by ``_above``, is counted a few percent faster.
     if len(set(itertools.chain.from_iterable(pairs))) - len(parent) < 2:
         return [t]
     groups: dict[str, list[Message]] = {}

@@ -36,10 +36,12 @@ from seqtrace import (
     Verdict,
     WeakSeq,
     conform,
+    conformance,
     count_traces,
     denote,
     message_alphabet,
     parse,
+    parse_trace_log,
     refines,
     render_fragment,
     render_trace,
@@ -577,3 +579,41 @@ def test_alt_of_a_loop_and_a_filter_keeps_the_loop_by_class(diagrams_dir):
     assert s.reps == _eval(loop.root, EvalLimits(loop_bound=5)).reps
     assert s.loose == {(kept,): {(kept,)}}
     assert count_traces(mixed, loop.initial_namespace, EvalLimits(loop_bound=5)) == 198_628
+
+
+def held(s: _Classes) -> tuple:
+    """A copy of what ``s`` holds."""
+    return dict(s.reps), {key: frozenset(ts) for key, ts in s.loose.items()}, s.total
+
+
+def test_no_eval_result_changes_after_it_is_returned(monkeypatch, diagrams_dir):
+    # A table of evaluated subfragments may hand one ``_Classes`` to several
+    # callers only if none of them changes it. Every result, nested ones
+    # included, is recorded as it is returned, through both modules that
+    # call ``_eval``.
+    returned = []
+
+    def recorded(f, limits):
+        s = _eval(f, limits)
+        returned.append((s, held(s)))
+        return s
+
+    monkeypatch.setattr(semantics, "_eval", recorded)
+    monkeypatch.setattr(conformance, "_eval", recorded)
+    limits = EvalLimits(loop_bound=2, max_traces=800)
+    corpus = [parse(p.read_text()) for p in sorted(diagrams_dir.glob("*.sd"))]
+    for d in corpus + generated(0, 60):
+        root, ns = d.root, d.initial_namespace
+        lines = outcome(lambda: list(rendered_traces(root, ns, limits)))
+        log = frozenset() if isinstance(lines, str) else parse_trace_log(
+            "\n".join(lines[::2] + ["A.zz.B"]))
+        for evaluate in (
+            lambda: count_traces(root, ns, limits),
+            lambda: list(rendered_traces(root, ns, limits)),
+            lambda: theorem1_diff(Loop(root, loc=root.loc), ns, limits),
+            lambda: refines(d, d, limits),
+            *(lambda mode=mode: conform(d, log, mode, limits) for mode in ConformanceMode),
+        ):
+            outcome(evaluate)
+            assert all(held(s) == seen for s, seen in returned)
+    assert len(returned) > 1000

@@ -19,6 +19,7 @@ from seqtrace import (
     render_trace,
     validate,
 )
+from seqtrace import conformance
 from seqtrace.cli import main
 
 from reference import GeneratorConfig, generate_fragments
@@ -407,6 +408,27 @@ class TestConform:
         totals = {mode: conform(self.diagram, log, mode, limits).total for mode in ConformanceMode}
         assert totals == {ConformanceMode.REQUIRED: 0, ConformanceMode.EXHAUSTIVE: 10,
                           ConformanceMode.FORBIDDEN: 3}
+
+
+@pytest.mark.parametrize("mode", ConformanceMode)
+@pytest.mark.parametrize("logged", ["every trace", "the empty trace"])
+def test_conform_reads_back_no_trace_it_is_handed(monkeypatch, diagrams_dir, mode, logged):
+    # loop_pair at k=2 has 77 traces: the empty trace, a trace though falsy,
+    # and classes of several traces, none of which a line spells. The log
+    # hands each over as a trace, with a foreign chain beside every trace,
+    # so only the verdict's witnesses are read, from their lines.
+    d = parse((diagrams_dir / "loop_pair.sd").read_text())
+    limits = EvalLimits(loop_bound=2)
+    traces = denote(d.root, d.initial_namespace, limits).traces
+    log = traces | {(M("A", "zz", "B"),)} if logged == "every trace" else {()}
+    reads, read = [], conformance._read_trace
+    monkeypatch.setattr(conformance, "_read_trace", lambda line: reads.append(line) or read(line))
+    verdict = conform(d, log, mode, limits)
+    assert len(reads) <= len(verdict.witnesses)
+    totals = {"every trace": (0, 1, 77), "the empty trace": (76, 0, 1)}[logged]
+    assert verdict.total == dict(zip(ConformanceMode, totals))[mode]
+    if logged == "the empty trace" and mode is ConformanceMode.FORBIDDEN:
+        assert verdict.witnesses == ((),)
 
 
 # Blanks that a re-spelled log puts between tokens, around a line and
