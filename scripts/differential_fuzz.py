@@ -13,9 +13,9 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
 * the unrolling identity's sides compared by class key vs. as listed words;
   the fragments are in scope, so every scope error is one of the unrolled
   side's second copy, and the line counts the cases that raise one
-* ``par`` over classes vs. interleaving the operands' listed words, the
-  second operand drawn over other lifelines (operands apart) in every other
-  case and over the first operand's own lifelines (shared) in the rest
+* ``par`` over classes vs. the words of ``reference``, the second operand
+  drawn over other lifelines (operands apart) in every other case and over
+  the first operand's own lifelines (shared) in the rest
 * refinement and conformance verdicts compared by class key vs. set
   operations on the words of ``reference``; each ``conform`` also runs on
   its log written as text, with blanks from ``LOG_BLANKS`` and comments,
@@ -23,9 +23,9 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   never read
 * the streamed listing (rendered lines, each class in blocks from its
   shared completion blocks, the classes merged in sorted windows) vs.
-  sorting the rendered trace set (each class collected as message tuples),
-  on loops whose classes pass the block size and on loops over an ``alt``,
-  whose classes interleave; the line counts the cases of each kind
+  sorting the rendered words of ``reference``, on loops whose classes pass
+  the block size and on loops over an ``alt``, whose classes interleave;
+  the line counts the cases of each kind
 * the diagram reader on rendered text, where each run of one-line message
   statements is read in one step, vs. the same text with every message
   statement split one token per line, which the reader takes token by token;
@@ -72,7 +72,6 @@ from seqtrace import (
     conform,
     count_traces,
     denote,
-    interleave_sets,
     interleave_traces,
     parse,
     parse_trace_log,
@@ -250,8 +249,7 @@ def main() -> int:
     ns = cfg.lifeline_pool + apart_cfg.lifeline_pool
     for x, y in pairs:
         by_class = outcome(lambda: denote(Par((x, y)), ns, limits).traces)
-        words = outcome(lambda: interleave_sets(
-            denote(x, ns, limits).traces, denote(y, ns, limits).traces, limits.max_traces))
+        words = outcome(lambda: reference(Par((x, y)), limits))
         if by_class != words:
             par_bad += 1
     print(f"par classes vs words:         {len(pairs)} cases, {par_bad} mismatches")
@@ -297,7 +295,7 @@ def main() -> int:
         if case % 2:
             body = WeakSeq((body, Alt(tuple(random_run(3) for _ in range(rng.randint(2, 3))))))
         loop = Loop(body)
-        words = outcome(lambda: denote(loop, ns, wide).traces)
+        words = outcome(lambda: reference(loop, wide))
         if not isinstance(words, str):
             words = sorted(map(render_trace, words))
             sizes = [size for _, size in _checked_eval(loop, ns, wide)[0].reps.values()]

@@ -17,8 +17,9 @@ keywords are reserved and cannot name lifelines):
 
 ``--`` separators are legal only inside alt and par blocks; a loop block
 has exactly one operand. Consecutive message statements coalesce into one
-basic fragment; statement sequences become weak-sequence nodes and single
-statements stand alone; an empty diagram parses to skip.
+basic fragment, which ``_sequence`` alone joins; statement sequences become
+weak-sequence nodes and single statements stand alone; an empty diagram
+parses to skip.
 
 The scanner reads a message statement that stands on one line in one
 match. Where a name or label is due (after ``lifeline``, ``create``,
@@ -26,6 +27,8 @@ match. Where a name or label is due (after ``lifeline``, ``create``,
 words; elsewhere it gathers a run of such statements into one MSG token.
 So a MSG token stands only where a statement may start, or where the parser
 reports an error at its sender, and each token's shape is decided once.
+The parser makes each MSG token, and each message it reads word by word,
+one basic, and ``_sequence`` joins the adjacent ones of a statement list.
 
 Lifeline scope is checked here too, before any trace is computed: ``scope``
 threads create and destroy through a fragment, and ``validate`` lists a
@@ -89,7 +92,7 @@ MAX_NESTING = 200
 # skips text. A line holding one message is one match. ``_tokenize`` splits
 # it into its five words where a name or label is due, and else gathers the
 # message matches that only blanks, newlines and comments part into one run
-# token, which the parser takes whole as one basic's messages.
+# token, which the parser takes whole as one basic.
 _NOT_KEYWORD = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b)"
 _TOKEN_RE = re.compile(
     rf"[ \t\r]*(?:(#[^\n]*)|(\n)|{_NOT_KEYWORD}({NAME})[ \t\r]*(->)[ \t\r]*"
@@ -207,26 +210,20 @@ class _Parser:
         return ParsedDiagram(frozenset(declared), _sequence(items) or Skip())
 
     def statement(self) -> Fragment:
-        """One statement; a run of message statements is one basic. A MSG
-        token stands only where a statement may start, so it is taken whole
-        here, or after a block keyword or ``]``, where ``block`` reports an
-        error at its sender; the other messages are read word by word."""
+        """One statement. A MSG token is one basic of its run's messages, and
+        a message read word by word is a basic of one; ``_sequence`` joins
+        adjacent basics into one. A MSG token stands only where a statement
+        may start, so it is taken whole here, or after a block keyword or
+        ``]``, where ``block`` reports an error at its sender."""
         tok = self.peek()
         if tok[0] not in ("MSG", "WORD"):
             raise _unexpected(tok, "a statement")
         word, loc = tok[1], _loc(tok)
-        if word not in KEYWORDS:  # a run of message statements is one basic
-            messages, locs = [], []
-            while tok[0] == "MSG" or tok[0] == "WORD" and tok[1] not in KEYWORDS:
-                if tok[0] == "MSG":  # a whole run at once
-                    messages += tok[4]
-                    locs += tok[5]
-                    self.pos += 1
-                else:
-                    locs.append(_loc(tok))
-                    messages.append(self.message())
-                tok = self.tokens[self.pos]
-            return Basic(tuple(messages), loc=loc, message_locs=tuple(locs))
+        if tok[0] == "MSG":
+            self.pos += 1
+            return Basic(tuple(tok[4]), loc=loc, message_locs=tuple(tok[5]))
+        if word not in KEYWORDS:
+            return Basic((self.message(),), loc=loc)
         if word == "lifeline":
             raise ParseError("lifeline declarations are only allowed at the top level", loc)
         self.pos += 1
@@ -297,7 +294,9 @@ class _Parser:
 def _sequence(parts: list[Fragment]) -> Fragment | None:
     """Merge each run of adjacent basics into one, at the first one's location
     and with every message's own, then sequence what is left: None for no
-    parts, and a single part stands alone."""
+    parts, and a single part stands alone. This is the one place where the
+    parser's message statements, and ``canonicalize``'s basics, become one
+    basic."""
     if len(parts) < 2:  # as every one-statement operand is
         return parts[0] if parts else None
     seq: list[Fragment] = []
@@ -374,11 +373,12 @@ def _unrolled(loop: Loop, k: int) -> Fragment:
     The unrolled side is ``alt`` over skip and the 1..k-fold weak sequences
     of the body, so its findings, each counted once, are those of the k-fold
     sequence; at k <= 1 they are at most the loop's. Copy 1 has the loop's
-    own findings: both walk the body from the namespace they are given. Every later copy repeats copy 2, because a
-    copy's effect on the namespace is idempotent: it leaves each name that
-    it creates or destroys as its last such statement does, and every other
-    name as it found it. So copy 2 starts where copy 1 left off, and so does
-    every copy after it.
+    own findings: both walk the body from the namespace they are given.
+    Every later copy repeats copy 2, because a copy's effect on the
+    namespace is idempotent: it leaves each name that it creates or
+    destroys as its last such statement does, and every other name as it
+    found it. So copy 2 starts where copy 1 left off, and so does every
+    copy after it.
     """
     return WeakSeq((loop.body,) * 2, loc=loop.loc) if k > 1 else loop
 
@@ -413,6 +413,8 @@ def _render_into(f: Fragment, lines: list[str], depth: int) -> None:
             lines.append(pad + keyword)
         case _:
             if isinstance(f, (Consider, Ignore)):
+                if not f.alphabet:  # the grammar has no empty message set
+                    raise ValueError(f"cannot render {keyword} over an empty message set")
                 rendered = ", ".join(_render_message(m) for m in sorted(f.alphabet))
                 keyword += f" [{rendered}]"
             lines.append(pad + keyword + " {")
@@ -429,7 +431,9 @@ def render_fragment(f: Fragment) -> str:
     The headers are the names ``scope`` reports missing under an empty
     namespace: message peers and destroy targets that are not created
     earlier in the same sequence. Re-parsing the result gives back
-    ``canonicalize(f)``.
+    ``canonicalize(f)``. A ``consider`` or ``ignore`` over an empty message
+    set has no text, since ``msgset`` holds at least one message, and
+    raises ``ValueError``.
     """
     _, errors = scope(f, ())
     needed = {e.name for e in errors if not isinstance(e, DuplicateCreateError)}

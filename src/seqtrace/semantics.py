@@ -39,15 +39,16 @@ class in rendered-line order from the walk of its whole order, in blocks:
 one pass from the top layer down builds the suffixes of each downset with
 at most ``_BLOCK`` completions, counted by its successors' suffixes. A
 downset is then either a block root, whose block is a prefix followed by
-its suffixes, or walked through; no count is kept per downset. A trace is spelled by concatenating one unit per
-occurrence: ``weak`` spells tuples, a listing its rendered lines. Every
-ordered listing is ``_contrast``'s one merge of those lines, in sorted
-windows: ``traces`` writes each window at once, ``rendered_traces`` chains
-them, and the conformance witnesses and ``theorem1_diff`` read them back
-as traces. A listing is sorted without being held: a window holds at most
-one block per class stream, plus the classes of one and the loose traces,
-and a stream holds at most ``_BLOCK`` suffixes per block root, plus two
-layers of suffix lists while it builds them, never a larger class whole.
+its suffixes, or walked through; no count is kept per downset. A trace is
+spelled by concatenating one unit per occurrence: ``weak`` spells tuples,
+a listing its rendered lines. Every ordered listing is ``_contrast``'s
+one merge of those lines, in sorted windows: ``traces`` writes each window
+at once, ``rendered_traces`` chains them, and the conformance witnesses and
+``theorem1_diff`` read them back as traces. A listing is sorted without
+being held: a window holds at most one block per class stream, plus the
+classes of one and the loose traces, and a stream holds at most ``_BLOCK``
+suffixes per block root, plus two layers of suffix lists while it builds
+them, never a larger class whole.
 
 Loops are unbounded in principle; evaluation truncates the closure at an
 explicit iteration bound carried in :class:`EvalLimits`. Every operation

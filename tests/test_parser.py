@@ -390,6 +390,13 @@ class TestRender:
         )
         assert parse(render_fragment(frag)).root == frag
 
+    @pytest.mark.parametrize("node", [Consider, Ignore])
+    def test_empty_message_set_has_no_text(self, node):
+        # The grammar rejects ``[]``, so no text parses back to this filter.
+        frag = node(frozenset(), Basic((M("A", "m", "B"),)))
+        with pytest.raises(ValueError, match=f"cannot render {node.__name__.lower()} over"):
+            render_fragment(frag)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2])
