@@ -9,10 +9,14 @@ Cross-checks ten pairs of independent routes on seeded random inputs:
   ``tests/reference.py``, which lists every trace with the public set
   operators and never holds a class: a class is sized as the shuffle of
   its components on unconnected lifelines; the line counts the cases that
-  hold a class of more than one component
-* the unrolling identity's sides compared by class key vs. as listed words;
-  the fragments are in scope, so every scope error is one of the unrolled
-  side's second copy, and the line counts the cases that raise one
+  hold a class of more than one component. Each case runs again at a cap
+  of 2, which a single basic's class can pass, so an overflow's location
+  is compared too; the line counts the cases that overflow there
+* the unrolling identity's sides compared by class key vs. the words of
+  ``reference``, on the loop and on the literal ``alt`` of its powers, at
+  k = 2 and 3; the fragments are in scope, so every scope error is one of
+  the unrolled side's second copy, and the line counts the fragments that
+  raise one and those evaluated at k = 3
 * ``par`` over classes vs. the words of ``reference``, the second operand
   drawn over other lifelines (operands apart) in every other case and over
   the first operand's own lifelines (shared) in the rest
@@ -66,6 +70,7 @@ from seqtrace import (
     Message,
     Par,
     ParsedDiagram,
+    Skip,
     UnknownLifelineError,
     WeakSeq,
     canonicalize,
@@ -80,12 +85,12 @@ from seqtrace import (
     render_trace,
     rendered_traces,
     theorem1_diff,
-    theorem1_sides,
     weak,
 )
 from seqtrace.ast import EMPTY_TRACE_TOKEN
 from seqtrace.conformance import _conform, _log_lines, _parse_log_message
-from seqtrace.semantics import _BLOCK, _checked_eval, _components
+from seqtrace.parser import _unrolled
+from seqtrace.semantics import _BLOCK, _checked_eval, _components, _scoped
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
@@ -164,6 +169,19 @@ def log_outcome(read, text: str):
         return f"{exc} (line {exc.line_no})"
 
 
+def theorem_words(loop: Loop, ns, limits: EvalLimits):
+    """What ``theorem1_diff`` lists, from the words of ``reference``: the
+    traces only the loop has, and those only the ``alt`` over skip and the
+    1..k-fold weak sequences of the body has, at k = ``limits.loop_bound``.
+    ``reference`` checks no scope, so the unrolled side's is checked first."""
+    k = limits.loop_bound
+    _scoped(_unrolled(loop, k), ns)
+    left = reference(loop, limits)
+    powers = [loop.body] + [WeakSeq((loop.body,) * n) for n in range(2, k + 1)]
+    right = reference(Alt((Skip(), *powers)), limits)
+    return left - right, right - left
+
+
 def agrees(verdict, found) -> bool:
     """Whether a verdict is the one that the listed counterexamples give."""
     listed = (not found, tuple(sorted(found, key=render_trace)[:10]), len(found))
@@ -204,35 +222,37 @@ def main() -> int:
             trip_bad += 1
     print(f"parse/render round trip:      {len(frags)} cases, {trip_bad} mismatches")
 
-    count_bad = split = 0
+    count_bad = split = overflowed = 0
     limits = EvalLimits(loop_bound=2, max_traces=1000)
+    tight = EvalLimits(loop_bound=2, max_traces=2)
     for frag in frags:
         # Parsed back, every fragment has a location for an overflow to name.
         d = parse(render_fragment(frag))
         root, ns = d.root, d.initial_namespace
-        counted = outcome(lambda: count_traces(root, ns, limits))
-        words = outcome(lambda: reference(root, limits))
-        if counted != (words if isinstance(words, str) else len(words)):
-            count_bad += 1
-        if not isinstance(counted, str):
+        counts = [outcome(lambda: count_traces(root, ns, cap)) for cap in (limits, tight)]
+        words = [outcome(lambda: reference(root, cap)) for cap in (limits, tight)]
+        count_bad += sum(c != (w if isinstance(w, str) else len(w)) for c, w in zip(counts, words))
+        overflowed += isinstance(counts[1], str)
+        if not isinstance(counts[0], str):
             reps = _checked_eval(root, ns, limits)[0].reps.values()
             split += any(len(_components(rep)) > 1 for rep, _ in reps)
-    print(f"count vs enumeration:         {len(frags)} cases ({split} splitting a class), "
-          f"{count_bad} mismatches")
+    print(f"count vs enumeration:         {len(frags)} cases at caps {limits.max_traces} and "
+          f"{tight.max_traces} ({split} splitting a class, {overflowed} past cap "
+          f"{tight.max_traces}), {count_bad} mismatches")
 
-    theorem_bad = unscoped = 0
+    theorem_bad = unscoped = evaluated = 0
+    ns = cfg.lifeline_pool
     for frag in frags:
-        ns = cfg.lifeline_pool
-        by_class = outcome(lambda: theorem1_diff(Loop(frag), ns, limits))
+        for k in (2, 3):
+            at_k = EvalLimits(loop_bound=k, max_traces=1000)
+            by_class = outcome(lambda: theorem1_diff(Loop(frag), ns, at_k))
+            theorem_bad += by_class != outcome(lambda: theorem_words(Loop(frag), ns, at_k))
+        # The unrolled copies' scope is the same at both k; by_class is k = 3's.
         unscoped += isinstance(by_class, str) and by_class.startswith(SCOPE_ERRORS)
-        left_right = outcome(lambda: theorem1_sides(Loop(frag), ns, limits))
-        if not isinstance(left_right, str):
-            left, right = left_right
-            left_right = (left - right, right - left)
-        if by_class != left_right:
-            theorem_bad += 1
-    print(f"theorem classes vs words:     {len(frags)} cases ({unscoped} out of scope "
-          f"in the unrolled copies), {theorem_bad} mismatches")
+        evaluated += not isinstance(by_class, str)
+    print(f"theorem classes vs words:     {len(frags)} cases at k = 2 and 3 ({unscoped} out "
+          f"of scope in the unrolled copies, {evaluated} evaluated at k = 3), "
+          f"{theorem_bad} mismatches")
 
     par_bad = 0
     # Every other second operand is drawn over other lifelines, where the

@@ -185,22 +185,23 @@ def _conform(
     """``conform`` of a diagram whose scope is checked, on a log that maps
     each distinct line, as ``render_trace`` writes it, to its trace, or to
     None where only the line is known (``_log_lines``). A line is read into
-    a trace at most once, and only where it maps to None."""
+    a trace at most once, and only where it maps to None.
+
+    The lines that spell the diagram's classes of one trace are indexed
+    from the diagram alone, whatever the log holds, so the index could
+    decide a line as soon as it is read."""
     diagram = _eval(d.root, limits)
-    # A line that spells a class of one trace is that class, held whole: only
-    # the other lines are keyed, each as its trace, which is read from the
-    # line where it is None (the empty trace is a trace, though falsy). Only
-    # the classes as long as some line are rendered, n + 1 messages for a
-    # line of n blanks; an epsilon line is keyed as the others are.
-    blanks = {x.count(" ") for x in log}
-    spelled = {render_trace(rep): (key, (rep, 1)) for key, (rep, size) in diagram.reps.items()
-               if size == 1 and len(rep) - 1 in blanks}
+    # A line that spells a class of one trace is that class, held whole, and
+    # goes into the log's classes as the diagram holds it: only the other
+    # lines are keyed, each as its trace, which is read from the line where
+    # it is None (the empty trace is a trace, though falsy).
+    spelled = {render_trace(rep): (key, rep) for key, (rep, n) in diagram.reps.items() if n == 1}
     hits = spelled.keys() & log.keys()
     # The log's own size is a cap it cannot pass: no verdict overflows on it.
     system = _Classes(len(log), loose=(
         _read_trace(x) if log[x] is None else log[x] for x in log.keys() - hits))
-    system.reps = dict(map(spelled.get, hits))
-    system.total += len(hits)
+    for line in hits:
+        system._put(*spelled[line], 1)
     if mode is ConformanceMode.REQUIRED:
         return _verdict("diagram", *_contrast(diagram, system), limits)
     total, unexplained = _contrast(system, diagram)

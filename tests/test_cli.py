@@ -496,7 +496,8 @@ def test_one_scope_walk_per_diagram(capsys, diagrams_dir, monkeypatch, argv, wal
 
 def test_conform_reads_only_the_lines_the_diagram_does_not_spell(capsys, tmp_path, monkeypatch):
     # An alt of 200 five-message walks, each message sent by the previous
-    # one's receiver: every walk is a class of one trace.
+    # one's receiver, and skip: every walk is a class of one trace, and so is
+    # the empty trace, whose line has no blank.
     rng = random.Random(32)
     names = [f"P{i}" for i in range(8)]
     walks = []
@@ -509,8 +510,9 @@ def test_conform_reads_only_the_lines_the_diagram_does_not_spell(capsys, tmp_pat
         walks.append(walk)
     diagram = tmp_path / "wide.sd"
     diagram.write_text("".join(f"lifeline {n}\n" for n in names) + "alt {\n" + "\n--\n".join(
-        "\n".join(f"{s} -> {r} : {label}" for s, label, r in walk) for walk in walks) + "\n}\n")
-    lines = [" ".join(f"{s}.{label}.{r}" for s, label, r in walk) for walk in walks]
+        "\n".join(f"{s} -> {r} : {label}" for s, label, r in walk) for walk in walks)
+        + "\n--\nskip\n}\n")
+    lines = [" ".join(f"{s}.{label}.{r}" for s, label, r in walk) for walk in walks] + ["ε"]
     foreign = [lines[i].replace(f"w{i}s2", "foreign") for i in range(3)]
     logged = lines * 3 + foreign * 2
     rng.shuffle(logged)

@@ -27,14 +27,17 @@ def test_differential_fuzz_has_no_mismatch():
     proc = run_script("differential_fuzz.py", "--cases", "200")
     assert proc.returncode == 0, proc.stderr
     assert "total: 0 mismatches" in proc.stdout
-    # Counting reaches classes sized as the shuffle of several components.
-    count = re.search(r"count vs enumeration: +200 cases \((\d+) splitting a class\), "
-                      r"0 mismatches", proc.stdout)
-    assert count and int(count[1]) > 0
-    # The theorem line reaches loops whose unrolled copies clash in scope.
-    theorem = re.search(r"theorem classes vs words: +200 cases \((\d+) out of scope in the "
-                        r"unrolled copies\), 0 mismatches", proc.stdout)
-    assert theorem and int(theorem[1]) > 0
+    # Counting reaches classes sized as the shuffle of several components,
+    # and overflows at a cap of 2, where a location can be misplaced.
+    count = re.search(r"count vs enumeration: +200 cases at caps 1000 and 2 \((\d+) splitting "
+                      r"a class, (\d+) past cap 2\), 0 mismatches", proc.stdout)
+    assert count and int(count[1]) > 0 and int(count[2]) > 0
+    # The theorem line reaches loops whose unrolled copies clash in scope, and
+    # evaluates loops at k = 3, where a third power differs from the second.
+    theorem = re.search(r"theorem classes vs words: +200 cases at k = 2 and 3 \((\d+) out of "
+                        r"scope in the unrolled copies, (\d+) evaluated at k = 3\), 0 mismatches",
+                        proc.stdout)
+    assert theorem and int(theorem[1]) > 0 and int(theorem[2]) > 0
     # The listing line reaches classes larger than one completion block, and
     # listings that merge the streams of two or more classes.
     listing = re.search(r"listing vs sorted words: +200 cases \((\d+) past a block, "
